@@ -11,7 +11,7 @@ ServeHandle::ServeHandle(Network& net, const ServeOptions& opts)
 
 std::uint64_t ServeHandle::publish() {
   events_since_publish_ = 0;
-  return store_.publish(net_.graph());
+  return store_.publish(net_.graph(), net_.connectivity_tracker());
 }
 
 void ServeHandle::maybe_publish() {

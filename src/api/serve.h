@@ -7,8 +7,14 @@
 // cadence). Reader threads each hold a ServeReader and answer
 //
 //   connected(u, v)        O(1) from the pinned labels
-//   distance(u, v)         one BFS on the pinned CSR arrays
-//   largest_component()    O(1) from the pinned labels
+//   distance(u, v)         one bidirectional BFS on the pinned CSR
+//                          arrays, stopping where the searches meet
+//   largest_component()    one pass over the pinned component sizes
+//
+// A publish patches the recycled snapshot forward: the CSR by the
+// touched vertices, and the labels -- whenever the engine's
+// connectivity tracker vouches that no component merged or split --
+// by dropping the ids that died (graph/snapshot_store.h).
 //
 // entirely from a pinned epoch -- no lock is taken on the read path,
 // and the mutation thread never waits for readers (epoch-based
@@ -63,10 +69,10 @@ class ServePin {
   bool connected(graph::NodeId u, graph::NodeId v) const {
     return pin_->connected(u, v);
   }
-  /// BFS hop distance on the pinned snapshot; nullopt when dead or
-  /// disconnected. Independent of the labels connected() reads, so
-  /// `connected(u,v) == distance(u,v).has_value()` is a per-query
-  /// torn-read cross-check (the serve bench's --verify mode).
+  /// Bidirectional-BFS hop distance on the pinned snapshot; nullopt
+  /// when dead or disconnected. Independent of the labels connected()
+  /// reads, so `connected(u,v) == distance(u,v).has_value()` is a
+  /// per-query torn-read cross-check (the serve bench's --verify mode).
   std::optional<std::uint32_t> distance(graph::NodeId u, graph::NodeId v) {
     return pin_->distance(u, v, *scratch_);
   }

@@ -278,17 +278,31 @@ std::size_t HealingState::propagate_min_id(
   std::uint64_t min_id = component_id_[seeds.front()];
   for (NodeId s : seeds) min_id = std::min(min_id, component_id_[s]);
 
-  // The seeds are connected in G' after reconnection, so one BFS from
-  // any seed covers the merged component.
+  // Each merged tree was uniformly labelled and holds a seed, so the
+  // nodes whose id changes are exactly those reachable from a
+  // non-minimum seed through non-minimum nodes. Relabelling a node as
+  // it is reached doubles as the visited mark, and the walk never
+  // enters the part of the merged tree that already holds the minimum.
   std::size_t changed = 0;
-  for (NodeId x : healing_component(g, seeds.front())) {
-    if (component_id_[x] == min_id) continue;
+  std::vector<NodeId> frontier;
+  const auto relabel = [&](NodeId x) {
     component_id_[x] = min_id;
     ++id_changes_[x];
     // Lemma 8: a node whose id changes broadcasts it to its G-neighbors.
     msgs_sent_[x] += g.degree(x);
     for (NodeId w : g.neighbors(x)) ++msgs_recv_[w];
+    frontier.push_back(x);
     ++changed;
+  };
+  for (NodeId s : seeds) {
+    if (component_id_[s] != min_id) relabel(s);
+  }
+  while (!frontier.empty()) {
+    const NodeId x = frontier.back();
+    frontier.pop_back();
+    for (NodeId u : forest_adj_[x]) {
+      if (component_id_[u] != min_id) relabel(u);
+    }
   }
   return changed;
 }

@@ -144,6 +144,14 @@ class HealingState {
   /// `seeds` to the minimum component id found among the seeds, counting
   /// id changes and the messages each change broadcasts to G-neighbors.
   /// Returns the number of nodes whose id changed.
+  ///
+  /// Precondition: the seeds are connected in G' (the heal's new edges
+  /// join them), and every G'-tree they merged was uniformly labelled
+  /// before the heal and holds a seed -- the invariant
+  /// analysis::check_component_ids verifies. The walk then starts from
+  /// the seeds that lack the minimum and visits exactly the nodes whose
+  /// id changes, never the rest of the merged tree, so its cost follows
+  /// the relabelling (Lemma 8), not the tree's size.
   std::size_t propagate_min_id(const Graph& g,
                                const std::vector<NodeId>& seeds);
 

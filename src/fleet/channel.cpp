@@ -236,8 +236,12 @@ Listener::Listener(const Endpoint& at) : endpoint_(at) {
   }
 }
 
-Listener::~Listener() {
-  if (fd_ >= 0) ::close(fd_);
+Listener::~Listener() { close(); }
+
+void Listener::close() {
+  if (fd_ < 0) return;
+  ::close(fd_);
+  fd_ = -1;
   if (endpoint_.kind == Endpoint::Kind::kUnix) {
     ::unlink(endpoint_.path.c_str());
   }

@@ -104,6 +104,11 @@ class Listener {
   /// Accept one pending connection (call after poll says readable).
   Channel accept();
 
+  /// Stop listening: connections still queued are reset and new ones
+  /// refused; a unix socket file is removed. endpoint() stays valid.
+  /// Idempotent; the destructor calls it.
+  void close();
+
  private:
   int fd_ = -1;
   Endpoint endpoint_;

@@ -457,17 +457,20 @@ struct Coordinator::Impl {
              (report.resumed ? " (resumed)" : ""));
 
     while (true) {
-      if (done.size() == cells.size()) {
-        broadcast_shutdown("grid complete");
-        report.complete = true;
-        break;
-      }
+      // The checkpoint test comes first: one poll can commit the last
+      // cells of the grid together with the stop_after-th, and a
+      // stop_after run must then still checkpoint, not complete.
       if (opt.stop_after > 0 && session_committed >= opt.stop_after) {
         broadcast_shutdown("coordinator checkpointing");
         report.complete = false;
         progress("fleet: checkpoint after " +
                  std::to_string(session_committed) +
                  " cells; resume with --resume");
+        break;
+      }
+      if (done.size() == cells.size()) {
+        broadcast_shutdown("grid complete");
+        report.complete = true;
         break;
       }
 
@@ -518,6 +521,11 @@ struct Coordinator::Impl {
       grant_pass();
       periodic_progress();
     }
+    // An agent still queued on the listener missed the shutdown; once
+    // the listener closes, its handshake fails instead of waiting
+    // forever on a coordinator that no longer serves (and hanging
+    // whoever then joins or reaps it).
+    listener.close();
 
     snapshot_counts();
     report.running = 0;

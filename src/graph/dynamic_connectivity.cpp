@@ -59,6 +59,7 @@ void DynamicConnectivity::node_added(NodeId v) {
   root_epoch_.push_back(0);
   ++components_;
   hist_add(1);
+  ++partition_changes_;
 }
 
 void DynamicConnectivity::edge_added(NodeId a, NodeId b) {
@@ -71,6 +72,7 @@ void DynamicConnectivity::edge_added(NodeId a, NodeId b) {
   hist_add(sa + sb);
   alive_size_[r.root] = static_cast<std::uint32_t>(sa + sb);
   --components_;
+  ++partition_changes_;
 }
 
 void DynamicConnectivity::edge_removed(NodeId a, NodeId b) {
@@ -221,6 +223,7 @@ void DynamicConnectivity::flush() {
 
   ++rebuilds_;
   nodes_rescanned_ += scan_nodes_.size();
+  ++partition_changes_;
 }
 
 }  // namespace dash::graph

@@ -109,6 +109,13 @@ class DynamicConnectivity {
   std::size_t nodes_rescanned() const { return nodes_rescanned_; }
   /// True while an un-flushed split candidate is queued.
   bool rescan_pending() const { return !seeds_.empty(); }
+  /// Monotone count of events that may have changed the partition by
+  /// more than dropping deleted members: merging edge insertions, node
+  /// insertions and re-scan flushes. Certified deletions and edges
+  /// inside one component leave it alone, so an unchanged count with no
+  /// re-scan pending means every surviving pair of nodes is exactly as
+  /// connected as it was (graph::SnapshotStore reuses its labels then).
+  std::uint64_t partition_changes() const { return partition_changes_; }
 
  private:
   void flush();
@@ -140,6 +147,7 @@ class DynamicConnectivity {
 
   std::size_t rebuilds_ = 0;
   std::size_t nodes_rescanned_ = 0;
+  std::uint64_t partition_changes_ = 0;
 };
 
 }  // namespace dash::graph

@@ -21,6 +21,7 @@ void FlatView::rebuild(const Graph& g) {
   graph_uid_ = g.uid();
   log_seq_ = g.touched_end();
   valid_ = true;
+  died_.clear();
   ++full_rebuilds_;
 }
 
@@ -37,6 +38,7 @@ bool FlatView::try_patch(const Graph& g) {
   }
   if (log_seq_ == g.touched_end()) {  // nothing happened since the sync
     generation_ = g.generation();
+    died_.clear();
     return true;
   }
 
@@ -70,7 +72,7 @@ bool FlatView::try_patch(const Graph& g) {
   }
   if (edges_.size() < g.slab_.size()) edges_.resize(g.slab_.size());
 
-  died_scratch_.clear();
+  died_.clear();
   born_scratch_.clear();
   for (const NodeId v : touched_scratch_) {
     const bool was_alive =
@@ -78,7 +80,7 @@ bool FlatView::try_patch(const Graph& g) {
         std::binary_search(alive_.begin(), alive_.end(), v);
     const bool now_alive = g.alive(v);
     if (was_alive != now_alive) {
-      (now_alive ? born_scratch_ : died_scratch_).push_back(v);
+      (now_alive ? born_scratch_ : died_).push_back(v);
     }
     const std::uint32_t old_deg = degrees_[v];
     const std::uint32_t new_deg = g.degree_[v];
@@ -91,8 +93,8 @@ bool FlatView::try_patch(const Graph& g) {
     edge_entries_ -= old_deg;
   }
 
-  if (!died_scratch_.empty() || !born_scratch_.empty()) {
-    std::sort(died_scratch_.begin(), died_scratch_.end());
+  if (!died_.empty() || !born_scratch_.empty()) {
+    std::sort(died_.begin(), died_.end());
     std::sort(born_scratch_.begin(), born_scratch_.end());
     alive_scratch_.clear();
     alive_scratch_.reserve(g.num_alive());
@@ -101,7 +103,7 @@ bool FlatView::try_patch(const Graph& g) {
       while (bi < born_scratch_.size() && born_scratch_[bi] < v) {
         alive_scratch_.push_back(born_scratch_[bi++]);
       }
-      if (di < died_scratch_.size() && died_scratch_[di] == v) {
+      if (di < died_.size() && died_[di] == v) {
         ++di;
         continue;
       }

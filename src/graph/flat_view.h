@@ -80,6 +80,12 @@ class FlatView {
   /// consumers (the stretch tracker) stop re-allocating the list.
   const std::vector<NodeId>& alive_nodes() const { return alive_; }
 
+  /// Ids alive at the previous sync that the last refresh found dead,
+  /// ascending, when that refresh was a patch; empty when the patch had
+  /// nothing to do and after a rebuild. Lets a consumer carry per-node
+  /// data forward over the same window the patch covered.
+  const std::vector<NodeId>& last_refresh_died() const { return died_; }
+
   // ---- refresh telemetry ---------------------------------------------
 
   /// Full O(n + slab) rebuilds this view has performed.
@@ -108,7 +114,7 @@ class FlatView {
   std::vector<std::uint64_t> stamp_;
   std::uint64_t stamp_epoch_ = 0;
   std::vector<NodeId> touched_scratch_;
-  std::vector<NodeId> died_scratch_;
+  std::vector<NodeId> died_;
   std::vector<NodeId> born_scratch_;
   std::vector<NodeId> alive_scratch_;
 

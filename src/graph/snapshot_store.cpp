@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/dynamic_connectivity.h"
 #include "graph/graph.h"
 #include "util/check.h"
 
@@ -35,16 +36,35 @@ bool Snapshot::alive(NodeId v) const {
 std::optional<std::uint32_t> Snapshot::distance(
     NodeId u, NodeId v, TraversalScratch& scratch) const {
   if (!alive(u) || !alive(v)) return std::nullopt;
-  if (u == v) return 0;
-  bfs_distances(view_, u, scratch);
-  const std::uint32_t d = scratch.distance(v);
+  const std::uint32_t d = bfs_distance(view_, u, v, scratch);
   if (d == kUnreachable) return std::nullopt;
   return d;
 }
 
+namespace {
+
+/// Carry `comps` forward over a patched refresh of `view` in whose
+/// window the partition only lost members: survivors keep their
+/// labels, and each id that died leaves its component. False (with
+/// `comps` partly edited) when the window grew the id space or emptied
+/// a component; the caller then labels in full.
+bool drop_dead_labels(const FlatView& view, Components& comps) {
+  if (view.num_nodes() != comps.label.size()) return false;
+  for (NodeId v : view.last_refresh_died()) {
+    std::uint32_t& label = comps.label[v];
+    DASH_DCHECK(label != kInvalidComponent);
+    if (--comps.sizes[label] == 0) return false;
+    label = kInvalidComponent;
+  }
+  return true;
+}
+
+}  // namespace
+
 SnapshotStore::~SnapshotStore() = default;
 
-std::uint64_t SnapshotStore::publish(const Graph& g) {
+std::uint64_t SnapshotStore::publish(const Graph& g,
+                                     const DynamicConnectivity* tracker) {
   std::unique_ptr<Snapshot> next;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -63,13 +83,27 @@ std::uint64_t SnapshotStore::publish(const Graph& g) {
   const std::size_t fulls_before = next->view_.full_rebuilds();
   const std::size_t touched_before = next->view_.vertices_patched();
   next->view_.refresh(g);
-  if (next->view_.full_rebuilds() != fulls_before) {
-    ++full_publishes_;
-  } else {
+  const bool patched = next->view_.full_rebuilds() == fulls_before;
+  if (patched) {
     ++patched_publishes_;
     touched_vertices_ += next->view_.vertices_patched() - touched_before;
+  } else {
+    ++full_publishes_;
   }
-  connected_components(next->view_, scratch_, next->comps_);
+  // The labels are those of the epoch this buffer last published, and
+  // the patch just covered exactly the window since then.
+  const std::uint64_t partition =
+      tracker != nullptr ? tracker->partition_changes() : 0;
+  const bool labels_carried =
+      patched && tracker != nullptr && next->labels_tracker_ == tracker &&
+      next->labels_partition_ == partition && !tracker->rescan_pending() &&
+      drop_dead_labels(next->view_, next->comps_);
+  if (!labels_carried) {
+    connected_components(next->view_, scratch_, next->comps_);
+    ++full_labellings_;
+  }
+  next->labels_tracker_ = tracker;
+  next->labels_partition_ = partition;
 
   // Publication order matters: snapshot pointer first, epoch second
   // (see the proof sketch above).

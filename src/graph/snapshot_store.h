@@ -5,6 +5,14 @@
 // connectivity/distance queries from a *pinned* epoch without taking a
 // lock on the read path.
 //
+// A publish costs what changed since the recycled snapshot last
+// published, not the graph's size, whenever the engine's
+// DynamicConnectivity tracker can vouch that the partition only lost
+// deleted members in that window: the CSR is delta-patched, and the
+// labels are carried forward by invalidating the ids that died. Any
+// merge, join, re-scan or emptied component (and every publish without
+// a tracker) labels in full instead.
+//
 // Reclamation is epoch-based: each reader owns a cheap per-thread slot
 // holding the epoch it has pinned (or kNoEpoch). publish() retires the
 // previous snapshot and frees every retired snapshot whose epoch is
@@ -43,22 +51,31 @@
 
 namespace dash::graph {
 
+class DynamicConnectivity;
 class Graph;
 class SnapshotStore;
 
 /// One published epoch: a frozen CSR view of the alive subgraph plus
-/// its component labelling (computed once at publish time, so
-/// connected()/largest_component() are O(1) per query). Immutable after
-/// publication; safe to read from any number of threads while pinned.
+/// its component labelling, settled at publish time (in full, or
+/// carried forward from the recycled buffer's previous epoch), so
+/// connected() is O(1) per query. Labels are dense but in no
+/// particular order. Immutable after publication; safe to read from any
+/// number of threads while pinned.
 class Snapshot {
  public:
   std::uint64_t epoch() const { return epoch_; }
   const FlatView& view() const { return view_; }
-  const Components& components() const { return comps_; }
 
   std::size_t num_alive() const { return view_.num_alive(); }
   std::size_t component_count() const { return comps_.count(); }
   std::size_t largest_component() const { return comps_.largest(); }
+  /// Size of v's component; 0 when v is dead or out of the snapshot's
+  /// id range. O(1) via the labels.
+  std::size_t component_size(NodeId v) const {
+    if (v >= comps_.label.size()) return 0;
+    const std::uint32_t l = comps_.label[v];
+    return l == kInvalidComponent ? 0 : comps_.sizes[l];
+  }
 
   /// True when v is alive in this snapshot. Binary search over the
   /// ascending alive list -- deliberately independent of the component
@@ -74,11 +91,11 @@ class Snapshot {
     return lu != kInvalidComponent && lu == comps_.label[v];
   }
 
-  /// Hop distance via a full BFS on the snapshot (caller-owned
-  /// scratch); nullopt when either endpoint is dead/out-of-range or
-  /// the two are disconnected. Answers purely from the CSR arrays --
-  /// never from the labels -- so it doubles as the verify side of the
-  /// connected() cross-check.
+  /// Hop distance via a bidirectional BFS on the snapshot
+  /// (caller-owned scratch; see graph::bfs_distance); nullopt when
+  /// either endpoint is dead/out-of-range or the two are disconnected.
+  /// Answers purely from the CSR arrays -- never from the labels -- so
+  /// it doubles as the verify side of the connected() cross-check.
   std::optional<std::uint32_t> distance(NodeId u, NodeId v,
                                         TraversalScratch& scratch) const;
 
@@ -87,6 +104,10 @@ class Snapshot {
   std::uint64_t epoch_ = 0;
   FlatView view_;
   Components comps_;
+  /// Tracker and its partition_changes() when comps_ was last settled;
+  /// null when that publish had no tracker.
+  const DynamicConnectivity* labels_tracker_ = nullptr;
+  std::uint64_t labels_partition_ = 0;
 };
 
 /// Publishes snapshots and reclaims retired ones once unpinned.
@@ -109,7 +130,16 @@ class SnapshotStore {
   /// next epoch, retire the previous snapshot, and free every retired
   /// snapshot no reader pins. Mutation thread only. Returns the new
   /// epoch (first publish returns 1).
-  std::uint64_t publish(const Graph& g);
+  ///
+  /// `tracker`, when given, must be the tracker that has observed every
+  /// mutation of g (api::Network's). A recycled snapshot then keeps its
+  /// labels, minus the ids that died, when all of these hold: the
+  /// tracker's partition_changes() has not moved since that snapshot
+  /// was labelled, its CSR refresh was a patch, no re-scan is pending,
+  /// and no component empties. Otherwise, and always without a
+  /// tracker, the publish labels in full.
+  std::uint64_t publish(const Graph& g,
+                        const DynamicConnectivity* tracker = nullptr);
 
   /// Epoch of the most recent publish; 0 before the first.
   std::uint64_t epoch() const {
@@ -140,6 +170,9 @@ class SnapshotStore {
   std::size_t patched_publishes() const { return patched_publishes_; }
   /// Distinct vertices re-mirrored across all patched publishes.
   std::size_t touched_vertices() const { return touched_vertices_; }
+  /// Publishes that labelled components in full; the rest carried a
+  /// recycled snapshot's labels forward.
+  std::size_t full_labellings() const { return full_labellings_; }
 
  private:
   struct Slot {
@@ -161,6 +194,7 @@ class SnapshotStore {
   std::size_t full_publishes_ = 0;
   std::size_t patched_publishes_ = 0;
   std::size_t touched_vertices_ = 0;
+  std::size_t full_labellings_ = 0;
 
   /// Guards slots_/retired_/free_ -- registration and reclamation only,
   /// never the read path.

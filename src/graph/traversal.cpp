@@ -194,6 +194,75 @@ void connected_components(const FlatView& view, TraversalScratch& scratch,
   }
 }
 
+std::uint32_t bfs_distance(const FlatView& view, NodeId src, NodeId dst,
+                           TraversalScratch& scratch) {
+  if (src == dst) return 0;
+  scratch.begin(view.num_nodes());
+  auto* dist = scratch.dist_.data();
+  auto* stamp = scratch.stamp_.data();
+  const std::uint8_t epoch = scratch.epoch_;
+
+  // One search grows from each end, level by level, in its own queue
+  // (the frontier and pool buffers, n entries each). A node belongs to
+  // the side that reached it first; dist_ holds its depth from that
+  // side's root, with the top bit naming the side. Until the searches
+  // touch, each side's visited set is exactly the ball of its depth, so
+  // the first edge from one side's level into a node the other side
+  // holds closes a shortest path: every such edge in that level gives
+  // the same length, and the search returns at the first.
+  constexpr std::uint32_t kBackward = std::uint32_t{1} << 31;
+  struct Side {
+    NodeId* queue;
+    std::uint32_t mark;
+    std::size_t level_start = 0;
+    std::size_t tail = 0;
+    std::uint32_t depth = 0;
+    std::size_t work = 0;  ///< adjacency entries of the current level
+  };
+  Side fwd{scratch.frontier_.data(), 0};
+  Side bwd{scratch.unvisited_.data(), kBackward};
+  const auto start = [&](Side& side, NodeId root) {
+    stamp[root] = epoch;
+    dist[root] = side.mark;
+    side.queue[side.tail++] = root;
+    side.work = view.degree(root);
+  };
+  start(fwd, src);
+  start(bwd, dst);
+
+  const std::uint32_t found = [&]() -> std::uint32_t {
+    // A side whose level comes up empty has exhausted its component
+    // without meeting the other: the endpoints are disconnected.
+    while (fwd.level_start < fwd.tail && bwd.level_start < bwd.tail) {
+      // Expand the side whose next level costs fewer edge checks.
+      Side& side = fwd.work <= bwd.work ? fwd : bwd;
+      const std::size_t level_end = side.tail;
+      const std::uint32_t child_depth = side.depth + 1;
+      std::size_t next_work = 0;
+      for (std::size_t i = side.level_start; i < level_end; ++i) {
+        for (NodeId u : view.neighbors(side.queue[i])) {
+          if (stamp[u] != epoch) {
+            stamp[u] = epoch;
+            dist[u] = side.mark | child_depth;
+            side.queue[side.tail++] = u;
+            next_work += view.degree(u);
+          } else if ((dist[u] & kBackward) != side.mark) {
+            return child_depth + (dist[u] & ~kBackward);
+          }
+        }
+      }
+      side.level_start = level_end;
+      side.depth = child_depth;
+      side.work = next_work;
+    }
+    return kUnreachable;
+  }();
+  // The stamps mix both sides' depths: open a fresh epoch so the
+  // scratch reads as if no traversal had run.
+  scratch.begin(view.num_nodes());
+  return found;
+}
+
 std::uint32_t eccentricity(const FlatView& view, NodeId src,
                            TraversalScratch& scratch) {
   bfs_distances(view, src, scratch);
@@ -224,40 +293,7 @@ std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId src) {
 
 std::uint32_t bfs_distance(const Graph& g, NodeId src, NodeId dst) {
   DASH_CHECK(g.alive(src) && g.alive(dst));
-  if (src == dst) return 0;
-  // Point query: deliberately a plain top-down BFS (not the
-  // direction-optimizing engine loop) because it returns the moment
-  // dst is settled -- usually long before the dense middle levels
-  // where bottom-up would start paying off.
-  const FlatView& view = g.flat_view();
-  TraversalScratch& scratch = local_scratch();
-  scratch.begin(view.num_nodes());
-  auto* dist = scratch.dist_.data();
-  auto* stamp = scratch.stamp_.data();
-  auto* queue = scratch.frontier_.data();
-  const std::uint8_t epoch = scratch.epoch_;
-  std::size_t head = 0;
-  std::size_t tail = 0;
-  stamp[src] = epoch;
-  dist[src] = 0;
-  queue[tail++] = src;
-  while (head < tail) {
-    const NodeId v = queue[head++];
-    const std::uint32_t next = dist[v] + 1;
-    for (NodeId u : view.neighbors(v)) {
-      if (stamp[u] != epoch) {
-        if (u == dst) {
-          scratch.visited_count_ = 0;  // partial run: expose no state
-          return next;
-        }
-        stamp[u] = epoch;
-        dist[u] = next;
-        queue[tail++] = u;
-      }
-    }
-  }
-  scratch.visited_count_ = 0;
-  return kUnreachable;
+  return bfs_distance(g.flat_view(), src, dst, local_scratch());
 }
 
 bool is_connected(const Graph& g) {

@@ -71,8 +71,8 @@ class TraversalScratch {
 
   friend std::size_t bfs_distances(const FlatView& view, NodeId src,
                                    TraversalScratch& scratch);
-  friend std::uint32_t bfs_distance(const Graph& g, NodeId src,
-                                    NodeId dst);
+  friend std::uint32_t bfs_distance(const FlatView& view, NodeId src,
+                                    NodeId dst, TraversalScratch& scratch);
   friend void connected_components(const FlatView& view,
                                    TraversalScratch& scratch,
                                    struct Components& out);
@@ -86,6 +86,15 @@ class TraversalScratch {
 /// src). `src` must be alive in the snapshot.
 std::size_t bfs_distances(const FlatView& view, NodeId src,
                           TraversalScratch& scratch);
+
+/// Hop distance between two nodes alive in the snapshot, or
+/// kUnreachable when they are disconnected: a bidirectional BFS that
+/// expands one whole level at a time, always on the side whose next
+/// level has fewer adjacency entries, and stops as soon as the two
+/// searches meet. Reads only the CSR arrays; leaves `scratch` as if no
+/// traversal had run (distance() and visited() read nothing).
+std::uint32_t bfs_distance(const FlatView& view, NodeId src, NodeId dst,
+                           TraversalScratch& scratch);
 
 /// True if all alive nodes of the snapshot form a single connected
 /// component. Vacuously true for 0 or 1 alive nodes.
@@ -118,7 +127,7 @@ std::uint32_t eccentricity(const FlatView& view, NodeId src,
 std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId src);
 
 /// Shortest-path distance between two alive nodes (kUnreachable if
-/// disconnected). Early-exits once `dst` is settled.
+/// disconnected): the bidirectional flat-engine query above.
 std::uint32_t bfs_distance(const Graph& g, NodeId src, NodeId dst);
 
 /// True if all alive nodes form a single connected component.

@@ -124,6 +124,23 @@ TEST(Fleet, ThreeAgentsMergeByteIdenticalToSequentialRun) {
   EXPECT_EQ(exp::merged_document(spec, spooled), expected.document);
 }
 
+TEST(Fleet, FinishedCoordinatorStopsListening) {
+  // An agent that reaches the endpoint after the last cell committed
+  // would otherwise sit in the listen queue waiting for a welcome that
+  // never comes, and whoever joins its thread or reaps its process
+  // would hang with it.
+  const auto spec = fleet_spec();
+  CoordinatorOptions copt;
+  copt.state_dir = fresh_state_dir("late");
+  copt.progress = quiet;
+  Coordinator coord(spec, copt);
+  std::thread agent = agent_thread(spec, coord.endpoint().spec(), "early");
+  const FleetReport report = coord.run();
+  agent.join();
+  EXPECT_TRUE(report.complete);
+  EXPECT_THROW(connect_channel(coord.endpoint()), std::runtime_error);
+}
+
 TEST(Fleet, RejectsForeignVersionAndForeignSpecHash) {
   const auto spec = fleet_spec();
   CoordinatorOptions copt;

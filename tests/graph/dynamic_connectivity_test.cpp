@@ -176,6 +176,38 @@ TEST(DynamicConnectivity, EdgeRemovalResolvedLazily) {
   EXPECT_EQ(dcc.component_count(), 1u);
 }
 
+TEST(DynamicConnectivity, PartitionChangesCountMergesJoinsAndRescans) {
+  Graph g = path_graph(4);
+  DynamicConnectivity dc(g);
+  EXPECT_EQ(dc.partition_changes(), 0u);
+
+  // An edge inside one component and a certified deletion keep it.
+  g.add_edge(0, 2);
+  dc.edge_added(0, 2);
+  const auto survivors = g.delete_node(1);
+  dc.node_removed(1, survivors, /*may_split=*/false);
+  EXPECT_EQ(dc.partition_changes(), 0u);
+
+  // A join, then the edge that merges it in.
+  const NodeId v = g.add_node();
+  dc.node_added(v);
+  EXPECT_EQ(dc.partition_changes(), 1u);
+  g.add_edge(v, 3);
+  dc.edge_added(v, 3);
+  EXPECT_EQ(dc.partition_changes(), 2u);
+
+  // An uncertified deletion changes nothing until its re-scan runs;
+  // only the query's flush counts, and a flush-free query does not.
+  const auto cut = g.delete_node(3);
+  dc.node_removed(3, cut, /*may_split=*/true);
+  EXPECT_EQ(dc.partition_changes(), 2u);
+  EXPECT_TRUE(dc.rescan_pending());
+  EXPECT_EQ(dc.component_count(), 2u);
+  EXPECT_EQ(dc.partition_changes(), 3u);
+  EXPECT_EQ(dc.component_count(), 2u);
+  EXPECT_EQ(dc.partition_changes(), 3u);
+}
+
 TEST(DynamicConnectivity, NodeAdditionGrowsIdSpace) {
   Graph g = path_graph(2);
   DynamicConnectivity dc(g);

@@ -228,6 +228,50 @@ TEST(FlatTraversal, IsConnectedAndEccentricityAgree) {
   }
 }
 
+TEST(FlatTraversal, BidirectionalDistanceMatchesReference) {
+  // Pairs from several sources to every alive node, over a schedule
+  // that fragments the graph on unhealed rounds: disconnected pairs
+  // must come back kUnreachable, connected ones exact.
+  Rng rng(41);
+  Graph g = barabasi_albert(90, 2, rng);
+  TraversalScratch scratch;
+  for (int round = 0; round < 40; ++round) {
+    const auto alive = g.alive_nodes();
+    if (alive.size() <= 3) break;
+    for (std::size_t i = 0; i < alive.size(); i += 1 + alive.size() / 5) {
+      const auto want = ref_bfs_distances(g, alive[i]);
+      for (NodeId v : alive) {
+        ASSERT_EQ(bfs_distance(g.flat_view(), alive[i], v, scratch), want[v])
+            << "round " << round << " pair " << alive[i] << "-" << v;
+      }
+    }
+    const NodeId victim =
+        alive[static_cast<std::size_t>(rng.below(alive.size()))];
+    const auto survivors = g.delete_node(victim);
+    if (round % 3 == 0) {
+      for (std::size_t i = 1; i < survivors.size(); ++i) {
+        g.add_edge(survivors[i - 1], survivors[i]);
+      }
+    }
+  }
+}
+
+TEST(FlatTraversal, BidirectionalDistanceLeavesNoReadableState) {
+  const Graph g = path_graph(6);
+  TraversalScratch scratch;
+  bfs_distances(g.flat_view(), 2, scratch);
+  EXPECT_EQ(bfs_distance(g.flat_view(), 0, 5, scratch), 5u);
+  EXPECT_EQ(bfs_distance(g.flat_view(), 4, 4, scratch), 0u);
+  EXPECT_TRUE(scratch.visited().empty());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(scratch.distance(v), kUnreachable) << v;
+  }
+  // The double epoch per query must survive the 8-bit wrap.
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_EQ(bfs_distance(g.flat_view(), 5, 1, scratch), 4u) << i;
+  }
+}
+
 TEST(FlatTraversal, ComponentsBufferReuse) {
   TraversalScratch scratch;
   Components comps;

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "graph/dynamic_connectivity.h"
 #include "graph/generators.h"
 #include "graph/snapshot_store.h"
 #include "graph/traversal.h"
@@ -203,6 +204,121 @@ TEST(SnapshotStore, RecycledSnapshotsPatchForwardNotRebuild) {
   EXPECT_EQ(store.full_publishes(), 2u);
   EXPECT_EQ(store.patched_publishes(), 39u);
   EXPECT_GT(store.touched_vertices(), 0u);
+}
+
+/// Fresh labelling of `snap`'s own view, compared as partitions.
+::testing::AssertionResult labels_match_view(const Snapshot& snap) {
+  TraversalScratch scratch;
+  Components fresh;
+  connected_components(snap.view(), scratch, fresh);
+  if (snap.component_count() != fresh.count()) {
+    return ::testing::AssertionFailure()
+           << "count " << snap.component_count() << " != " << fresh.count();
+  }
+  std::vector<NodeId> first(fresh.count(), kInvalidNode);
+  for (NodeId v = 0; v < snap.view().num_nodes(); ++v) {
+    const std::uint32_t c = fresh.label[v];
+    if (c == kInvalidComponent) {
+      if (snap.component_size(v) != 0) {
+        return ::testing::AssertionFailure() << "dead " << v << " labelled";
+      }
+      continue;
+    }
+    if (first[c] == kInvalidNode) first[c] = v;
+    if (!snap.connected(first[c], v) ||
+        snap.component_size(v) != fresh.sizes[c]) {
+      return ::testing::AssertionFailure() << "node " << v << " mislabelled";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SnapshotStore, TrackerLetsCertifiedPublishesKeepLabels) {
+  // Triangle fan: deleting any rim node leaves its neighbours adjacent,
+  // so every deletion is certified and no publish after the two
+  // buffers' first ones relabels.
+  Graph g = path_graph(10);
+  for (NodeId v = 0; v + 2 < 10; ++v) g.add_edge(v, v + 2);
+  DynamicConnectivity dc(g);
+  SnapshotStore store;
+  store.publish(g, &dc);
+  store.publish(g, &dc);
+  EXPECT_EQ(store.full_labellings(), 2u);
+
+  SnapshotStore::Reader reader = store.make_reader();
+  for (NodeId v : {NodeId{0}, NodeId{9}, NodeId{4}}) {
+    const auto survivors = g.delete_node(v);
+    dc.node_removed(v, survivors, /*may_split=*/false);
+    store.publish(g, &dc);
+    SnapshotStore::Pin pin = reader.pin();
+    EXPECT_TRUE(labels_match_view(*pin)) << "after deleting " << v;
+    EXPECT_EQ(pin->largest_component(), g.num_alive());
+  }
+  EXPECT_EQ(store.full_labellings(), 2u);
+
+  // Publishes with nothing new in between: each buffer's refresh has
+  // no deaths to replay, so the labels stand as they are (a stale died
+  // list from the previous window would shrink components twice).
+  for (int i = 0; i < 3; ++i) {
+    store.publish(g, &dc);
+    SnapshotStore::Pin pin = reader.pin();
+    EXPECT_TRUE(labels_match_view(*pin)) << "idle publish " << i;
+    EXPECT_EQ(pin->largest_component(), g.num_alive());
+  }
+  EXPECT_EQ(store.full_labellings(), 2u);
+
+  // Without the tracker the same store labels in full.
+  store.publish(g);
+  EXPECT_EQ(store.full_labellings(), 3u);
+}
+
+TEST(SnapshotStore, PartitionChangesForceFullLabelling) {
+  Graph g = path_graph(6);
+  DynamicConnectivity dc(g);
+  SnapshotStore store;
+  store.publish(g, &dc);
+  store.publish(g, &dc);
+  SnapshotStore::Reader reader = store.make_reader();
+  const auto publish_and_check = [&](const char* what) {
+    store.publish(g, &dc);
+    SnapshotStore::Pin pin = reader.pin();
+    EXPECT_TRUE(labels_match_view(*pin)) << what;
+  };
+
+  // A pending re-scan (uncertified cut) relabels even before anyone
+  // queries the tracker.
+  std::size_t before = store.full_labellings();
+  const auto cut = g.delete_node(2);
+  dc.node_removed(2, cut, /*may_split=*/true);
+  publish_and_check("uncertified cut");
+  EXPECT_EQ(store.full_labellings(), before + 1);
+
+  // The flush then moves the counter: the other buffer relabels too.
+  EXPECT_EQ(dc.component_count(), 2u);
+  before = store.full_labellings();
+  publish_and_check("after flush");
+  EXPECT_EQ(store.full_labellings(), before + 1);
+
+  // A join and a merging edge.
+  const NodeId v = g.add_node();
+  dc.node_added(v);
+  g.add_edge(v, 0);
+  dc.edge_added(v, 0);
+  before = store.full_labellings();
+  publish_and_check("join");
+  EXPECT_EQ(store.full_labellings(), before + 1);
+  publish_and_check("join, second buffer");
+  EXPECT_EQ(store.full_labellings(), before + 2);
+
+  // Deleting an isolated node empties its component.
+  const NodeId lone = g.add_node();
+  dc.node_added(lone);
+  publish_and_check("lone join");
+  publish_and_check("lone join, second buffer");
+  before = store.full_labellings();
+  dc.node_removed(lone, g.delete_node(lone), /*may_split=*/false);
+  publish_and_check("emptied component");
+  EXPECT_EQ(store.full_labellings(), before + 1);
 }
 
 }  // namespace

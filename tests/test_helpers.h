@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "api/api.h"
 #include "graph/generators.h"
@@ -46,6 +49,40 @@ inline api::Metrics run_checked(graph::Graph g, const RunSpec& spec) {
   EXPECT_TRUE(result.stayed_connected)
       << spec.healer << " lost connectivity under " << spec.attack;
   return result;
+}
+
+/// Every registered healer, with a parameter where the spec needs one.
+/// (serve_snapshot_property_test checks that it covers the registry.)
+inline const std::vector<std::string>& every_healer() {
+  static const std::vector<std::string> healers = {
+      "dash", "sdash", "graph", "binarytree", "line", "none", "capped:3"};
+  return healers;
+}
+
+/// One small scenario per phase type, for BA graphs of a few dozen
+/// nodes. `trace:` is left out: it replays a recorded file.
+inline constexpr const char* kEveryPhaseType[] = {
+    "strike:randomx30",                            // strike
+    "batch:4,randomx4;batch:3,hubsx2",             // batch
+    "churn:0.4,0.4x80",                            // churn
+    "targeted:maxnodex30",                         // targeted
+    "until:12,random",                             // until
+    "repeat:3{strike:randomx5;churn:0.3,0.2x10}",  // repeat
+    "floor:16;targeted:maxnode",                   // floor
+    "untilfrac:0.5,neighborofmax",                 // untilfrac
+    "join:2x10;strike:randomx20",                  // join
+    "ramp:0.1,0.5,0.5,0.1x60",                     // ramp
+    "mix:2{strike:random},1{join:2}x40",           // mix
+};
+
+/// Test-name suffix for a scenario-spec parameter.
+inline std::string spec_test_name(
+    const ::testing::TestParamInfo<const char*>& info) {
+  std::string name = info.param;
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return name;
 }
 
 }  // namespace dash::testing
