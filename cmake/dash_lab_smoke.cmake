@@ -1,8 +1,9 @@
 # dash_lab_smoke.cmake -- end-to-end shard/merge identity check, run as
 # a ctest (and by the CI smoke job). Drives the dash_lab binary through
-# every execution path over one tiny grid and asserts the exp layer's
-# core guarantee: the merged document of any partition of the cells is
-# byte-identical to the single-process sequential run.
+# the sequential and the sharded path over one tiny grid and asserts
+# the exp layer's core guarantee: the merged document and rows CSV of
+# any partition of the cells are byte-identical to the single-process
+# sequential run, also after interrupted shards are resumed.
 #
 #   cmake -DDASH_LAB=<path> -DWORK_DIR=<scratch dir> -P dash_lab_smoke.cmake
 if(NOT DASH_LAB OR NOT WORK_DIR)
@@ -30,48 +31,73 @@ function(assert_same a b what)
   endif()
 endfunction()
 
-# 1. Single-process sequential reference.
-run_lab(run --grid ${GRID} --threads 1 --quiet --json ${WORK_DIR}/seq.json)
+# The call must be rejected as a usage error (exit 2) naming `flag`.
+function(expect_usage_error flag)
+  execute_process(COMMAND ${DASH_LAB} ${ARGN}
+                  RESULT_VARIABLE rc ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "${flag}")
+    message(FATAL_ERROR
+            "dash_lab ${ARGN}: expected exit 2 naming ${flag}, got ${rc}:\n${err}")
+  endif()
+endfunction()
 
-# 2. Two single-shard worker invocations (the distributed path, driven
-#    by hand) + merge.
+# 1. Single-process sequential reference (document + rows).
+run_lab(run --grid ${GRID} --threads 1 --quiet --json ${WORK_DIR}/seq.json
+        --rows ${WORK_DIR}/seq_rows.csv)
+
+# 2. Two single-shard invocations (the distributed path, driven by
+#    hand) + merge.
 run_lab(run --grid ${GRID} --shard 0/2 --threads 1 --quiet
-        --out ${WORK_DIR}/s0.jsonl)
+        --out ${WORK_DIR}/s0.jsonl --rows ${WORK_DIR}/s0_rows.csv)
 run_lab(run --grid ${GRID} --shard 1/2 --threads 1 --quiet
-        --out ${WORK_DIR}/s1.jsonl)
+        --out ${WORK_DIR}/s1.jsonl --rows ${WORK_DIR}/s1_rows.csv)
 run_lab(merge --grid ${GRID}
         --inputs ${WORK_DIR}/s0.jsonl,${WORK_DIR}/s1.jsonl
         --quiet --json ${WORK_DIR}/merged.json)
 assert_same(${WORK_DIR}/seq.json ${WORK_DIR}/merged.json
             "2-shard merge vs sequential")
 
-# 3. The orchestrator: two worker *processes* spawned by dash_lab
-#    itself, suites running on thread pools.
-run_lab(run --grid ${GRID} --workers 2 --shard-dir ${WORK_DIR}/shards
-        --quiet --json ${WORK_DIR}/orchestrated.json)
-assert_same(${WORK_DIR}/seq.json ${WORK_DIR}/orchestrated.json
-            "orchestrated 2-process run vs sequential")
-
-# 4. Resume: drop shard 1, rerun orchestrated with --resume; only the
-#    missing cells are recomputed and the bytes still match.
-file(REMOVE ${WORK_DIR}/shards/shard_1_of_2.jsonl)
-run_lab(run --grid ${GRID} --workers 2 --shard-dir ${WORK_DIR}/shards
-        --resume --quiet --json ${WORK_DIR}/resumed.json)
-assert_same(${WORK_DIR}/seq.json ${WORK_DIR}/resumed.json
-            "resumed orchestrated run vs sequential")
-
-# 5. Resume after an *interrupted write*: chop the final record of
-#    shard 0 mid-line (no trailing newline); the truncated cell must be
-#    recomputed, the manifest rewritten cleanly, and the bytes still
-#    match.
-file(READ ${WORK_DIR}/shards/shard_0_of_2.jsonl shard0)
+# 3. Resume after an interrupted write and a lost shard: chop shard 0's
+#    final record mid-line (no trailing newline) and delete shard 1.
+#    Rerunning both shards with --resume recomputes only the truncated
+#    cell and shard 1's cells, keeps the other cells' records and rows,
+#    and the merged document and rows still match.
+file(READ ${WORK_DIR}/s0.jsonl shard0)
 string(LENGTH "${shard0}" shard0_len)
 math(EXPR cut "${shard0_len} - 25")
 string(SUBSTRING "${shard0}" 0 ${cut} shard0)
-file(WRITE ${WORK_DIR}/shards/shard_0_of_2.jsonl "${shard0}")
-run_lab(run --grid ${GRID} --workers 2 --shard-dir ${WORK_DIR}/shards
-        --resume --quiet --json ${WORK_DIR}/resumed_truncated.json)
-assert_same(${WORK_DIR}/seq.json ${WORK_DIR}/resumed_truncated.json
-            "resume after truncated shard write vs sequential")
+file(WRITE ${WORK_DIR}/s0.jsonl "${shard0}")
+file(REMOVE ${WORK_DIR}/s1.jsonl)
+execute_process(COMMAND ${DASH_LAB} run --grid ${GRID} --shard 0/2
+                --threads 1 --resume
+                --out ${WORK_DIR}/s0.jsonl --rows ${WORK_DIR}/s0_rows.csv
+                RESULT_VARIABLE rc ERROR_VARIABLE err)
+string(REGEX MATCHALL " n=[0-9]+ healer=" recomputed "${err}")  # one per cell
+list(LENGTH recomputed recomputed)
+if(NOT rc EQUAL 0 OR NOT recomputed EQUAL 1)
+  message(FATAL_ERROR "shard 0 resume must recompute only its truncated "
+                      "cell (exit ${rc}, ${recomputed} cells):\n${err}")
+endif()
+run_lab(run --grid ${GRID} --shard 1/2 --threads 1 --resume --quiet
+        --out ${WORK_DIR}/s1.jsonl --rows ${WORK_DIR}/s1_rows.csv)
+run_lab(merge --grid ${GRID}
+        --inputs ${WORK_DIR}/s0.jsonl,${WORK_DIR}/s1.jsonl
+        --rows-inputs ${WORK_DIR}/s0_rows.csv,${WORK_DIR}/s1_rows.csv
+        --rows ${WORK_DIR}/resumed_rows.csv
+        --quiet --json ${WORK_DIR}/resumed.json)
+assert_same(${WORK_DIR}/seq.json ${WORK_DIR}/resumed.json
+            "resumed shards (truncated + deleted) vs sequential")
+assert_same(${WORK_DIR}/seq_rows.csv ${WORK_DIR}/resumed_rows.csv
+            "resumed shards' merged rows vs sequential")
+
+# 4. Flags that would do nothing are usage errors: --resume has no
+#    manifest to read without --out, and merge --rows has nothing to
+#    merge without --rows-inputs.
+expect_usage_error("--out" run --grid ${GRID} --resume --quiet
+                   --json ${WORK_DIR}/no_manifest.json)
+expect_usage_error("--rows-inputs" merge --grid ${GRID}
+                   --inputs ${WORK_DIR}/s0.jsonl,${WORK_DIR}/s1.jsonl
+                   --rows ${WORK_DIR}/no_rows.csv --quiet
+                   --json ${WORK_DIR}/no_rows.json)
 
 message(STATUS "dash_lab shard/merge identity OK")

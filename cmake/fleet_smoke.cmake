@@ -1,11 +1,17 @@
 # fleet_smoke.cmake -- end-to-end smoke of the dash::fleet service, run
 # as a ctest (and by the CI fleet-smoke job). A coordinator serves a
-# tiny grid to local agent processes with one agent SIGKILLed mid-cell
-# (--chaos kill:<cell> arms agent 0): the serve must still exit 0 and
-# its merged BENCH document AND rows CSV must be byte-identical to the
-# undisturbed sequential run. A second round checkpoints the
-# coordinator mid-grid (--stop-after, exit code 3) and resumes it from
-# the spool manifest to the same bytes.
+# tiny grid to local agent processes, agent 0 armed with --chaos
+# kill:<cell>: the serve must exit 0 and its merged BENCH document AND
+# rows CSV must be byte-identical to the undisturbed sequential run. A
+# second round checkpoints the coordinator mid-grid (--stop-after,
+# exit code 3) and resumes it from the spool manifest to the same
+# bytes.
+#
+# This script checks byte identity, not the crash: agent 0 dies only
+# when it happens to lease the armed cell, which depends on scheduling.
+# The deterministic crash evidence (an agent killed before its RESULT
+# or mid-frame, the cell reassigned, the same bytes) is
+# FleetDeathTest's, in tests/fleet/fleet_test.cpp.
 #
 #   cmake -DDASH_LAB=<path> -DWORK_DIR=<scratch dir> -P fleet_smoke.cmake
 if(NOT DASH_LAB OR NOT WORK_DIR)
@@ -37,17 +43,17 @@ endfunction()
 run_lab(run --grid ${GRID} --threads 1 --quiet
         --json ${WORK_DIR}/seq.json --rows ${WORK_DIR}/seq_rows.csv)
 
-# 2. Fleet run: coordinator + 3 local agents, agent 0 SIGKILLed after
-#    streaming cell 1's rows but before its RESULT. The coordinator
-#    must reassign the cell and the serve must succeed with the exact
-#    sequential bytes -- the dead agent leaves no seam.
+# 2. Fleet run: coordinator + 3 local agents, agent 0 armed to die
+#    after streaming cell 1's rows but before its RESULT, should it
+#    lease cell 1. Either way the serve must succeed with the exact
+#    sequential bytes.
 run_lab(serve --grid ${GRID} --agents 3 --threads 1 --chaos kill:1
         --state-dir ${WORK_DIR}/chaos_state --quiet
         --json ${WORK_DIR}/fleet.json --rows ${WORK_DIR}/fleet_rows.csv)
 assert_same(${WORK_DIR}/seq.json ${WORK_DIR}/fleet.json
-            "fleet-with-killed-agent document vs sequential")
+            "fleet-with-armed-agent document vs sequential")
 assert_same(${WORK_DIR}/seq_rows.csv ${WORK_DIR}/fleet_rows.csv
-            "fleet-with-killed-agent rows vs sequential")
+            "fleet-with-armed-agent rows vs sequential")
 
 # 3. Checkpoint: stop the coordinator after 3 committed cells. The
 #    distinct exit code 3 says "incomplete by design, spool is the

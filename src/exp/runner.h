@@ -11,11 +11,12 @@
 //   merged_document(spec, all records)            == sequential bytes
 //   merged_document(spec, shard0 ∪ shard1 ∪ ...)  == sequential bytes
 //
-// Shard workers persist records as JSON lines (one ShardRecord per
-// line, stamped with the spec's hash); the same file doubles as the
-// resume manifest -- cells already recorded are skipped on re-run.
-// merge rejects records whose spec hash does not match and documents
-// with missing or conflicting cells.
+// `dash_lab run --shard I/N --out FILE` persists a shard's records as
+// JSON lines (one ShardRecord per line, stamped with the spec's hash),
+// and so does the fleet coordinator's spool (fleet/coordinator.h); the
+// same file doubles as the resume manifest -- cells already recorded
+// are skipped on re-run. merge rejects records whose spec hash does
+// not match and documents with missing or conflicting cells.
 #pragma once
 
 #include <cstddef>

@@ -10,6 +10,7 @@
 #include "api/scenario.h"
 #include "core/factory.h"
 #include "graph/generators.h"
+#include "util/hash.h"
 #include "util/registry.h"
 
 namespace dash::exp {
@@ -311,20 +312,7 @@ std::string ExperimentSpec::canonical() const {
 }
 
 std::string ExperimentSpec::hash() const {
-  // FNV-1a over the canonical text: stable across platforms, cheap,
-  // and collision-safe at "did you merge the right sweep" scale.
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : canonical()) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  static const char* hex = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = hex[h & 0xF];
-    h >>= 4;
-  }
-  return out;
+  return util::hex16(util::fnv1a64(canonical()));
 }
 
 // ---- enumeration -----------------------------------------------------------

@@ -1,5 +1,5 @@
-// spec.h -- declarative experiment grids for the exp orchestration
-// layer.
+// spec.h -- declarative experiment grids: the input of the sharded
+// runner (exp/runner.h) and of the fleet coordinator (fleet/).
 //
 // An ExperimentSpec is a value describing a *sweep*: the cartesian
 // product of graph family x size x healer x scenario, plus replication
@@ -23,7 +23,7 @@
 // list of Cells (family outermost, then n, healer, scenario) whose
 // indices, labels and derived RNG seeds depend only on the spec text --
 // never on sharding or scheduling. That is the property the sharded
-// runner (exp/runner.h) builds on: any partition of the cell list,
+// runner and the fleet build on: any partition of the cell list,
 // executed anywhere, reassembles into the byte-identical document a
 // sequential run produces.
 //

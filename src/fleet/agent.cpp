@@ -63,6 +63,36 @@ class HeartbeatThread {
 
 }  // namespace
 
+ChaosPlan parse_chaos(const std::string& spec) {
+  ChaosPlan plan;
+  if (spec.empty()) return plan;
+  const std::size_t colon = spec.find(':');
+  const std::string kind = spec.substr(0, colon);
+  if (kind == "kill") {
+    plan.kind = ChaosPlan::Kind::kKill;
+  } else if (kind == "torn") {
+    plan.kind = ChaosPlan::Kind::kTorn;
+  } else {
+    throw std::invalid_argument("bad chaos spec '" + spec +
+                                "' (expected kill:<cell> or torn:<cell>)");
+  }
+  if (colon == std::string::npos || colon + 1 >= spec.size()) {
+    throw std::invalid_argument("chaos spec '" + spec +
+                                "' names no cell (kill:<cell>)");
+  }
+  std::size_t cell = 0;
+  for (std::size_t i = colon + 1; i < spec.size(); ++i) {
+    const char c = spec[i];
+    if (c < '0' || c > '9') {
+      throw std::invalid_argument("chaos spec '" + spec +
+                                  "': cell must be a decimal index");
+    }
+    cell = cell * 10 + static_cast<std::size_t>(c - '0');
+  }
+  plan.cell = cell;
+  return plan;
+}
+
 AgentReport run_agent(const exp::ExperimentSpec& spec,
                       const AgentOptions& opt) {
   spec.validate();
@@ -160,8 +190,8 @@ AgentReport run_agent(const exp::ExperimentSpec& spec,
       }
     }
     if (opt.chaos.armed() && opt.chaos.cell == index) {
-      // Socket-shaped chaos_strike: the record must not arrive whole.
-      if (opt.chaos.kind == exp::ChaosPlan::Kind::kTorn) {
+      // The record must not arrive whole.
+      if (opt.chaos.kind == ChaosPlan::Kind::kTorn) {
         const std::string framed =
             frame_bytes(encode_message(make_result(index, record)));
         ch.send_raw(framed.substr(0, framed.size() / 2));

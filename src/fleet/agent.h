@@ -5,7 +5,7 @@
 // heartbeat thread keeps the lease alive while a cell computes, so
 // only real death -- not slowness -- triggers reassignment.
 //
-// For fault-injection tests the agent honours an exp::ChaosPlan with
+// For fault-injection tests the agent honours a ChaosPlan with
 // socket-shaped strikes: `kill:<cell>` SIGKILLs after the cell's ROWS
 // but before its RESULT (the coordinator sees EOF and reassigns);
 // `torn:<cell>` writes *half* of the RESULT frame and then SIGKILLs --
@@ -17,10 +17,21 @@
 #include <functional>
 #include <string>
 
-#include "exp/chaos.h"
 #include "exp/spec.h"
 
 namespace dash::fleet {
+
+/// Crash-fault injection: the cell at which the agent dies, and how.
+struct ChaosPlan {
+  enum class Kind { kNone, kKill, kTorn };
+  Kind kind = Kind::kNone;
+  std::size_t cell = 0;  ///< the cell index whose RESULT never lands
+  bool armed() const { return kind != Kind::kNone; }
+};
+
+/// Parse "kill:<cell>" / "torn:<cell>" (empty -> unarmed plan).
+/// Throws std::invalid_argument on anything else.
+ChaosPlan parse_chaos(const std::string& spec);
 
 struct AgentOptions {
   /// Coordinator endpoint spec ("unix:<path>" / "tcp:[host:]<port>").
@@ -31,7 +42,7 @@ struct AgentOptions {
   /// Suite pool threads per cell: 0 = hardware, 1 = sequential.
   std::size_t threads = 1;
   /// Crash-fault injection (tests); unarmed by default.
-  exp::ChaosPlan chaos;
+  ChaosPlan chaos;
   /// Progress sink; default logs via DASH_LOG. Set a no-op to silence.
   std::function<void(const std::string&)> progress;
 };

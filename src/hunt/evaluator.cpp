@@ -12,6 +12,7 @@
 #include "fleet/coordinator.h"
 #include "util/check.h"
 #include "util/csv.h"
+#include "util/hash.h"
 #include "util/registry.h"
 
 namespace dash::hunt {
@@ -139,25 +140,6 @@ bool run_stayed_connected(const std::string& run) {
   return run.compare(at + 19, 4, "true") == 0;
 }
 
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string hex64(std::uint64_t v) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[v & 0xF];
-    v >>= 4;
-  }
-  return out;
-}
-
 std::string spool_path(const std::string& state_dir) {
   return state_dir + "/spool.tsv";
 }
@@ -264,7 +246,7 @@ std::string Evaluator::config_hash() const {
                          " stretch=" + std::to_string(stretch_every_) +
                          " fitness=" + fitness_.text + " healers=";
   for (const std::string& h : cfg_.healers) identity += h + ";";
-  return hex64(fnv1a(identity));
+  return util::hex16(util::fnv1a64(identity));
 }
 
 double Evaluator::evaluate_one(const AttackGenome& genome) {
@@ -488,8 +470,8 @@ void Evaluator::load_spool() {
   std::ofstream out(path, std::ios::trunc);
   out << header << "\n";
   for (const auto& [spec, score] : computed_) {
-    out << spec << '\t' << hex64(std::bit_cast<std::uint64_t>(score.fitness))
-        << '\t';
+    out << spec << '\t'
+        << util::hex16(std::bit_cast<std::uint64_t>(score.fitness)) << '\t';
     for (std::size_t i = 0; i < score.groups.size(); ++i) {
       if (i) out << kGroupSep;
       out << score.groups[i];
@@ -501,7 +483,7 @@ void Evaluator::load_spool() {
 void Evaluator::append_spool(const std::string& spec, const Score& score) {
   if (!spool_.is_open()) return;
   spool_ << spec << '\t'
-         << hex64(std::bit_cast<std::uint64_t>(score.fitness)) << '\t';
+         << util::hex16(std::bit_cast<std::uint64_t>(score.fitness)) << '\t';
   for (std::size_t i = 0; i < score.groups.size(); ++i) {
     if (i) spool_ << kGroupSep;
     spool_ << score.groups[i];

@@ -7,6 +7,7 @@
 
 #include "attack/factory.h"
 #include "util/csv.h"
+#include "util/hash.h"
 
 namespace dash::hunt {
 
@@ -393,25 +394,9 @@ std::string AttackGenome::spec() const {
   return out;
 }
 
-std::uint64_t AttackGenome::hash() const {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : spec()) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+std::uint64_t AttackGenome::hash() const { return util::fnv1a64(spec()); }
 
-std::string AttackGenome::hash_hex() const {
-  static const char* hex = "0123456789abcdef";
-  std::uint64_t h = hash();
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = hex[h & 0xF];
-    h >>= 4;
-  }
-  return out;
-}
+std::string AttackGenome::hash_hex() const { return util::hex16(hash()); }
 
 api::Scenario AttackGenome::to_scenario() const {
   return api::Scenario::parse(spec());

@@ -53,6 +53,14 @@ TEST(ExperimentSpec, LineAndFileFormsAgree) {
   EXPECT_EQ(line.hash(), file.hash());
 }
 
+TEST(ExperimentSpec, HashIsPinned) {
+  // Shard records and fleet spools carry this digest; it must not move.
+  const auto spec = ExperimentSpec::parse_line(
+      "name=smoke n=24|32 healer=dash|graph "
+      "scenario=paper-churn|until-quarter instances=2 seed=11");
+  EXPECT_EQ(spec.hash(), "9c901f581e9b4b53");
+}
+
 TEST(ExperimentSpec, CanonicalRoundTripsAndScenariosAreCanonicalized) {
   const auto spec = ExperimentSpec::parse_line(
       "n=16 scenario=CHURN:0.3,0.1x50 healer=dash instances=2");

@@ -2,7 +2,8 @@
 // to live agents over real sockets must merge to the byte-exact
 // document (and rows CSV) a sequential exp::run produces -- through
 // handshake rejections, silent agents whose leases expire, duplicate
-// results, checkpoint/resume, and an agent SIGKILLed mid-cell.
+// results, checkpoint/resume, and an agent SIGKILLed mid-cell (before
+// its RESULT frame, or half-way through writing it).
 #include "fleet/coordinator.h"
 
 #include <gtest/gtest.h>
@@ -18,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "exp/chaos.h"
 #include "exp/runner.h"
 #include "exp/spec.h"
 #include "fleet/agent.h"
@@ -385,12 +385,19 @@ TEST(Fleet, ResumeRejectsAManifestFromAnotherSpec) {
   EXPECT_THROW(coord.run(), std::invalid_argument);
 }
 
-TEST(FleetDeathTest, AgentKilledMidCellIsReassignedByteIdentically) {
+/// The agent's own strikes, by chaos spec: `kill:1` dies after cell
+/// 1's ROWS but before its RESULT, `torn:1` after writing half the
+/// RESULT frame.
+class FleetDeathTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(FleetDeathTest, AgentKilledMidCellIsReassignedByteIdentically) {
   const auto spec = fleet_spec();
   const Sequential expected = sequential_run(spec);
+  const ChaosPlan plan = parse_chaos(GetParam());
+  const std::string kind = GetParam().substr(0, GetParam().find(':'));
 
   CoordinatorOptions copt;
-  copt.state_dir = fresh_state_dir("chaos");
+  copt.state_dir = fresh_state_dir("strike_" + kind);  // own dir per case
   copt.rows = true;
   copt.progress = quiet;
   Coordinator coord(spec, copt);
@@ -399,14 +406,14 @@ TEST(FleetDeathTest, AgentKilledMidCellIsReassignedByteIdentically) {
   std::thread server([&] { report = coord.run(); });
 
   // A forked agent with chaos armed: it commits cell 0, then SIGKILLs
-  // itself after streaming cell 1's rows but before its RESULT.
+  // itself at cell 1 before the coordinator holds its whole RESULT.
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     AgentOptions aopt;
     aopt.connect = ep;
     aopt.name = "doomed";
-    aopt.chaos = exp::parse_chaos("kill:1");
+    aopt.chaos = plan;
     aopt.progress = quiet;
     try {
       run_agent(spec, aopt);
@@ -426,9 +433,16 @@ TEST(FleetDeathTest, AgentKilledMidCellIsReassignedByteIdentically) {
   worker.join();
   EXPECT_TRUE(report.complete);
   EXPECT_GE(report.reassigned, 1u);
+  EXPECT_EQ(report.duplicates, 0u);
   EXPECT_EQ(report.document, expected.document);
   EXPECT_EQ(report.rows_csv, expected.rows);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Strikes, FleetDeathTest, ::testing::Values("kill:1", "torn:1"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param.substr(0, info.param.find(':'));
+    });
 
 TEST(Fleet, TornResultFrameCountsAsDeathNotCorruptState) {
   const auto spec = fleet_spec();

@@ -1,22 +1,21 @@
 // dash_lab.cpp -- unified experiment-orchestration CLI over the exp
 // layer: describe a sweep once (spec file or one-line grid), then run
-// it sequentially, sharded across worker processes, or shard-by-shard
-// on different machines, and merge the per-shard records back into the
-// single BENCH_*.json document a sequential run would have written --
+// it in one process, shard-by-shard on different machines, or as a
+// fleet of agent processes (serve, below), and get the single
+// BENCH_*.json document a sequential run would have written --
 // byte-identical, whichever path produced it.
 //
 //   dash_lab list-cells --grid 'n=64|128 healer=dash|sdash scenario=paper-churn'
 //   dash_lab run  --spec sweep.spec --json BENCH_sweep.json
-//   dash_lab run  --spec sweep.spec --workers 4 --json BENCH_sweep.json
 //   dash_lab run  --spec sweep.spec --shard 0/2 --out shards/s0.jsonl
 //   dash_lab run  --spec sweep.spec --shard 1/2 --out shards/s1.jsonl
 //   dash_lab merge --spec sweep.spec --json BENCH_sweep.json
 //       --inputs shards/s0.jsonl,shards/s1.jsonl
 //
-// Shard record files double as resume manifests: re-running with
-// --resume skips every cell already recorded (the orchestrator
-// forwards the flag to its workers), so an interrupted sweep finishes
-// from where it stopped instead of recomputing.
+// Shard record files double as resume manifests: re-running a shard
+// with --resume skips every cell already recorded in its --out file,
+// so an interrupted sweep finishes from where it stopped instead of
+// recomputing.
 //
 // The replay verbs capture and re-execute single runs:
 //
@@ -26,11 +25,9 @@
 //   dash_lab replay --trace run.trace --healer none --lenient --invariants
 //   dash_lab fuzz   --trace run.trace --mutants 50
 //
-// and --chaos kill:<cell> / torn:<cell> on run arms the exp layer's
-// crash-fault injector (DASH_CHAOS) so resume paths stay honest.
-//
 // The fleet verbs run a grid as a coordinator/agent service with a
-// work-stealing cell queue (src/fleet/):
+// work-stealing cell queue (src/fleet/); serve --agents N is how one
+// grid spans local processes:
 //
 //   dash_lab serve --spec sweep.spec --agents 3 --json BENCH_sweep.json
 //   dash_lab serve --spec sweep.spec --listen tcp:4815   # external agents
@@ -41,11 +38,19 @@
 // stream rows + the cell's shard record back; a killed or silent agent
 // forfeits its lease and the cell is reassigned, with the final merged
 // document still byte-identical to a sequential run. The coordinator's
-// state dir doubles as a resume manifest (serve --resume).
+// state dir doubles as a resume manifest (serve --resume), and --chaos
+// kill:<cell> | torn:<cell> makes an agent die at a chosen cell so the
+// reassignment path stays honest.
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -58,13 +63,12 @@
 
 #include "api/scenario.h"
 #include "api/serve_bench.h"
-#include "exp/chaos.h"
-#include "exp/orchestrator.h"
 #include "exp/runner.h"
 #include "exp/spec.h"
 #include "fleet/agent.h"
 #include "fleet/channel.h"
 #include "fleet/coordinator.h"
+#include "fleet/protocol.h"
 #include "hunt/hunt.h"
 #include "replay/fuzz.h"
 #include "replay/play.h"
@@ -87,15 +91,12 @@ struct LabOptions {
   std::string out;         ///< --out shard record file
   std::string json;        ///< --json merged document path
   std::string inputs;      ///< --inputs comma-separated shard files
-  std::string shard_dir = "dash_lab_shards";
-  std::uint64_t workers = 0;
   std::uint64_t threads = 0;
   bool resume = false;
   bool quiet = false;
   // run/merge rows output
   std::string rows;         ///< --rows per-round rows CSV path
   std::string rows_inputs;  ///< --rows-inputs per-shard rows files
-  std::string chaos;        ///< --chaos kill:<cell> | torn:<cell>
   // record/replay/fuzz
   std::string trace;        ///< --trace file
   std::string healer;       ///< --healer spec (record default: dash)
@@ -115,6 +116,7 @@ struct LabOptions {
   std::string connect;                   ///< agent/status --connect
   std::string state_dir = "dash_fleet";  ///< serve --state-dir
   std::string name;                      ///< agent --name
+  std::string chaos;                     ///< serve/agent --chaos
   std::uint64_t agents = 0;              ///< serve --agents (local)
   std::uint64_t lease_ms = 10000;        ///< serve --lease-ms
   std::uint64_t stop_after = 0;          ///< serve --stop-after
@@ -144,17 +146,17 @@ int usage(std::FILE* to) {
       "replay|fuzz|hunt> [options]\n"
       "\n"
       "subcommands:\n"
-      "  run         execute the grid: sequentially, as one shard\n"
-      "              (--shard I/N --out FILE), or across worker\n"
-      "              processes (--workers N)\n"
+      "  run         execute the grid in this process: all of it, or\n"
+      "              one shard (--shard I/N --out FILE) for merge\n"
       "  merge       reassemble shard record files (--inputs a,b,...)\n"
       "              into the single BENCH_*.json document\n"
       "  list-cells  print the grid's deterministic cell enumeration\n"
       "  serve       coordinate the grid as a fleet: lease cells to\n"
       "              agents one at a time (work stealing), reassign on\n"
       "              death/silence, merge byte-identically; --agents N\n"
-      "              spawns local agent processes, --resume restarts\n"
-      "              from the state dir's manifest\n"
+      "              spawns local agent processes (the multi-process\n"
+      "              way to run a grid), --resume restarts from the\n"
+      "              state dir's manifest\n"
       "  agent       attach to a coordinator (--connect) and claim\n"
       "              cells until it says shutdown\n"
       "  status      print a serving coordinator's live progress\n"
@@ -220,6 +222,59 @@ std::vector<std::string> split_commas(const std::string& s) {
   return out;
 }
 
+/// Absolute path of the running binary (/proc/self/exe when
+/// available, argv0 otherwise).
+std::string current_executable(const char* argv0) {
+  std::error_code ec;
+  const auto self = std::filesystem::read_symlink("/proc/self/exe", ec);
+  if (!ec) return self.string();
+  return argv0 != nullptr ? std::string(argv0) : std::string();
+}
+
+/// fork + exec `exe` with `args` (argv[0] is exe itself); returns the
+/// child pid, throws std::runtime_error when fork fails.
+pid_t spawn_process(const std::string& exe,
+                    const std::vector<std::string>& args) {
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    throw std::runtime_error(std::string("fork failed: ") +
+                             std::strerror(errno));
+  }
+  if (pid == 0) {
+    std::vector<char*> argv;
+    argv.reserve(args.size() + 2);
+    argv.push_back(const_cast<char*>(exe.c_str()));
+    for (const std::string& a : args) {
+      argv.push_back(const_cast<char*>(a.c_str()));
+    }
+    argv.push_back(nullptr);
+    ::execv(exe.c_str(), argv.data());
+    // Only reached when exec failed; report on the inherited stderr
+    // and die without running atexit handlers twice.
+    std::string msg = "dash_lab: exec of '" + exe +
+                      "' failed: " + std::strerror(errno) + "\n";
+    [[maybe_unused]] const auto n =
+        ::write(STDERR_FILENO, msg.data(), msg.size());
+    ::_exit(127);
+  }
+  return pid;
+}
+
+/// waitpid `pid`: empty when it exited 0, else how it ended ("exit 2",
+/// "killed by signal 9", "wait failed").
+std::string reap_process(pid_t pid) {
+  int st = 0;
+  if (::waitpid(pid, &st, 0) < 0) return "wait failed";
+  if (WIFEXITED(st)) {
+    const int code = WEXITSTATUS(st);
+    return code == 0 ? std::string() : "exit " + std::to_string(code);
+  }
+  if (WIFSIGNALED(st)) {
+    return "killed by signal " + std::to_string(WTERMSIG(st));
+  }
+  return "wait failed";
+}
+
 /// Write the merged document to --json, or stdout without it.
 void emit_document(const LabOptions& opt, const std::string& doc) {
   if (opt.json.empty()) {
@@ -244,30 +299,16 @@ int cmd_list_cells(const LabOptions& opt) {
   const auto cells = spec.enumerate();
   if (opt.cells_json) {
     // One-line machine-readable form for scripts and CI.
-    const auto esc = [](const std::string& s) {
-      std::string out;
-      for (const char c : s) {
-        if (c == '"' || c == '\\') {
-          out += '\\';
-          out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-      }
-      return out;
-    };
-    std::cout << "{\"spec\":\"" << esc(spec.canonical()) << "\",\"hash\":\""
-              << esc(spec.hash()) << "\",\"cells\":[";
+    using dash::fleet::escape_json;
+    std::cout << "{\"spec\":\"" << escape_json(spec.canonical())
+              << "\",\"hash\":\"" << escape_json(spec.hash())
+              << "\",\"cells\":[";
     for (const Cell& cell : cells) {
       if (cell.index) std::cout << ',';
       std::cout << "{\"index\":" << cell.index << ",\"family\":\""
-                << esc(cell.family) << "\",\"n\":" << cell.n
-                << ",\"healer\":\"" << esc(cell.healer)
-                << "\",\"scenario\":\"" << esc(cell.scenario)
+                << escape_json(cell.family) << "\",\"n\":" << cell.n
+                << ",\"healer\":\"" << escape_json(cell.healer)
+                << "\",\"scenario\":\"" << escape_json(cell.scenario)
                 << "\",\"seed\":" << cell.seed
                 << ",\"instances\":" << cell.instances << "}";
     }
@@ -286,15 +327,21 @@ int cmd_list_cells(const LabOptions& opt) {
   return 0;
 }
 
-/// In-process execution of one shard (the worker side of the
-/// orchestrator, and the whole grid when no --shard was given).
-int cmd_run_in_process(const LabOptions& opt, const ExperimentSpec& spec) {
+/// Execute the grid in this process: all of it, or one shard
+/// (--shard I/N --out FILE) whose records a later merge reassembles.
+int cmd_run(const LabOptions& opt) {
+  const ExperimentSpec spec = load_spec(opt);
   dash::exp::RunnerOptions ropt;
   if (!opt.shard.empty()) parse_shard(opt.shard, &ropt.shard);
   ropt.threads = static_cast<std::size_t>(opt.threads);
   if (!opt.shard.empty() && opt.out.empty()) {
     throw std::invalid_argument(
         "--shard needs --out <file> to persist the shard's records");
+  }
+  if (opt.resume && opt.out.empty()) {
+    throw std::invalid_argument(
+        "--resume needs --out <file>: the shard record file is the "
+        "resume manifest");
   }
   if (ropt.shard.count > 1 && !opt.json.empty()) {
     throw std::invalid_argument(
@@ -307,7 +354,7 @@ int cmd_run_in_process(const LabOptions& opt, const ExperimentSpec& spec) {
   // an error, not a silent recompute.
   std::set<std::size_t> skip;
   std::vector<dash::exp::ShardRecord> records;
-  if (opt.resume && !opt.out.empty() && std::ifstream(opt.out).good()) {
+  if (opt.resume && std::ifstream(opt.out).good()) {
     records = dash::exp::load_shard_file(opt.out);
     const std::string want = spec.hash();
     for (const auto& record : records) {
@@ -372,20 +419,13 @@ int cmd_run_in_process(const LabOptions& opt, const ExperimentSpec& spec) {
     };
   }
 
-  const dash::exp::ChaosPlan chaos = dash::exp::chaos_from_env();
   const std::size_t total = spec.enumerate().size();
   ropt.on_cell = [&](const dash::exp::CellResult& result) {
-    const std::string line =
-        dash::exp::shard_line(dash::exp::to_record(spec, result));
-    if (shard_out.is_open()) {
-      dash::exp::chaos_strike(chaos, result.cell.index, shard_out, line);
-      shard_out << line << "\n";
-      shard_out.flush();  // every finished cell survives an interrupt
-    } else if (chaos.armed()) {
-      std::ostringstream devnull;  // no record file: torn degrades to kill
-      dash::exp::chaos_strike(chaos, result.cell.index, devnull, line);
-    }
     records.push_back(dash::exp::to_record(spec, result));
+    if (shard_out.is_open()) {
+      shard_out << dash::exp::shard_line(records.back()) << "\n";
+      shard_out.flush();  // every finished cell survives an interrupt
+    }
     if (!opt.quiet) {
       std::fprintf(stderr, "  [%zu/%zu] n=%zu healer=%s scenario=%s\n",
                    result.cell.index + 1, total, result.cell.n,
@@ -414,59 +454,15 @@ int cmd_run_in_process(const LabOptions& opt, const ExperimentSpec& spec) {
   return 0;
 }
 
-int cmd_run(const LabOptions& opt, const char* argv0) {
-  const ExperimentSpec spec = load_spec(opt);
-  if (!opt.chaos.empty()) {
-    dash::exp::parse_chaos(opt.chaos);  // validate before arming
-    ::setenv(dash::exp::kChaosEnv, opt.chaos.c_str(), 1);
-  }
-  if (opt.workers == 0) return cmd_run_in_process(opt, spec);
-
-  if (!opt.shard.empty() || !opt.out.empty()) {
-    throw std::invalid_argument(
-        "--workers spawns its own shards; drop --shard/--out");
-  }
-  dash::exp::OrchestrateOptions oopt;
-  oopt.exe = dash::exp::current_executable(argv0);
-  oopt.spec_args = opt.spec_path.empty()
-                       ? std::vector<std::string>{"--grid", opt.grid}
-                       : std::vector<std::string>{"--spec", opt.spec_path};
-  if (opt.quiet) oopt.spec_args.push_back("--quiet");
-  oopt.workers = static_cast<std::size_t>(opt.workers);
-  oopt.shard_dir = opt.shard_dir;
-  oopt.resume = opt.resume;
-  oopt.threads = static_cast<std::size_t>(opt.threads);
-  oopt.rows = !opt.rows.empty();
-  dash::exp::OrchestrateResult result;
-  try {
-    result = dash::exp::orchestrate(spec, oopt);
-  } catch (const dash::exp::OrchestrateError& e) {
-    for (const auto& worker : e.workers()) {
-      std::fprintf(stderr, "  worker %s\n", worker.describe().c_str());
-    }
-    throw;
-  }
-  if (!opt.rows.empty()) {
-    std::ofstream rows_out(opt.rows, std::ios::trunc);
-    if (!rows_out) {
-      throw std::runtime_error("cannot open --rows path '" + opt.rows +
-                               "'");
-    }
-    rows_out << result.rows;
-    if (!opt.quiet) {
-      std::fprintf(stderr, "merged rows written to %s\n",
-                   opt.rows.c_str());
-    }
-  }
-  emit_document(opt, result.document);
-  return 0;
-}
-
 int cmd_merge(const LabOptions& opt) {
   const ExperimentSpec spec = load_spec(opt);
   if (opt.inputs.empty()) {
     throw std::invalid_argument(
         "merge needs --inputs <shard.jsonl,shard.jsonl,...>");
+  }
+  if (!opt.rows.empty() && opt.rows_inputs.empty()) {
+    throw std::invalid_argument(
+        "--rows needs --rows-inputs <rows.csv,rows.csv,...> to merge");
   }
   std::vector<dash::exp::ShardRecord> records;
   for (const std::string& path : split_commas(opt.inputs)) {
@@ -509,7 +505,7 @@ int cmd_serve(const LabOptions& opt, const char* argv0) {
       throw std::invalid_argument(
           "serve --chaos needs --agents (it arms the first local agent)");
     }
-    dash::exp::parse_chaos(opt.chaos);  // validate before spawning
+    dash::fleet::parse_chaos(opt.chaos);  // validate before spawning
   }
   dash::fleet::CoordinatorOptions copt;
   copt.listen = opt.listen;
@@ -525,9 +521,9 @@ int cmd_serve(const LabOptions& opt, const char* argv0) {
     std::fprintf(stderr, "fleet: listening at %s\n", endpoint.c_str());
   }
 
-  // Local agents, orchestrate-style (fork + exec of this binary). Any
-  // chaos plan arms agent 0 *only*: agents inheriting the same plan
-  // would all die at the reassigned cell, forever.
+  // Local agents: fork + exec of this binary. Any chaos plan arms
+  // agent 0 *only*: agents inheriting the same plan would all die at
+  // the reassigned cell, forever.
   std::vector<pid_t> pids;
   if (opt.agents > 0) {
     std::size_t agent_threads = static_cast<std::size_t>(opt.threads);
@@ -536,7 +532,7 @@ int cmd_serve(const LabOptions& opt, const char* argv0) {
           1, std::thread::hardware_concurrency() /
                  static_cast<std::size_t>(opt.agents));
     }
-    const std::string exe = dash::exp::current_executable(argv0);
+    const std::string exe = current_executable(argv0);
     for (std::uint64_t i = 0; i < opt.agents; ++i) {
       std::vector<std::string> args{"agent", "--connect", endpoint,
                                     "--name",
@@ -555,7 +551,7 @@ int cmd_serve(const LabOptions& opt, const char* argv0) {
         args.push_back("--chaos");
         args.push_back(opt.chaos);
       }
-      pids.push_back(dash::exp::spawn_process(exe, args));
+      pids.push_back(spawn_process(exe, args));
     }
   }
 
@@ -565,16 +561,8 @@ int cmd_serve(const LabOptions& opt, const char* argv0) {
   // agent is the point of the exercise) -- grid completion is what
   // this process's exit code stands for.
   for (std::size_t i = 0; i < pids.size(); ++i) {
-    const dash::exp::WorkerStatus ws = dash::exp::wait_process(pids[i]);
-    if (!opt.quiet && !ws.ok()) {
-      std::string fate;
-      if (ws.exited) {
-        fate = "exit " + std::to_string(ws.exit_code);
-      } else if (ws.signaled) {
-        fate = "killed by signal " + std::to_string(ws.signal_no);
-      } else {
-        fate = "wait failed";
-      }
+    const std::string fate = reap_process(pids[i]);
+    if (!opt.quiet && !fate.empty()) {
       std::fprintf(stderr, "fleet: agent-%zu %s\n", i, fate.c_str());
     }
   }
@@ -615,7 +603,7 @@ int cmd_agent(const LabOptions& opt) {
   aopt.connect = opt.connect;
   aopt.name = opt.name;
   aopt.threads = static_cast<std::size_t>(opt.threads);
-  if (!opt.chaos.empty()) aopt.chaos = dash::exp::parse_chaos(opt.chaos);
+  if (!opt.chaos.empty()) aopt.chaos = dash::fleet::parse_chaos(opt.chaos);
   if (opt.quiet) aopt.progress = [](const std::string&) {};
   const dash::fleet::AgentReport report = dash::fleet::run_agent(spec, aopt);
   if (!opt.quiet) {
@@ -856,22 +844,14 @@ int main(int argc, char** argv) {
     opt.add_string("shard", &lab.shard,
                    "run only cells of shard I/N (requires --out)");
     opt.add_string("out", &lab.out, "shard record file (JSON lines)");
-    opt.add_uint("workers", &lab.workers,
-                 "spawn N worker processes and merge their shards "
-                 "(0 = run in-process)");
-    opt.add_string("shard-dir", &lab.shard_dir,
-                   "shard record directory for --workers");
     opt.add_flag("resume", &lab.resume,
-                 "skip cells already recorded in the shard file(s)");
+                 "skip cells already recorded in the --out file");
     opt.add_uint("threads", &lab.threads,
-                 "suite worker threads per process (0 = hardware "
-                 "concurrency, 1 = sequential)");
+                 "suite worker threads (0 = hardware concurrency, "
+                 "1 = sequential)");
     opt.add_string("rows", &lab.rows,
-                   "stream per-round rows here (canonical CSV; with "
-                   "--workers the merged rows of every shard)");
-    opt.add_string("chaos", &lab.chaos,
-                   "crash-fault injection: kill:<cell> or torn:<cell> "
-                   "(arms DASH_CHAOS for this run and its workers)");
+                   "stream per-round rows here (canonical CSV; --resume "
+                   "keeps the recorded cells' rows)");
   }
   if (cmd == "merge") {
     opt.add_string("inputs", &lab.inputs,
@@ -1059,7 +1039,7 @@ int main(int argc, char** argv) {
     if (cmd == "replay") return cmd_replay(lab);
     if (cmd == "fuzz") return cmd_fuzz(lab);
     if (cmd == "hunt") return cmd_hunt(lab);
-    return cmd_run(lab, argv[0]);
+    return cmd_run(lab);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "dash_lab %s: %s\n", cmd.c_str(), e.what());
     return 2;
