@@ -15,9 +15,18 @@
 //   3. end-to-end: a churned, healed, served network with estimate-
 //      mode stretch sampling riding along -- the acceptance run: at
 //      --n 1000000 this completes in minutes on one vCPU.
+//   4. victims: per-round p50/p99 of the attack's victim choice and of
+//      Network::remove (dash, tracker on, nothing served or observed)
+//      for strike:random and strike:neighborofmax, --churn-rounds
+//      rounds each on a fresh graph -- the mutation path whose cost
+//      must not grow with n.
+//
+// The last line is the process's peak RSS.
 //
 // Run `million_core --n 1000000` for the headline numbers; defaults
 // keep a laptop run under a minute.
+#include <sys/resource.h>
+
 #include <cstdint>
 #include <iostream>
 #include <memory>
@@ -28,6 +37,7 @@
 #include "analysis/stretch_estimator.h"
 #include "api/api.h"
 #include "api/serve.h"
+#include "attack/factory.h"
 #include "graph/flat_view.h"
 #include "graph/generators.h"
 #include "graph/snapshot_store.h"
@@ -231,6 +241,45 @@ void bench_end_to_end(std::size_t n, std::size_t rounds,
             << "\n";
 }
 
+void bench_victims(std::size_t n, std::size_t rounds, std::uint64_t seed) {
+  dash::util::Table table({"attack", "choice_p50_us", "choice_p99_us",
+                           "remove_p50_us", "remove_p99_us"});
+  for (const std::string name : {"random", "neighborofmax"}) {
+    Rng rng(seed);
+    dash::api::Network net(dash::graph::barabasi_albert(n, 2, rng), "dash",
+                           seed);
+    auto atk = dash::attack::make_attack(name, seed);
+    std::vector<double> choice_us, remove_us;
+    choice_us.reserve(rounds);
+    remove_us.reserve(rounds);
+    for (std::size_t r = 0; r < rounds && net.graph().num_alive() > 1; ++r) {
+      Timer t_choice;
+      const NodeId v = atk->select(net.graph(), net.state());
+      choice_us.push_back(t_choice.millis() * 1e3);
+      if (v == dash::graph::kInvalidNode) break;
+      Timer t_remove;
+      net.remove(v);
+      remove_us.push_back(t_remove.millis() * 1e3);
+    }
+    const auto q = [](const std::vector<double>& xs, double p) {
+      return dash::util::quantile(xs, p);
+    };
+    table.begin_row()
+        .cell(name)
+        .cell(q(choice_us, 0.5), 2)
+        .cell(q(choice_us, 0.99), 2)
+        .cell(q(remove_us, 0.5), 2)
+        .cell(q(remove_us, 0.99), 2);
+  }
+  table.print(std::cout);
+}
+
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -251,7 +300,8 @@ int main(int argc, char** argv) {
   opt.add_uint("pairs", &pairs, "estimator sampled pairs");
   opt.add_uint("exact-limit", &exact_limit,
                "largest n that still runs the exact O(n^2) sampler");
-  opt.add_uint("churn-rounds", &churn_rounds, "end-to-end churn rounds");
+  opt.add_uint("churn-rounds", &churn_rounds,
+               "end-to-end churn rounds, and victim rounds per attack");
   opt.add_uint("stretch-every", &stretch_every,
                "end-to-end stretch sampling cadence");
   if (!opt.parse(argc, argv)) return opt.help_requested() ? 0 : 2;
@@ -265,5 +315,10 @@ int main(int argc, char** argv) {
 
   std::cout << "\n-- end-to-end churn + serve + estimate-mode sampling --\n";
   bench_end_to_end(n, churn_rounds, stretch_every, landmarks, pairs, seed);
+
+  std::cout << "\n-- per-round victim choice + Network::remove --\n";
+  bench_victims(n, churn_rounds, seed);
+
+  std::cout << "\npeak RSS: " << peak_rss_mb() << " MB\n";
   return 0;
 }

@@ -217,6 +217,16 @@ HealAction Network::remove(NodeId v) {
 std::vector<HealAction> Network::remove_batch(
     const std::vector<NodeId>& batch) {
   DASH_CHECK_MSG(!batch.empty(), "empty deletion batch");
+  // Checked before begin_batch_deletion, which indexes per-id arrays by
+  // every member.
+  for (NodeId v : batch) {
+    DASH_CHECK_MSG(g_->alive(v), "batch member is not an alive node");
+  }
+  std::vector<NodeId> distinct = batch;
+  std::sort(distinct.begin(), distinct.end());
+  DASH_CHECK_MSG(
+      std::adjacent_find(distinct.begin(), distinct.end()) == distinct.end(),
+      "batch member repeats");
   // Round ids are cumulative deletion counts; begin and end of one
   // round must agree, so the batch's id is known up front.
   notify_round_begin(engine_.deletions + batch.size());

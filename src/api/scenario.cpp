@@ -9,6 +9,7 @@
 
 #include "api/network.h"
 #include "attack/factory.h"
+#include "graph/sample.h"
 #include "util/check.h"
 #include "util/csv.h"
 
@@ -126,24 +127,6 @@ std::vector<NodeId> hubs_first(const graph::Graph& g) {
   return alive;
 }
 
-/// Uniform k-subset of the alive nodes via partial Fisher-Yates: k RNG
-/// draws, not a full shuffle -- churn phases run for millions of
-/// events. NOTE: the draw count is part of the deterministic stream
-/// layout; changing it changes every seeded result.
-std::vector<NodeId> pick_distinct_alive(const graph::Graph& g,
-                                        dash::util::Rng& rng,
-                                        std::size_t k) {
-  auto alive = g.alive_nodes();
-  const std::size_t take = std::min(k, alive.size());
-  for (std::size_t i = 0; i < take; ++i) {
-    const auto j =
-        i + static_cast<std::size_t>(rng.below(alive.size() - i));
-    std::swap(alive[i], alive[j]);
-  }
-  alive.resize(take);
-  return alive;
-}
-
 /// Attack specs are resolved through attack::attack_registry() when a
 /// phase executes; reject unknown names already at scenario build/parse
 /// time so the error surfaces where the spec was written.
@@ -228,7 +211,7 @@ class BatchStrikePhase final : public ScenarioPhase {
         const auto ordered = hubs_first(g);
         batch.assign(ordered.begin(), ordered.begin() + batch_size_);
       } else {
-        batch = pick_distinct_alive(g, ctx.rng, batch_size_);
+        batch = graph::sample_alive(g, ctx.rng, batch_size_);
       }
       ctx.net.remove_batch(batch);
       ++done;
@@ -280,12 +263,10 @@ class ChurnPhase final : public ScenarioPhase {
       const bool do_leave = ctx.rng.chance(leave_rate_);
       if (do_join) {
         ctx.net.join(
-            pick_distinct_alive(ctx.net.graph(), ctx.rng, attach_));
+            graph::sample_alive(ctx.net.graph(), ctx.rng, attach_));
       }
       if (do_leave && ctx.net.graph().num_alive() > ctx.floor) {
-        const auto alive = ctx.net.graph().alive_nodes();
-        ctx.net.remove(
-            alive[static_cast<std::size_t>(ctx.rng.below(alive.size()))]);
+        ctx.net.remove(graph::sample_alive(ctx.net.graph(), ctx.rng, 1)[0]);
       }
     }
   }
@@ -318,7 +299,7 @@ class JoinPhase final : public ScenarioPhase {
     for (std::size_t i = 0; i < count_; ++i) {
       if (ctx.stopped()) break;
       ctx.net.join(
-          pick_distinct_alive(ctx.net.graph(), ctx.rng, attach_));
+          graph::sample_alive(ctx.net.graph(), ctx.rng, attach_));
     }
   }
 
@@ -380,12 +361,10 @@ class RampPhase final : public ScenarioPhase {
           ctx.rng.chance(leave_start_ + (leave_end_ - leave_start_) * t);
       if (do_join) {
         ctx.net.join(
-            pick_distinct_alive(ctx.net.graph(), ctx.rng, attach_));
+            graph::sample_alive(ctx.net.graph(), ctx.rng, attach_));
       }
       if (do_leave && ctx.net.graph().num_alive() > ctx.floor) {
-        const auto alive = ctx.net.graph().alive_nodes();
-        ctx.net.remove(
-            alive[static_cast<std::size_t>(ctx.rng.below(alive.size()))]);
+        ctx.net.remove(graph::sample_alive(ctx.net.graph(), ctx.rng, 1)[0]);
       }
     }
   }

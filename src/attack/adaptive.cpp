@@ -4,7 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "graph/metrics.h"
 #include "util/check.h"
 
 namespace dash::attack {
@@ -66,7 +65,7 @@ NodeId AdaptiveAttack::select(const Graph& g, const HealingState& state) {
     if (target != graph::kInvalidNode) return target;
     return burdened;  // burdened but healing-isolated: take it out
   }
-  return graph::argmax_degree(g);
+  return g.argmax_degree();
 }
 
 }  // namespace dash::attack

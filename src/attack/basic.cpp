@@ -1,16 +1,16 @@
 #include "attack/basic.h"
 
-#include "graph/metrics.h"
+#include "graph/sample.h"
 #include "util/check.h"
 
 namespace dash::attack {
 
 NodeId MaxNodeAttack::select(const Graph& g, const HealingState&) {
-  return graph::argmax_degree(g);
+  return g.argmax_degree();
 }
 
 NodeId NeighborOfMaxAttack::select(const Graph& g, const HealingState&) {
-  const NodeId hub = graph::argmax_degree(g);
+  const NodeId hub = g.argmax_degree();
   if (hub == graph::kInvalidNode) return graph::kInvalidNode;
   const auto& nbrs = g.neighbors(hub);
   if (nbrs.empty()) return hub;  // isolated hub: take it down directly
@@ -18,9 +18,8 @@ NodeId NeighborOfMaxAttack::select(const Graph& g, const HealingState&) {
 }
 
 NodeId RandomAttack::select(const Graph& g, const HealingState&) {
-  const auto alive = g.alive_nodes();
-  if (alive.empty()) return graph::kInvalidNode;
-  return alive[static_cast<std::size_t>(rng_.below(alive.size()))];
+  const auto pick = graph::sample_alive(g, rng_, 1);
+  return pick.empty() ? graph::kInvalidNode : pick[0];
 }
 
 NodeId MinNodeAttack::select(const Graph& g, const HealingState&) {

@@ -67,9 +67,9 @@ void DynamicConnectivity::edge_added(NodeId a, NodeId b) {
   if (!r.merged) return;
   const std::size_t sa = alive_size_[r.root];
   const std::size_t sb = alive_size_[r.absorbed];
+  hist_add(sa + sb);  // add before remove: see the cost model (header)
   hist_remove(sa);
   hist_remove(sb);
-  hist_add(sa + sb);
   alive_size_[r.root] = static_cast<std::uint32_t>(sa + sb);
   --components_;
   ++partition_changes_;
@@ -86,13 +86,13 @@ void DynamicConnectivity::drop_alive_member(NodeId v) {
   const NodeId r = uf_.find(v);
   const std::size_t s = alive_size_[r];
   DASH_CHECK_MSG(s > 0, "deleting from an already-empty component");
-  hist_remove(s);
-  alive_size_[r] = static_cast<std::uint32_t>(s - 1);
   if (s == 1) {
     --components_;
   } else {
-    hist_add(s - 1);
+    hist_add(s - 1);  // add before remove: see the cost model (header)
   }
+  hist_remove(s);
+  alive_size_[r] = static_cast<std::uint32_t>(s - 1);
 }
 
 void DynamicConnectivity::node_removed(NodeId v,

@@ -20,7 +20,12 @@
 // Cost model: a certified round touching k vertices pays O(k * alpha);
 // an uncertified round defers an O(|affected component|) re-scan to the
 // next query. Component count and largest-component size are maintained
-// as a size histogram, so both are O(1) after the flush.
+// as a size histogram, so both are O(1) after the flush. Every resize
+// adds the new size to the histogram before it removes the old one:
+// removed first, the giant component's old size would leave the
+// maximum to walk down through every empty size to the next-largest
+// component (O(n) per deletion from, or join into, the giant), only for
+// the add to restore it one step later.
 //
 // Correctness invariant (the differential tests replay thousands of
 // randomized schedules against traversal::connected_components to hold

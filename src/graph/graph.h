@@ -29,6 +29,15 @@
 // the log position they last synced at and patch only the touched
 // vertices instead of re-walking O(n + m) state; a consumer whose
 // position fell behind the compacted prefix simply rebuilds in full.
+//
+// Two indexes keep per-event queries independent of the id space:
+//   * alive set: 64-bit alive words plus a Fenwick tree over their
+//     popcounts, kept by add_node/delete_node, so kth_alive(r) -- the
+//     r-th alive id in ascending order -- is O(log n) and a uniform
+//     alive draw never materializes the alive list;
+//   * max degree: a tournament tree over ids keyed on (degree, -id),
+//     synced lazily from the touched log like flat_view(), so only
+//     callers of argmax_degree() pay for it.
 #pragma once
 
 #include <cstddef>
@@ -62,7 +71,18 @@ class Graph {
   /// Number of edges between alive nodes.
   std::size_t num_edges() const { return edge_count_; }
 
-  bool alive(NodeId v) const { return alive_[v]; }
+  /// False for deleted ids and for ids never allocated.
+  bool alive(NodeId v) const {
+    return v < degree_.size() && ((alive_words_[v >> 6] >> (v & 63)) & 1);
+  }
+
+  /// The r-th alive id in ascending order, i.e. alive_nodes()[r], in
+  /// O(log n). r must be < num_alive().
+  NodeId kth_alive(std::size_t r) const;
+
+  /// Alive id of maximum degree, lowest id on ties; kInvalidNode when
+  /// no node is alive. O(log n) per vertex touched since the last call.
+  NodeId argmax_degree() const;
 
   /// Append one new isolated node; returns its id.
   NodeId add_node();
@@ -102,7 +122,8 @@ class Graph {
   void reserve_neighbors(NodeId v, std::size_t expected);
 
   /// All alive node ids, ascending. Allocates per call; traversal-heavy
-  /// readers should use flat_view().alive_nodes() instead.
+  /// readers should use flat_view().alive_nodes() instead, and uniform
+  /// draws graph::sample_alive (graph/sample.h).
   std::vector<NodeId> alive_nodes() const;
 
   /// Monotone mutation counter: bumped by every topology change (node
@@ -150,6 +171,13 @@ class Graph {
 
   void check_alive(NodeId v) const;
   void touch(NodeId v);
+  /// Flip v's alive bit (which must differ from `alive`) and its
+  /// word's Fenwick count.
+  void set_alive(NodeId v, bool alive);
+  /// Rebuild the Fenwick tree from the alive words in O(words).
+  void build_alive_fenwick();
+  /// Bring the max-degree tree up to date with the touched log.
+  void sync_degree_tree() const;
   /// Pop a block of `cap` (power of two) entries from the free list or
   /// extend the slab. Returns the block's offset.
   std::uint32_t alloc_block(std::uint32_t cap);
@@ -174,7 +202,12 @@ class Graph {
   std::vector<std::vector<std::uint32_t>> free_lists_;
   std::size_t free_entries_ = 0;
 
-  std::vector<bool> alive_;
+  /// Alive bit per id, 64 ids per word. The word count is a power of
+  /// two (the Fenwick capacity); bits past num_nodes() stay clear.
+  std::vector<std::uint64_t> alive_words_;
+  /// 1-based Fenwick tree over the words' popcounts, one entry per
+  /// word of capacity (entry 0 unused).
+  std::vector<std::uint32_t> alive_fenwick_;
   std::size_t alive_count_ = 0;
   std::size_t edge_count_ = 0;
   std::uint64_t generation_ = 0;
@@ -187,6 +220,15 @@ class Graph {
   std::uint64_t touched_base_ = 0;
 
   mutable FlatView view_;  ///< lazy CSR cache, stamped by generation_
+
+  /// Max-degree tournament tree: leaves [L, 2L) hold
+  /// (degree + 1) << 32 | ~id for alive ids and 0 otherwise, inner
+  /// node i the max of 2i and 2i+1, so the root names the
+  /// highest-degree, lowest-id alive node. Empty until the first
+  /// argmax_degree() and in copies; degree_tree_seq_ is the
+  /// touched-log position it was last synced at.
+  mutable std::vector<std::uint64_t> degree_tree_;
+  mutable std::uint64_t degree_tree_seq_ = 0;
 };
 
 }  // namespace dash::graph

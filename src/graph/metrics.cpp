@@ -3,24 +3,8 @@
 namespace dash::graph {
 
 std::size_t max_degree(const Graph& g) {
-  std::size_t best = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (g.alive(v)) best = std::max(best, g.degree(v));
-  }
-  return best;
-}
-
-NodeId argmax_degree(const Graph& g) {
-  NodeId best = kInvalidNode;
-  std::size_t best_deg = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!g.alive(v)) continue;
-    if (best == kInvalidNode || g.degree(v) > best_deg) {
-      best = v;
-      best_deg = g.degree(v);
-    }
-  }
-  return best;
+  const NodeId hub = g.argmax_degree();
+  return hub == kInvalidNode ? 0 : g.degree(hub);
 }
 
 double average_degree(const Graph& g) {

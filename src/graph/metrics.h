@@ -8,12 +8,9 @@
 
 namespace dash::graph {
 
-/// Maximum degree over alive nodes (0 for an empty graph).
+/// Maximum degree over alive nodes (0 for an empty graph): the degree
+/// of Graph::argmax_degree().
 std::size_t max_degree(const Graph& g);
-
-/// Node id attaining the maximum degree (lowest id wins ties);
-/// kInvalidNode for an empty graph.
-NodeId argmax_degree(const Graph& g);
 
 /// Mean degree over alive nodes (0 for an empty graph).
 double average_degree(const Graph& g);

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "core/reconstruction_tree.h"
-#include "graph/metrics.h"
 #include "util/check.h"
 
 namespace dash::sim {
@@ -201,7 +200,7 @@ std::size_t run_max_degree_attack(
     const std::function<bool(std::size_t)>& on_deletion) {
   std::size_t deletions = 0;
   while (sim.network().num_alive() > 1 && deletions < max_deletions) {
-    sim.delete_and_heal(graph::argmax_degree(sim.network()));
+    sim.delete_and_heal(sim.network().argmax_degree());
     ++deletions;
     if (on_deletion && !on_deletion(deletions)) break;
   }

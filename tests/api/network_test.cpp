@@ -130,6 +130,27 @@ TEST(Network, RemoveBatchHealsSimultaneousDeletions) {
   EXPECT_TRUE(m.stayed_connected);
 }
 
+// Ids past the id space and repeated batch members used to index
+// per-id arrays before any check ran (a batch member past the end wrote
+// out of bounds in begin_batch_deletion).
+TEST(NetworkDeathTest, RemoveOutOfRangeIdDies) {
+  auto net = make_net(32, 8);
+  EXPECT_DEATH(net.remove(32), "removing a dead node");
+  EXPECT_DEATH(net.remove(1u << 30), "removing a dead node");
+}
+
+TEST(NetworkDeathTest, RemoveBatchOutOfRangeMemberDies) {
+  auto net = make_net(32, 8);
+  EXPECT_DEATH(net.remove_batch({3, 32}), "batch member is not an alive node");
+  net.remove(5);
+  EXPECT_DEATH(net.remove_batch({3, 5}), "batch member is not an alive node");
+}
+
+TEST(NetworkDeathTest, RemoveBatchDuplicateMemberDies) {
+  auto net = make_net(32, 8);
+  EXPECT_DEATH(net.remove_batch({3, 4, 3}), "batch member repeats");
+}
+
 TEST(Network, JoinCountsAndExtendsGraph) {
   Rng rng(9);
   Network net(graph::path_graph(4), core::make_strategy("dash"), rng);

@@ -58,18 +58,18 @@ TEST(Io, MalformedInputThrows) {
 TEST(Metrics, MaxAndArgmaxDegree) {
   const Graph g = star_graph(6);
   EXPECT_EQ(max_degree(g), 5u);
-  EXPECT_EQ(argmax_degree(g), 0u);
+  EXPECT_EQ(g.argmax_degree(), 0u);
 }
 
 TEST(Metrics, ArgmaxTiesGoToLowestId) {
   const Graph g = path_graph(4);  // degrees 1,2,2,1
-  EXPECT_EQ(argmax_degree(g), 1u);
+  EXPECT_EQ(g.argmax_degree(), 1u);
 }
 
 TEST(Metrics, EmptyGraphDefaults) {
   Graph g(0);
   EXPECT_EQ(max_degree(g), 0u);
-  EXPECT_EQ(argmax_degree(g), kInvalidNode);
+  EXPECT_EQ(g.argmax_degree(), kInvalidNode);
   EXPECT_EQ(average_degree(g), 0.0);
 }
 

@@ -19,6 +19,43 @@ std::vector<NodeId> nbrs_of(const Graph& g, NodeId v) {
   return {span.begin(), span.end()};
 }
 
+/// The alive index and the max-degree tree against the scans they
+/// replace: kth_alive(r) for every rank, argmax_degree (lowest id on
+/// ties), and alive() past the id space.
+void expect_indexes_match_scan(const Graph& g) {
+  std::vector<NodeId> alive;
+  NodeId hub = kInvalidNode;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!g.alive(v)) continue;
+    alive.push_back(v);
+    if (hub == kInvalidNode || g.degree(v) > g.degree(hub)) hub = v;
+  }
+  ASSERT_EQ(alive.size(), g.num_alive());
+  for (std::size_t r = 0; r < alive.size(); ++r) {
+    ASSERT_EQ(g.kth_alive(r), alive[r]) << "rank " << r;
+  }
+  ASSERT_EQ(g.argmax_degree(), hub);
+  ASSERT_FALSE(g.alive(static_cast<NodeId>(g.num_nodes())));
+  ASSERT_FALSE(g.alive(kInvalidNode));
+}
+
+/// One random mutation of any kind (edge toggle, node delete or add).
+void mutate(Graph& g, util::Rng& rng) {
+  const auto op = rng.below(100);
+  if (op < 8 || g.num_alive() < 4) {
+    g.add_node();
+    return;
+  }
+  const NodeId a = g.kth_alive(rng.below(g.num_alive()));
+  if (op < 20) {
+    g.delete_node(a);
+    return;
+  }
+  const NodeId b = g.kth_alive(rng.below(g.num_alive()));
+  if (a == b) return;
+  if (!g.remove_edge(a, b)) g.add_edge(a, b);
+}
+
 TEST(SlabGraph, BlocksDoubleAndStaySorted) {
   Graph g(20);
   // Descending inserts exercise the insertion hole at index 0 through
@@ -136,6 +173,8 @@ TEST(SlabGraph, RandomizedDifferentialAgainstSetModel) {
       if (!alive[v]) continue;
       g.reserve_neighbors(v, 1 + rng.below(16));
     }
+    ASSERT_NO_FATAL_FAILURE(expect_indexes_match_scan(g))
+        << "after step " << step;
 
     if (step % 97 == 0) {  // full cross-check, amortized
       ASSERT_EQ(g.num_edges(), edges);
@@ -148,6 +187,93 @@ TEST(SlabGraph, RandomizedDifferentialAgainstSetModel) {
       }
     }
   }
+}
+
+TEST(SlabGraph, CopyKeepsIndexesApartFromItsSource) {
+  util::Rng rng(0xc0b1);
+  Graph a(300);
+  for (int i = 0; i < 600; ++i) mutate(a, rng);
+  (void)a.argmax_degree();  // the source's tree is built before the copy
+  Graph b(a);
+  Graph c;
+  c = a;
+  for (int i = 0; i < 400; ++i) {
+    mutate(a, rng);
+    mutate(b, rng);
+    mutate(b, rng);
+    mutate(c, rng);
+    ASSERT_NO_FATAL_FAILURE(expect_indexes_match_scan(a)) << "step " << i;
+    ASSERT_NO_FATAL_FAILURE(expect_indexes_match_scan(b)) << "step " << i;
+    ASSERT_NO_FATAL_FAILURE(expect_indexes_match_scan(c)) << "step " << i;
+  }
+}
+
+TEST(SlabGraph, MovedGraphKeepsIndexes) {
+  util::Rng rng(0x30fe);
+  Graph a(200);
+  for (int i = 0; i < 300; ++i) mutate(a, rng);
+  (void)a.argmax_degree();
+  Graph b(std::move(a));
+  ASSERT_NO_FATAL_FAILURE(expect_indexes_match_scan(b));
+  Graph c(5);
+  (void)c.argmax_degree();
+  c = std::move(b);
+  for (int i = 0; i < 300; ++i) {
+    mutate(c, rng);
+    ASSERT_NO_FATAL_FAILURE(expect_indexes_match_scan(c)) << "step " << i;
+  }
+}
+
+TEST(SlabGraph, ArgmaxRebuildsAfterTheLogCompactsPastIt) {
+  util::Rng rng(0x70c5);
+  Graph g(64);
+  for (int i = 0; i < 200; ++i) mutate(g, rng);
+  for (int round = 0; round < 6; ++round) {
+    const std::uint64_t synced_at = g.touched_end();
+    ASSERT_NO_FATAL_FAILURE(expect_indexes_match_scan(g));
+    // Far more mutations than the touched log retains (~2n entries).
+    while (g.touched_begin() <= synced_at) mutate(g, rng);
+    for (int i = 0; i < 50; ++i) mutate(g, rng);
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_indexes_match_scan(g));
+}
+
+TEST(SlabGraph, ArgmaxRebuildsAfterAShortWindowStraddlesCompaction) {
+  // The window since the last sync is one deletion plus one toggle,
+  // short enough that the cost rule would patch it, but the hub's own
+  // entry is the last one the compaction drops: a tree patched from the
+  // new log's start would keep the dead hub on top. 127 ids: 128
+  // leaves and a touched-log cap of max(256, 2n) = 256.
+  Graph g(127);
+  for (NodeId v = 1; v <= 20; ++v) g.add_edge(0, v);
+  const auto toggle = [&g] {
+    if (!g.remove_edge(1, 2)) g.add_edge(1, 2);
+  };
+  ASSERT_EQ(g.argmax_degree(), 0u);
+  const std::size_t target = 256 - 1 - g.degree(0);
+  while (g.touched_log().size() + 2 <= target) toggle();
+  if (g.touched_log().size() < target) g.add_node();
+  ASSERT_EQ(g.touched_log().size(), target);
+  ASSERT_EQ(g.argmax_degree(), 0u);  // sync right before the deletion
+  const std::uint64_t synced_at = g.touched_end();
+  g.delete_node(0);
+  ASSERT_EQ(g.touched_log().size(), 256u);
+  toggle();  // compacts: the deletion's entries are dropped
+  ASSERT_GT(g.touched_begin(), synced_at);
+  ASSERT_NO_FATAL_FAILURE(expect_indexes_match_scan(g));
+}
+
+TEST(SlabGraph, KthAliveAcrossWordAndCapacityBoundaries) {
+  // 257 ids: five alive words, Fenwick capacity eight. Deleting every
+  // id of the middle words leaves ranks that only a tree propagated up
+  // to the capacity (not the last populated word) resolves.
+  Graph g(257);
+  for (NodeId v = 64; v < 192; ++v) g.delete_node(v);
+  ASSERT_NO_FATAL_FAILURE(expect_indexes_match_scan(g));
+  for (int i = 0; i < 300; ++i) g.add_node();
+  ASSERT_NO_FATAL_FAILURE(expect_indexes_match_scan(g));
+  EXPECT_EQ(g.kth_alive(64), 192u);
+  EXPECT_EQ(g.kth_alive(g.num_alive() - 1), g.num_nodes() - 1);
 }
 
 }  // namespace
