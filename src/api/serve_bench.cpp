@@ -16,6 +16,7 @@
 #include "api/serve.h"
 #include "graph/generators.h"
 #include "util/csv.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -241,8 +242,8 @@ void render_serve_json(const ServeBenchConfig& cfg,
   const auto field = [](double v) { return util::CsvWriter::to_field(v); };
   out << "{\n  \"bench\": \"serve_churn\",\n";
   out << "  \"n\": " << cfg.n << ",\n";
-  out << "  \"healer\": \"" << cfg.healer << "\",\n";
-  out << "  \"scenario\": \"" << cfg.scenario << "\",\n";
+  out << "  \"healer\": " << util::json_string(cfg.healer) << ",\n";
+  out << "  \"scenario\": " << util::json_string(cfg.scenario) << ",\n";
   out << "  \"seed\": " << cfg.seed << ",\n";
   out << "  \"publish_every\": " << cfg.publish_every << ",\n";
   out << "  \"verify\": " << (cfg.verify ? "true" : "false") << ",\n";

@@ -1,10 +1,13 @@
 #include "api/sink.h"
 
-#include <cstdio>
-#include <functional>
+#include <cmath>
+#include <limits>
+#include <sstream>
+#include <type_traits>
 
 #include "api/network.h"
 #include "api/observers.h"
+#include "util/json.h"
 #include "util/stats.h"
 
 namespace dash::api {
@@ -36,79 +39,52 @@ std::vector<std::string> round_row_fields(const RoundRow& row) {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+constexpr std::string_view kDocumentHead = "{\"groups\":[";
+constexpr std::string_view kDocumentTail = "]}\n";
 
 std::string json_number(double v) { return util::CsvWriter::to_field(v); }
 
-/// The numeric Metrics fields a summary aggregates, name -> extractor.
-const std::vector<
-    std::pair<std::string, std::function<double(const Metrics&)>>>&
-summary_fields() {
-  using Field =
-      std::pair<std::string, std::function<double(const Metrics&)>>;
-  static const std::vector<Field> fields{
-      {"deletions",
-       [](const Metrics& m) { return static_cast<double>(m.deletions); }},
-      {"joins",
-       [](const Metrics& m) { return static_cast<double>(m.joins); }},
-      {"max_delta",
-       [](const Metrics& m) { return static_cast<double>(m.max_delta); }},
-      {"max_id_changes",
-       [](const Metrics& m) {
-         return static_cast<double>(m.max_id_changes);
-       }},
-      {"max_messages",
-       [](const Metrics& m) {
-         return static_cast<double>(m.max_messages);
-       }},
-      {"max_messages_sent",
-       [](const Metrics& m) {
-         return static_cast<double>(m.max_messages_sent);
-       }},
-      {"edges_added",
-       [](const Metrics& m) { return static_cast<double>(m.edges_added); }},
-      {"surrogate_heals",
-       [](const Metrics& m) {
-         return static_cast<double>(m.surrogate_heals);
-       }},
-      {"max_stretch", [](const Metrics& m) { return m.max_stretch; }},
-      {"components",
-       [](const Metrics& m) { return static_cast<double>(m.components); }},
-      {"largest_component",
-       [](const Metrics& m) {
-         return static_cast<double>(m.largest_component);
-       }},
+/// One numeric Metrics field of a BENCH run: how to write it (as a
+/// double) and how to read it back strictly.
+struct SummaryField {
+  const char* name;
+  double (*get)(const Metrics&);
+  void (*set)(Metrics&, double);
+};
+
+/// Integer fields read back only whole values their type can hold:
+/// casting any other double to them is undefined.
+template <auto Member>
+SummaryField summary_field(const char* name) {
+  return {name,
+          [](const Metrics& m) { return static_cast<double>(m.*Member); },
+          [](Metrics& m, double v) {
+            using T = std::remove_reference_t<decltype(m.*Member)>;
+            if constexpr (std::is_integral_v<T>) {
+              if (!(v >= 0.0 &&
+                    v < std::ldexp(1.0, std::numeric_limits<T>::digits) &&
+                    v == std::trunc(v))) {
+                throw util::JsonError("BENCH run field out of range");
+              }
+            }
+            m.*Member = static_cast<T>(v);
+          }};
+}
+
+/// The numeric Metrics fields a summary aggregates, in write order.
+const std::vector<SummaryField>& summary_fields() {
+  static const std::vector<SummaryField> fields{
+      summary_field<&Metrics::deletions>("deletions"),
+      summary_field<&Metrics::joins>("joins"),
+      summary_field<&Metrics::max_delta>("max_delta"),
+      summary_field<&Metrics::max_id_changes>("max_id_changes"),
+      summary_field<&Metrics::max_messages>("max_messages"),
+      summary_field<&Metrics::max_messages_sent>("max_messages_sent"),
+      summary_field<&Metrics::edges_added>("edges_added"),
+      summary_field<&Metrics::surrogate_heals>("surrogate_heals"),
+      summary_field<&Metrics::max_stretch>("max_stretch"),
+      summary_field<&Metrics::components>("components"),
+      summary_field<&Metrics::largest_component>("largest_component"),
   };
   return fields;
 }
@@ -141,48 +117,113 @@ void JsonSummarySink::on_run(std::size_t /*instance*/, const Metrics& m) {
 void JsonSummarySink::flush() {
   if (flushed_) return;  // one document per sink
   flushed_ = true;
-  out_ << "{\"groups\":[";
-  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-    const Group& g = groups_[gi];
-    if (gi) out_ << ',';
-    out_ << "{\"labels\":{";
-    for (std::size_t li = 0; li < g.labels.size(); ++li) {
-      if (li) out_ << ',';
-      out_ << '"' << json_escape(g.labels[li].first) << "\":\""
-           << json_escape(g.labels[li].second) << '"';
-    }
-    out_ << "},\"instances\":" << g.runs.size() << ",\"runs\":[";
-    for (std::size_t ri = 0; ri < g.runs.size(); ++ri) {
-      const Metrics& m = g.runs[ri];
-      if (ri) out_ << ',';
-      out_ << '{';
-      for (std::size_t fi = 0; fi < summary_fields().size(); ++fi) {
-        const auto& [name, get] = summary_fields()[fi];
-        if (fi) out_ << ',';
-        out_ << '"' << name << "\":" << json_number(get(m));
-      }
-      out_ << ",\"stayed_connected\":"
-           << (m.stayed_connected ? "true" : "false");
-      out_ << ",\"violation\":\"" << json_escape(m.violation) << "\"}";
-    }
-    out_ << "],\"summary\":{";
-    for (std::size_t fi = 0; fi < summary_fields().size(); ++fi) {
-      const auto& [name, get] = summary_fields()[fi];
-      std::vector<double> xs;
-      xs.reserve(g.runs.size());
-      for (const Metrics& m : g.runs) xs.push_back(get(m));
-      const util::Summary s = util::summarize(xs);
-      if (fi) out_ << ',';
-      out_ << '"' << name << "\":{\"mean\":" << json_number(s.mean)
-           << ",\"stddev\":" << json_number(s.stddev)
-           << ",\"min\":" << json_number(s.min)
-           << ",\"max\":" << json_number(s.max)
-           << ",\"median\":" << json_number(s.median) << '}';
-    }
-    out_ << "}}";
+  std::vector<std::string> rendered;
+  rendered.reserve(groups_.size());
+  for (const Group& g : groups_) {
+    rendered.push_back(bench_group(g.labels, g.runs));
   }
-  out_ << "]}\n";
+  write_bench_document(out_, rendered);
   out_.flush();
+}
+
+// ---- the BENCH_*.json format ----------------------------------------------
+
+std::string bench_group(
+    const std::vector<std::pair<std::string, std::string>>& labels,
+    const std::vector<Metrics>& runs) {
+  // Only strings are inserted, so no stream locale touches the bytes.
+  std::ostringstream out;
+  out << "{\"labels\":{";
+  for (std::size_t li = 0; li < labels.size(); ++li) {
+    if (li) out << ',';
+    out << util::json_string(labels[li].first) << ':'
+        << util::json_string(labels[li].second);
+  }
+  out << "},\"instances\":" << std::to_string(runs.size()) << ",\"runs\":[";
+  for (std::size_t ri = 0; ri < runs.size(); ++ri) {
+    const Metrics& m = runs[ri];
+    if (ri) out << ',';
+    for (std::size_t fi = 0; fi < summary_fields().size(); ++fi) {
+      const SummaryField& f = summary_fields()[fi];
+      out << (fi ? ",\"" : "{\"") << f.name << "\":" << json_number(f.get(m));
+    }
+    out << ",\"stayed_connected\":" << (m.stayed_connected ? "true" : "false")
+        << ",\"violation\":" << util::json_string(m.violation) << '}';
+  }
+  out << "],\"summary\":{";
+  for (std::size_t fi = 0; fi < summary_fields().size(); ++fi) {
+    const SummaryField& f = summary_fields()[fi];
+    std::vector<double> xs;
+    xs.reserve(runs.size());
+    for (const Metrics& m : runs) xs.push_back(f.get(m));
+    const util::Summary s = util::summarize(xs);
+    if (fi) out << ',';
+    out << '"' << f.name << "\":{\"mean\":" << json_number(s.mean)
+        << ",\"stddev\":" << json_number(s.stddev)
+        << ",\"min\":" << json_number(s.min)
+        << ",\"max\":" << json_number(s.max)
+        << ",\"median\":" << json_number(s.median) << '}';
+  }
+  out << "}}";
+  return out.str();
+}
+
+void write_bench_document(std::ostream& out,
+                          const std::vector<std::string>& groups) {
+  out << kDocumentHead;
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    if (i) out << ',';
+    out << groups[i];
+  }
+  out << kDocumentTail;
+}
+
+std::vector<std::string> bench_document_groups(std::string_view document) {
+  util::JsonReader r(document);
+  r.expect(kDocumentHead);
+  std::vector<std::string> groups;
+  while (!r.consume(kDocumentTail)) {
+    if (!groups.empty()) r.expect(",");
+    groups.emplace_back(r.object());
+  }
+  r.end();
+  return groups;
+}
+
+std::vector<Metrics> bench_group_runs(std::string_view group) {
+  util::JsonReader r(group);
+  r.expect("{\"labels\":");
+  r.object();
+  r.expect(",\"instances\":");
+  const auto instances = r.uint<std::size_t>();
+  r.expect(",\"runs\":[");
+  std::vector<Metrics> runs;
+  while (!r.consume("],\"summary\":")) {
+    if (!runs.empty()) r.expect(",");
+    Metrics m;
+    for (std::size_t fi = 0; fi < summary_fields().size(); ++fi) {
+      const SummaryField& f = summary_fields()[fi];
+      r.expect(fi ? ",\"" : "{\"");
+      r.expect(f.name);
+      r.expect("\":");
+      f.set(m, r.number());
+    }
+    r.expect(",\"stayed_connected\":");
+    m.stayed_connected = r.boolean();
+    r.expect(",\"violation\":");
+    m.violation = r.string();
+    r.expect("}");
+    runs.push_back(std::move(m));
+  }
+  if (runs.size() != instances) {
+    throw util::JsonError("BENCH group claims " + std::to_string(instances) +
+                          " instances but holds " +
+                          std::to_string(runs.size()) + " runs");
+  }
+  r.object();
+  r.expect("}");
+  r.end();
+  return runs;
 }
 
 // ---- SinkObserver -------------------------------------------------------

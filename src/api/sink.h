@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -131,8 +132,8 @@ class CsvStreamSink final : public MetricSink {
 };
 
 /// Collects per-run snapshots into labelled groups and, on flush(),
-/// writes one JSON document: every run's metrics plus mean/stddev/min/
-/// max aggregates per metric -- the BENCH_*.json summary format.
+/// writes one document of bench_group objects (write_bench_document) --
+/// the BENCH_*.json summary format.
 class JsonSummarySink final : public MetricSink {
  public:
   explicit JsonSummarySink(std::ostream& out) : out_(out) {}
@@ -156,6 +157,30 @@ class JsonSummarySink final : public MetricSink {
   std::vector<Group> groups_;
   bool flushed_ = false;
 };
+
+// ---- the BENCH_*.json format ----------------------------------------------
+
+/// One BENCH group object: the labels, every run's metrics, and each
+/// metric's mean/stddev/min/max/median. JsonSummarySink writes its
+/// groups with it, so a group rendered alone is byte-identical to the
+/// same group inside a whole document.
+std::string bench_group(
+    const std::vector<std::pair<std::string, std::string>>& labels,
+    const std::vector<Metrics>& runs);
+
+/// Writes the document around rendered groups:
+/// {"groups":[g0,g1,...]}\n.
+void write_bench_document(std::ostream& out,
+                          const std::vector<std::string>& groups);
+
+/// Inverse of write_bench_document: its group objects, verbatim. Throws
+/// util::JsonError on anything write_bench_document did not write.
+std::vector<std::string> bench_document_groups(std::string_view document);
+
+/// Inverse of bench_group for the runs: every run's metrics, read back
+/// strictly. Throws util::JsonError on anything bench_group did not
+/// write.
+std::vector<Metrics> bench_group_runs(std::string_view group);
 
 /// Pipeline stage feeding a sink from a live engine: one row per round
 /// (and per join), one on_run() when the engine finishes. Register a

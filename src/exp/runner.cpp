@@ -6,12 +6,13 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "api/network.h"
 #include "api/observers.h"
 #include "api/sink.h"
 #include "api/suite.h"
-#include "util/check.h"
+#include "util/json.h"
 #include "util/thread_pool.h"
 
 namespace dash::exp {
@@ -25,52 +26,13 @@ api::ConnectivityMode parse_mode(const std::string& mode) {
   throw std::invalid_argument("unknown connectivity mode '" + mode + "'");
 }
 
-/// Scan an expected literal; advances *pos past it on success.
-bool expect(const std::string& s, std::size_t* pos, const char* lit) {
-  const std::size_t len = std::char_traits<char>::length(lit);
-  if (s.compare(*pos, len, lit) != 0) return false;
-  *pos += len;
-  return true;
-}
-
-bool scan_digits(const std::string& s, std::size_t* pos,
-                 std::size_t* out) {
-  const std::size_t start = *pos;
-  std::size_t value = 0;
-  while (*pos < s.size() && s[*pos] >= '0' && s[*pos] <= '9') {
-    value = value * 10 + static_cast<std::size_t>(s[*pos] - '0');
-    ++*pos;
-  }
-  if (*pos == start) return false;
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 // ---- execution -------------------------------------------------------------
 
 std::string render_group(const ExperimentSpec& spec, const Cell& cell,
                          const std::vector<api::Metrics>& runs) {
-  // Feed the runs through the one serializer that writes BENCH_*.json
-  // documents and peel its single group back out: whatever bytes a
-  // sequential whole-document run would emit for this cell, this is
-  // them.
-  std::ostringstream os;
-  api::JsonSummarySink sink(os);
-  sink.begin_group(cell.labels(spec.label_family()));
-  for (std::size_t i = 0; i < runs.size(); ++i) sink.on_run(i, runs[i]);
-  sink.flush();
-  const std::string doc = os.str();
-  static constexpr char kPrefix[] = "{\"groups\":[";
-  static constexpr char kSuffix[] = "]}\n";
-  const std::size_t prefix = sizeof(kPrefix) - 1;
-  const std::size_t suffix = sizeof(kSuffix) - 1;
-  DASH_CHECK_MSG(doc.size() > prefix + suffix &&
-                     doc.compare(0, prefix, kPrefix) == 0 &&
-                     doc.compare(doc.size() - suffix, suffix, kSuffix) == 0,
-                 "unexpected JsonSummarySink document shape");
-  return doc.substr(prefix, doc.size() - prefix - suffix);
+  return api::bench_group(cell.labels(spec.label_family()), runs);
 }
 
 CellResult run_cell(
@@ -149,40 +111,36 @@ ShardRecord to_record(const ExperimentSpec& spec,
 }
 
 std::string shard_line(const ShardRecord& record) {
-  // The group is a JSON object, embedded verbatim; the hash is 16 hex
-  // chars. Nothing needs escaping, so parse_shard_line can be a strict
-  // positional scan.
+  // The group is a JSON object, embedded verbatim.
   std::string out = "{\"cell\":";
   out += std::to_string(record.cell);
-  out += ",\"spec_hash\":\"";
-  out += record.spec_hash;
-  out += "\",\"group\":";
+  out += ",\"spec_hash\":";
+  out += util::json_string(record.spec_hash);
+  out += ",\"group\":";
   out += record.group_json;
   out += "}";
   return out;
 }
 
 bool parse_shard_line(const std::string& line, ShardRecord* out) {
-  std::size_t pos = 0;
   ShardRecord record;
-  if (!expect(line, &pos, "{\"cell\":")) return false;
-  if (!scan_digits(line, &pos, &record.cell)) return false;
-  if (!expect(line, &pos, ",\"spec_hash\":\"")) return false;
-  const std::size_t hash_end = line.find('"', pos);
-  if (hash_end == std::string::npos || hash_end == pos) return false;
-  record.spec_hash = line.substr(pos, hash_end - pos);
-  pos = hash_end;
-  if (!expect(line, &pos, "\",\"group\":")) return false;
-  if (line.empty() || line.back() != '}' || pos >= line.size() - 1) {
+  try {
+    util::JsonReader r(line);
+    r.expect("{\"cell\":");
+    record.cell = r.uint<std::size_t>();
+    r.expect(",\"spec_hash\":");
+    record.spec_hash = r.string();
+    r.expect(",\"group\":");
+    // Exactly one balanced object: a line torn by an interrupted write
+    // fails here or at the closing brace.
+    record.group_json = r.object();
+    r.expect("}");
+    r.end();
+  } catch (const util::JsonError&) {
     return false;
   }
-  record.group_json = line.substr(pos, line.size() - 1 - pos);
-  // The group must at least look like a closed object; a truncated
-  // line (interrupted write) fails here.
-  if (record.group_json.front() != '{' || record.group_json.back() != '}') {
-    return false;
-  }
-  *out = record;
+  if (record.spec_hash.empty()) return false;
+  *out = std::move(record);
   return true;
 }
 
@@ -257,13 +215,14 @@ std::string merged_document(const ExperimentSpec& spec,
         which + ")");
   }
 
-  std::string out = "{\"groups\":[";
-  for (std::size_t i = 0; i < by_index.size(); ++i) {
-    if (i) out += ',';
-    out += by_index[i]->group_json;
+  std::vector<std::string> groups;
+  groups.reserve(by_index.size());
+  for (const ShardRecord* record : by_index) {
+    groups.push_back(record->group_json);
   }
-  out += "]}\n";
-  return out;
+  std::ostringstream out;
+  api::write_bench_document(out, groups);
+  return out.str();
 }
 
 // ---- per-shard rows I/O ----------------------------------------------------
@@ -289,19 +248,25 @@ std::string rows_line(std::size_t cell, const api::RoundRow& row) {
 }
 
 bool parse_rows_line(const std::string& line, RowsRecord* out) {
-  std::size_t pos = 0;
   RowsRecord record;
-  if (!scan_digits(line, &pos, &record.cell)) return false;
-  if (!expect(line, &pos, ",")) return false;
-  if (!scan_digits(line, &pos, &record.seq)) return false;
-  if (!expect(line, &pos, ",")) return false;
-  if (!scan_digits(line, &pos, &record.instance)) return false;
-  if (!expect(line, &pos, ",")) return false;
+  std::string_view fields;
+  try {
+    util::JsonReader r(line);
+    record.cell = r.uint<std::size_t>();
+    r.expect(",");
+    record.seq = r.uint<std::size_t>();
+    r.expect(",");
+    record.instance = r.uint<std::size_t>();
+    r.expect(",");
+    fields = r.rest();
+  } catch (const util::JsonError&) {
+    return false;
+  }
   // The remaining fields are free-form CSV; a line torn inside them is
   // caught by the column count (round + the other 10 columns follow).
   std::size_t commas = 0;
-  for (std::size_t i = pos; i < line.size(); ++i) {
-    if (line[i] == ',') ++commas;
+  for (const char c : fields) {
+    if (c == ',') ++commas;
   }
   if (commas != api::round_row_header().size() - 2 || line.back() == ',') {
     return false;

@@ -4,9 +4,10 @@
 // shard's share (cells with index ≡ shard.index mod shard.count), each
 // cell one api::run_suite over the cell's derived seed. Every finished
 // cell yields a CellResult carrying the cell, its per-instance Metrics,
-// and the cell's serialized BENCH_*.json group -- rendered by the very
-// JsonSummarySink that writes single-process documents, which is what
-// makes reassembled shard output *byte-identical* to a sequential run:
+// and the cell's serialized BENCH_*.json group -- rendered by
+// api::bench_group, the very renderer JsonSummarySink writes
+// single-process documents with, which is what makes reassembled shard
+// output *byte-identical* to a sequential run:
 //
 //   merged_document(spec, all records)            == sequential bytes
 //   merged_document(spec, shard0 ∪ shard1 ∪ ...)  == sequential bytes

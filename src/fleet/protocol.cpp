@@ -1,7 +1,10 @@
 #include "fleet/protocol.h"
 
+#include <algorithm>
 #include <array>
 #include <utility>
+
+#include "util/json.h"
 
 namespace dash::fleet {
 
@@ -13,71 +16,7 @@ constexpr std::array<const char*, 11> kTypeNames = {
     "result", "status",  "report", "shutdown", "error",
 };
 
-// ---- strict positional scanning (shard-line style) ------------------------
-
-bool expect(const std::string& s, std::size_t* pos, const char* lit) {
-  const std::size_t len = std::char_traits<char>::length(lit);
-  if (s.compare(*pos, len, lit) != 0) return false;
-  *pos += len;
-  return true;
-}
-
-bool scan_size(const std::string& s, std::size_t* pos, std::size_t* out) {
-  const std::size_t start = *pos;
-  std::size_t value = 0;
-  while (*pos < s.size() && s[*pos] >= '0' && s[*pos] <= '9') {
-    value = value * 10 + static_cast<std::size_t>(s[*pos] - '0');
-    ++*pos;
-  }
-  if (*pos == start) return false;
-  *out = value;
-  return true;
-}
-
-/// Scan a JSON string literal (opening quote at *pos) into *out,
-/// unescaping; advances past the closing quote.
-bool scan_string(const std::string& s, std::size_t* pos, std::string* out) {
-  if (*pos >= s.size() || s[*pos] != '"') return false;
-  ++*pos;
-  std::string raw;
-  while (*pos < s.size() && s[*pos] != '"') {
-    if (s[*pos] == '\\') {
-      if (*pos + 1 >= s.size()) return false;
-      raw += s[*pos];
-      raw += s[*pos + 1];
-      *pos += 2;
-      continue;
-    }
-    raw += s[*pos];
-    ++*pos;
-  }
-  if (*pos >= s.size()) return false;
-  ++*pos;  // closing quote
-  return unescape_json(raw, out);
-}
-
-void append_string_field(std::string* out, const char* key,
-                         const std::string& value, bool* first) {
-  if (!*first) *out += ',';
-  *first = false;
-  *out += '"';
-  *out += key;
-  *out += "\":\"";
-  *out += escape_json(value);
-  *out += '"';
-}
-
-void append_size_field(std::string* out, const char* key, std::size_t value,
-                       bool* first) {
-  if (!*first) *out += ',';
-  *first = false;
-  *out += '"';
-  *out += key;
-  *out += "\":";
-  *out += std::to_string(value);
-}
-
-[[noreturn]] void bad(const std::string& payload, const char* why) {
+[[noreturn]] void bad(const std::string& payload, const std::string& why) {
   std::string head = payload.substr(0, 96);
   throw FrameError(std::string("malformed fleet message (") + why +
                    "): " + head);
@@ -101,143 +40,59 @@ std::string type_name(MessageType type) {
   return kTypeNames[static_cast<std::size_t>(type)];
 }
 
-// ---- escaping --------------------------------------------------------------
-
-std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          static constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[c >> 4];
-          out += kHex[c & 0xF];
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
-bool unescape_json(const std::string& s, std::string* out) {
-  out->clear();
-  out->reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\') {
-      out->push_back(s[i]);
-      continue;
-    }
-    if (i + 1 >= s.size()) return false;
-    const char e = s[++i];
-    switch (e) {
-      case '"':
-        out->push_back('"');
-        break;
-      case '\\':
-        out->push_back('\\');
-        break;
-      case 'n':
-        out->push_back('\n');
-        break;
-      case 'r':
-        out->push_back('\r');
-        break;
-      case 't':
-        out->push_back('\t');
-        break;
-      case 'u': {
-        if (i + 4 >= s.size()) return false;
-        unsigned value = 0;
-        for (int k = 0; k < 4; ++k) {
-          const char h = s[i + 1 + static_cast<std::size_t>(k)];
-          value <<= 4;
-          if (h >= '0' && h <= '9') {
-            value |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            value |= static_cast<unsigned>(h - 'a' + 10);
-          } else if (h >= 'A' && h <= 'F') {
-            value |= static_cast<unsigned>(h - 'A' + 10);
-          } else {
-            return false;
-          }
-        }
-        if (value > 0xFF) return false;  // only \u00XX is ever written
-        out->push_back(static_cast<char>(value));
-        i += 4;
-        break;
-      }
-      default:
-        return false;
-    }
-  }
-  return true;
-}
-
 // ---- message (de)serialization --------------------------------------------
 
 std::string encode_message(const Message& m) {
-  std::string out = "{\"type\":\"";
-  out += type_name(m.type);
-  out += '"';
-  bool first = false;
+  std::string out = "{\"type\":" + util::json_string(type_name(m.type));
+  const auto key = [&out](const char* name) {
+    out += ",\"";
+    out += name;
+    out += "\":";
+  };
+  const auto number = [&](const char* name, std::size_t value) {
+    key(name);
+    out += std::to_string(value);
+  };
+  const auto text = [&](const char* name, const std::string& value) {
+    key(name);
+    out += util::json_string(value);
+  };
   switch (m.type) {
     case MessageType::kHello:
-      append_size_field(&out, "version",
-                        static_cast<std::size_t>(m.version), &first);
-      append_string_field(&out, "spec_hash", m.spec_hash, &first);
-      append_string_field(&out, "agent", m.agent, &first);
+      number("version", static_cast<std::size_t>(m.version));
+      text("spec_hash", m.spec_hash);
+      text("agent", m.agent);
       break;
     case MessageType::kWelcome:
-      append_size_field(&out, "version",
-                        static_cast<std::size_t>(m.version), &first);
-      append_size_field(&out, "cells", m.cells, &first);
-      append_size_field(&out, "heartbeat_ms", m.heartbeat_ms, &first);
-      append_size_field(&out, "rows", m.rows ? 1 : 0, &first);
+      number("version", static_cast<std::size_t>(m.version));
+      number("cells", m.cells);
+      number("heartbeat_ms", m.heartbeat_ms);
+      number("rows", m.rows ? 1 : 0);
       break;
     case MessageType::kGrant:
-      append_size_field(&out, "cell", m.cell, &first);
+      number("cell", m.cell);
       break;
-    case MessageType::kRows: {
-      append_size_field(&out, "cell", m.cell, &first);
-      out += ",\"lines\":[";
+    case MessageType::kRows:
+      number("cell", m.cell);
+      key("lines");
+      out += '[';
       for (std::size_t i = 0; i < m.lines.size(); ++i) {
         if (i) out += ',';
-        out += '"';
-        out += escape_json(m.lines[i]);
-        out += '"';
+        out += util::json_string(m.lines[i]);
       }
       out += ']';
       break;
-    }
     case MessageType::kResult:
-      append_size_field(&out, "cell", m.cell, &first);
-      append_string_field(&out, "record", m.record, &first);
+      number("cell", m.cell);
+      text("record", m.record);
       break;
     case MessageType::kReport:
     case MessageType::kShutdown:
-      append_string_field(&out, "text", m.text, &first);
+      text("text", m.text);
       break;
     case MessageType::kError:
-      append_string_field(&out, "code", m.code, &first);
-      append_string_field(&out, "message", m.message, &first);
+      text("code", m.code);
+      text("message", m.message);
       break;
     case MessageType::kClaim:
     case MessageType::kHeartbeat:
@@ -249,108 +104,80 @@ std::string encode_message(const Message& m) {
 }
 
 Message decode_message(const std::string& payload) {
-  std::size_t pos = 0;
   Message m;
-  if (!expect(payload, &pos, "{\"type\":\"")) bad(payload, "no type");
-  std::size_t type_index = kTypeNames.size();
-  for (std::size_t i = 0; i < kTypeNames.size(); ++i) {
-    std::size_t probe = pos;
-    if (expect(payload, &probe, kTypeNames[i]) && probe < payload.size() &&
-        payload[probe] == '"') {
-      type_index = i;
-      pos = probe + 1;
-      break;
-    }
-  }
-  if (type_index == kTypeNames.size()) bad(payload, "unknown type");
-  m.type = static_cast<MessageType>(type_index);
+  try {
+    util::JsonReader r(payload);
+    r.expect("{\"type\":");
+    const std::string type = r.string();
+    const auto it = std::find(kTypeNames.begin(), kTypeNames.end(), type);
+    if (it == kTypeNames.end()) bad(payload, "unknown type");
+    m.type = static_cast<MessageType>(it - kTypeNames.begin());
 
-  const auto scan_str = [&](const char* key, std::string* out) {
-    std::string lit = ",\"";
-    lit += key;
-    lit += "\":";
-    if (!expect(payload, &pos, lit.c_str()) ||
-        !scan_string(payload, &pos, out)) {
-      bad(payload, key);
-    }
-  };
-  const auto scan_num = [&](const char* key, std::size_t* out) {
-    std::string lit = ",\"";
-    lit += key;
-    lit += "\":";
-    if (!expect(payload, &pos, lit.c_str()) ||
-        !scan_size(payload, &pos, out)) {
-      bad(payload, key);
-    }
-  };
-
-  switch (m.type) {
-    case MessageType::kHello: {
-      std::size_t version = 0;
-      scan_num("version", &version);
-      m.version = static_cast<int>(version);
-      scan_str("spec_hash", &m.spec_hash);
-      scan_str("agent", &m.agent);
-      break;
-    }
-    case MessageType::kWelcome: {
-      std::size_t version = 0;
-      scan_num("version", &version);
-      m.version = static_cast<int>(version);
-      scan_num("cells", &m.cells);
-      scan_num("heartbeat_ms", &m.heartbeat_ms);
-      std::size_t rows = 0;
-      scan_num("rows", &rows);
-      if (rows > 1) bad(payload, "rows");
-      m.rows = rows == 1;
-      break;
-    }
-    case MessageType::kGrant:
-      scan_num("cell", &m.cell);
-      break;
-    case MessageType::kRows: {
-      scan_num("cell", &m.cell);
-      if (!expect(payload, &pos, ",\"lines\":[")) bad(payload, "lines");
-      if (pos < payload.size() && payload[pos] == ']') {
-        ++pos;
-      } else {
-        while (true) {
-          std::string line;
-          if (!scan_string(payload, &pos, &line)) bad(payload, "lines");
-          m.lines.push_back(std::move(line));
-          if (pos >= payload.size()) bad(payload, "lines");
-          if (payload[pos] == ',') {
-            ++pos;
-            continue;
-          }
-          if (payload[pos] == ']') {
-            ++pos;
-            break;
-          }
-          bad(payload, "lines");
-        }
+    const auto key = [&r](const char* name) {
+      r.expect(",\"" + std::string(name) + "\":");
+    };
+    switch (m.type) {
+      case MessageType::kHello:
+        key("version");
+        m.version = r.uint<int>();
+        key("spec_hash");
+        m.spec_hash = r.string();
+        key("agent");
+        m.agent = r.string();
+        break;
+      case MessageType::kWelcome: {
+        key("version");
+        m.version = r.uint<int>();
+        key("cells");
+        m.cells = r.uint<std::size_t>();
+        key("heartbeat_ms");
+        m.heartbeat_ms = r.uint<std::size_t>();
+        key("rows");
+        const auto rows = r.uint<std::size_t>();
+        if (rows > 1) bad(payload, "rows");
+        m.rows = rows == 1;
+        break;
       }
-      break;
+      case MessageType::kGrant:
+        key("cell");
+        m.cell = r.uint<std::size_t>();
+        break;
+      case MessageType::kRows:
+        key("cell");
+        m.cell = r.uint<std::size_t>();
+        key("lines");
+        r.expect("[");
+        while (!r.consume("]")) {
+          if (!m.lines.empty()) r.expect(",");
+          m.lines.push_back(r.string());
+        }
+        break;
+      case MessageType::kResult:
+        key("cell");
+        m.cell = r.uint<std::size_t>();
+        key("record");
+        m.record = r.string();
+        break;
+      case MessageType::kReport:
+      case MessageType::kShutdown:
+        key("text");
+        m.text = r.string();
+        break;
+      case MessageType::kError:
+        key("code");
+        m.code = r.string();
+        key("message");
+        m.message = r.string();
+        break;
+      case MessageType::kClaim:
+      case MessageType::kHeartbeat:
+      case MessageType::kStatus:
+        break;
     }
-    case MessageType::kResult:
-      scan_num("cell", &m.cell);
-      scan_str("record", &m.record);
-      break;
-    case MessageType::kReport:
-    case MessageType::kShutdown:
-      scan_str("text", &m.text);
-      break;
-    case MessageType::kError:
-      scan_str("code", &m.code);
-      scan_str("message", &m.message);
-      break;
-    case MessageType::kClaim:
-    case MessageType::kHeartbeat:
-    case MessageType::kStatus:
-      break;
-  }
-  if (!expect(payload, &pos, "}") || pos != payload.size()) {
-    bad(payload, "trailing bytes");
+    r.expect("}");
+    r.end();
+  } catch (const util::JsonError& e) {
+    bad(payload, e.what());
   }
   return m;
 }

@@ -119,15 +119,10 @@ struct Message {
 /// One message as its JSON payload (no length prefix, no newline).
 std::string encode_message(const Message& m);
 
-/// Strict inverse of encode_message. Throws FrameError on anything it
-/// did not write (unknown type, missing field, trailing garbage).
+/// Strict inverse of encode_message, read with util::JsonReader.
+/// Throws FrameError on anything it did not write (unknown type,
+/// missing field, an integer above its field's type, trailing garbage).
 Message decode_message(const std::string& payload);
-
-/// JSON string escaping for payload fields (record lines, rows lines,
-/// error text can carry quotes/backslashes/control bytes).
-std::string escape_json(const std::string& s);
-/// Inverse of escape_json; false on malformed escapes.
-bool unescape_json(const std::string& s, std::string* out);
 
 // ---- framing ---------------------------------------------------------------
 

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "api/sink.h"
 #include "exp/runner.h"
 #include "fleet/agent.h"
 #include "fleet/coordinator.h"
@@ -39,105 +40,6 @@ double parse_weight(const std::string& text) {
                                 "' (want a number >= 0)");
   }
   return v;
-}
-
-// ---- BENCH group byte mining ------------------------------------------
-//
-// Fitness is parsed straight from the group's JSON bytes rather than
-// from in-memory Metrics, because the fleet backend only hands back
-// bytes -- and identical bytes in every backend is exactly the property
-// that makes sequential / threaded / fleet hunts byte-identical.
-
-/// Top-level JSON objects of `body` (a comma-separated object list),
-/// string- and escape-aware.
-std::vector<std::string> split_objects(const std::string& body) {
-  std::vector<std::string> out;
-  int depth = 0;
-  bool in_string = false;
-  bool escape = false;
-  std::size_t begin = std::string::npos;
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    const char c = body[i];
-    if (in_string) {
-      if (escape) {
-        escape = false;
-      } else if (c == '\\') {
-        escape = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      if (depth == 0) begin = i;
-      ++depth;
-    } else if (c == '}') {
-      --depth;
-      if (depth == 0 && begin != std::string::npos) {
-        out.push_back(body.substr(begin, i - begin + 1));
-        begin = std::string::npos;
-      }
-    }
-  }
-  return out;
-}
-
-/// The `"runs":[...]` array body of one group.
-std::string runs_body(const std::string& group) {
-  static const std::string kKey = "\"runs\":[";
-  const std::size_t at = group.find(kKey);
-  if (at == std::string::npos) {
-    throw std::logic_error("BENCH group without runs array");
-  }
-  const std::size_t begin = at + kKey.size();
-  // Matching ']' of the runs array: run objects hold no nested arrays,
-  // but violation strings could hold anything -- scan string-aware.
-  int depth = 1;
-  bool in_string = false;
-  bool escape = false;
-  for (std::size_t i = begin; i < group.size(); ++i) {
-    const char c = group[i];
-    if (in_string) {
-      if (escape) {
-        escape = false;
-      } else if (c == '\\') {
-        escape = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') in_string = true;
-    else if (c == '[') ++depth;
-    else if (c == ']' && --depth == 0) return group.substr(begin, i - begin);
-  }
-  throw std::logic_error("BENCH group with unterminated runs array");
-}
-
-double run_number(const std::string& run, const std::string& field) {
-  const std::string key = "\"" + field + "\":";
-  const std::size_t at = run.find(key);
-  if (at == std::string::npos) {
-    throw std::logic_error("BENCH run without field " + field);
-  }
-  const char* begin = run.data() + at + key.size();
-  const char* end = run.data() + run.size();
-  double v = 0.0;
-  const auto [ptr, ec] = std::from_chars(begin, end, v);
-  if (ec != std::errc() || ptr == begin) {
-    throw std::logic_error("unparsable BENCH run field " + field);
-  }
-  return v;
-}
-
-bool run_stayed_connected(const std::string& run) {
-  const std::size_t at = run.find("\"stayed_connected\":");
-  if (at == std::string::npos) {
-    throw std::logic_error("BENCH run without stayed_connected");
-  }
-  return run.compare(at + 19, 4, "true") == 0;
 }
 
 std::string spool_path(const std::string& state_dir) {
@@ -375,35 +277,31 @@ std::vector<std::string> Evaluator::run_fleet_grid(
   if (!report.complete) {
     throw std::runtime_error("hunt fleet batch did not complete");
   }
-  // Peel the merged document -- byte-identical to a sequential run --
-  // back into its per-cell groups.
-  static const std::string kPrefix = "{\"groups\":[";
-  static const std::string kSuffix = "]}\n";
-  DASH_CHECK_MSG(report.document.size() >= kPrefix.size() + kSuffix.size() &&
-                     report.document.compare(0, kPrefix.size(), kPrefix) == 0,
-                 "malformed fleet BENCH document");
-  const std::string body = report.document.substr(
-      kPrefix.size(),
-      report.document.size() - kPrefix.size() - kSuffix.size());
-  return split_objects(body);
+  // The merged document is byte-identical to a sequential run; its
+  // groups are the cells' groups.
+  return api::bench_document_groups(report.document);
 }
 
 double Evaluator::score_groups(
     const std::vector<std::string>& groups) const {
+  // Fitness is read back from the group bytes rather than from
+  // in-memory Metrics, because the fleet backend only hands back bytes
+  // -- and identical bytes in every backend is exactly the property
+  // that makes sequential / threaded / fleet hunts byte-identical.
   double sum = 0.0;
   std::size_t runs = 0;
   for (const std::string& group : groups) {
-    for (const std::string& run : split_objects(runs_body(group))) {
+    for (const api::Metrics& run : api::bench_group_runs(group)) {
       double v = 0.0;
       if (fitness_.w_delta > 0.0) {
-        v += fitness_.w_delta * run_number(run, "max_delta");
+        v += fitness_.w_delta * run.max_delta;
       }
       if (fitness_.w_stretch > 0.0) {
-        v += fitness_.w_stretch * run_number(run, "max_stretch");
+        v += fitness_.w_stretch * run.max_stretch;
       }
-      if (fitness_.w_disconnect > 0.0 && !run_stayed_connected(run)) {
+      if (fitness_.w_disconnect > 0.0 && !run.stayed_connected) {
         v += fitness_.w_disconnect *
-             (1.0 + 1.0 / (1.0 + run_number(run, "deletions")));
+             (1.0 + 1.0 / (1.0 + static_cast<double>(run.deletions)));
       }
       sum += v;
       ++runs;

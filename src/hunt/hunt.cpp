@@ -2,9 +2,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "api/sink.h"
 #include "attack/level_attack.h"
 #include "core/factory.h"
 #include "exp/spec.h"
@@ -23,8 +25,7 @@ namespace {
 /// bytes the sink already rendered, so everything else stays identical.
 std::string leaderboard_document(const std::vector<Evaluated>& top) {
   static const std::string kLabels = "{\"labels\":{";
-  std::string out = "{\"groups\":[";
-  bool first = true;
+  std::vector<std::string> groups;
   for (std::size_t i = 0; i < top.size(); ++i) {
     for (const std::string& group : top[i].groups) {
       if (group.compare(0, kLabels.size(), kLabels) != 0) {
@@ -34,13 +35,12 @@ std::string leaderboard_document(const std::vector<Evaluated>& top) {
                             "\",\"fitness\":\"" +
                             util::CsvWriter::to_field(top[i].fitness) + "\"";
       if (group[kLabels.size()] != '}') stamped += ',';
-      if (!first) out += ',';
-      first = false;
-      out += kLabels + stamped + group.substr(kLabels.size());
+      groups.push_back(kLabels + stamped + group.substr(kLabels.size()));
     }
   }
-  out += "]}\n";
-  return out;
+  std::ostringstream out;
+  api::write_bench_document(out, groups);
+  return out.str();
 }
 
 /// Re-record one winner as a replayable trace by reproducing the RNG

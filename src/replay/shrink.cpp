@@ -6,6 +6,8 @@
 #include <fstream>
 #include <utility>
 
+#include "util/hash.h"
+
 namespace dash::replay {
 
 Trace shrink_trace(const Trace& t, const TraceOracle& still_fails,
@@ -76,7 +78,7 @@ std::string write_repro(const Trace& t, const std::string& reason,
     for (graph::NodeId v : e.nodes) h = digest_mix(h, v);
   }
   const std::string path =
-      target + "/repro_" + t.healer + "_" + digest_hex(h) + ".trace";
+      target + "/repro_" + t.healer + "_" + util::hex16(h) + ".trace";
   write_trace_file(path, t);
   std::ofstream why(path + ".reason.txt", std::ios::trunc);
   if (why) why << reason << "\n";

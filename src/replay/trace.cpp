@@ -1,166 +1,26 @@
 #include "replay/trace.h"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "graph/io.h"
+#include "util/hash.h"
+#include "util/json.h"
 
 namespace dash::replay {
 
 namespace {
 
-// One-line JSON with the same minimal escape set the sink layer uses;
-// the unescaper below is its strict inverse.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+/// "[1,2,3]" (or "[]").
+std::vector<graph::NodeId> read_node_list(util::JsonReader& r) {
+  std::vector<graph::NodeId> out;
+  r.expect("[");
+  while (!r.consume("]")) {
+    if (!out.empty()) r.expect(",");
+    out.push_back(r.uint<graph::NodeId>());
   }
   return out;
-}
-
-/// Scan an expected literal; advances *pos past it on success.
-bool expect(const std::string& s, std::size_t* pos, const char* lit) {
-  const std::size_t len = std::char_traits<char>::length(lit);
-  if (s.compare(*pos, len, lit) != 0) return false;
-  *pos += len;
-  return true;
-}
-
-bool scan_u64(const std::string& s, std::size_t* pos, std::uint64_t* out) {
-  const std::size_t start = *pos;
-  std::uint64_t value = 0;
-  while (*pos < s.size() && s[*pos] >= '0' && s[*pos] <= '9') {
-    value = value * 10 + static_cast<std::uint64_t>(s[*pos] - '0');
-    ++*pos;
-  }
-  if (*pos == start) return false;
-  *out = value;
-  return true;
-}
-
-bool scan_size(const std::string& s, std::size_t* pos, std::size_t* out) {
-  std::uint64_t v = 0;
-  if (!scan_u64(s, pos, &v)) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
-}
-
-int hex_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  return -1;
-}
-
-/// A quoted, escaped string ("..."), unescaped into *out.
-bool scan_quoted(const std::string& s, std::size_t* pos, std::string* out) {
-  if (*pos >= s.size() || s[*pos] != '"') return false;
-  ++*pos;
-  out->clear();
-  while (*pos < s.size()) {
-    const char c = s[*pos];
-    if (c == '"') {
-      ++*pos;
-      return true;
-    }
-    if (c == '\\') {
-      if (*pos + 1 >= s.size()) return false;
-      const char esc = s[*pos + 1];
-      *pos += 2;
-      switch (esc) {
-        case '"':
-          *out += '"';
-          break;
-        case '\\':
-          *out += '\\';
-          break;
-        case 'n':
-          *out += '\n';
-          break;
-        case 'r':
-          *out += '\r';
-          break;
-        case 't':
-          *out += '\t';
-          break;
-        case 'u': {
-          if (*pos + 4 > s.size()) return false;
-          int value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const int digit = hex_value(s[*pos + i]);
-            if (digit < 0) return false;
-            value = value * 16 + digit;
-          }
-          if (value > 0xff) return false;  // the writer only escapes bytes
-          *pos += 4;
-          *out += static_cast<char>(value);
-          break;
-        }
-        default:
-          return false;
-      }
-      continue;
-    }
-    *out += c;
-    ++*pos;
-  }
-  return false;  // unterminated
-}
-
-/// The 16-hex-char digest form.
-bool scan_hex16(const std::string& s, std::size_t* pos, std::uint64_t* out) {
-  if (*pos + 16 > s.size()) return false;
-  std::uint64_t value = 0;
-  for (int i = 0; i < 16; ++i) {
-    const int digit = hex_value(s[*pos + i]);
-    if (digit < 0) return false;
-    value = (value << 4) | static_cast<std::uint64_t>(digit);
-  }
-  *pos += 16;
-  *out = value;
-  return true;
-}
-
-/// "[1,2,3]" (or "[]").
-bool scan_node_list(const std::string& s, std::size_t* pos,
-                    std::vector<graph::NodeId>* out) {
-  if (!expect(s, pos, "[")) return false;
-  out->clear();
-  if (expect(s, pos, "]")) return true;
-  while (true) {
-    std::uint64_t v = 0;
-    if (!scan_u64(s, pos, &v)) return false;
-    out->push_back(static_cast<graph::NodeId>(v));
-    if (expect(s, pos, "]")) return true;
-    if (!expect(s, pos, ",")) return false;
-  }
 }
 
 std::string node_list(const std::vector<graph::NodeId>& nodes) {
@@ -173,84 +33,87 @@ std::string node_list(const std::vector<graph::NodeId>& nodes) {
   return out;
 }
 
+/// `,"h":"<digest>"}` -- the tail of every applied event.
+std::uint64_t read_digest_tail(util::JsonReader& r) {
+  r.expect(",\"h\":\"");
+  const std::uint64_t h = r.hex16();
+  r.expect("\"}");
+  r.end();
+  return h;
+}
+
 bool parse_event(const std::string& line, TraceEvent* out) {
-  std::size_t pos = 0;
   TraceEvent e;
-  if (!expect(line, &pos, "{\"e\":\"")) return false;
-  if (expect(line, &pos, "phase\",\"s\":")) {
-    e.kind = EventKind::kPhase;
-    if (!scan_quoted(line, &pos, &e.phase)) return false;
-    if (!expect(line, &pos, "}")) return false;
-  } else if (expect(line, &pos, "rm\",\"n\":") ||
-             expect(line, &pos, "rmb\",\"n\":")) {
-    // The branch taken tells the kind apart: "rm\"..." failed iff the
-    // event name continued with 'b'.
-    e.kind = line.compare(6, 4, "rmb\"") == 0 ? EventKind::kBatch
-                                              : EventKind::kRemove;
-    if (!scan_node_list(line, &pos, &e.nodes)) return false;
-    if (!expect(line, &pos, ",\"h\":\"")) return false;
-    if (!scan_hex16(line, &pos, &e.row_hash)) return false;
-    if (!expect(line, &pos, "\"}")) return false;
-    if (e.nodes.empty()) return false;
-    if (e.kind == EventKind::kRemove && e.nodes.size() != 1) return false;
-  } else if (expect(line, &pos, "join\",\"id\":")) {
-    e.kind = EventKind::kJoin;
-    std::uint64_t id = 0;
-    if (!scan_u64(line, &pos, &id)) return false;
-    e.joined = static_cast<graph::NodeId>(id);
-    if (!expect(line, &pos, ",\"n\":")) return false;
-    if (!scan_node_list(line, &pos, &e.nodes)) return false;
-    if (!expect(line, &pos, ",\"h\":\"")) return false;
-    if (!scan_hex16(line, &pos, &e.row_hash)) return false;
-    if (!expect(line, &pos, "\"}")) return false;
-  } else {
+  try {
+    util::JsonReader r(line);
+    r.expect("{\"e\":");
+    const std::string kind = r.string();
+    if (kind == "phase") {
+      e.kind = EventKind::kPhase;
+      r.expect(",\"s\":");
+      e.phase = r.string();
+      r.expect("}");
+      r.end();
+    } else if (kind == "rm" || kind == "rmb") {
+      e.kind = kind == "rm" ? EventKind::kRemove : EventKind::kBatch;
+      r.expect(",\"n\":");
+      e.nodes = read_node_list(r);
+      e.row_hash = read_digest_tail(r);
+      if (e.nodes.empty()) return false;
+      if (e.kind == EventKind::kRemove && e.nodes.size() != 1) return false;
+    } else if (kind == "join") {
+      e.kind = EventKind::kJoin;
+      r.expect(",\"id\":");
+      e.joined = r.uint<graph::NodeId>();
+      r.expect(",\"n\":");
+      e.nodes = read_node_list(r);
+      e.row_hash = read_digest_tail(r);
+    } else {
+      return false;
+    }
+  } catch (const util::JsonError&) {
     return false;
   }
-  if (pos != line.size()) return false;
   *out = std::move(e);
   return true;
 }
 
 bool parse_footer(const std::string& line, TraceFooter* out) {
-  std::size_t pos = 0;
   TraceFooter f;
-  if (!expect(line, &pos, "{\"e\":\"end\",\"events\":")) return false;
-  if (!scan_size(line, &pos, &f.events)) return false;
-  if (!expect(line, &pos, ",\"h\":\"")) return false;
-  if (!scan_hex16(line, &pos, &f.row_hash)) return false;
-  if (!expect(line, &pos, "\",\"m\":{\"deletions\":")) return false;
-  if (!scan_size(line, &pos, &f.metrics.deletions)) return false;
-  if (!expect(line, &pos, ",\"joins\":")) return false;
-  if (!scan_size(line, &pos, &f.metrics.joins)) return false;
-  std::uint64_t v = 0;
-  if (!expect(line, &pos, ",\"max_delta\":")) return false;
-  if (!scan_u64(line, &pos, &v)) return false;
-  f.metrics.max_delta = static_cast<std::uint32_t>(v);
-  if (!expect(line, &pos, ",\"max_id_changes\":")) return false;
-  if (!scan_u64(line, &pos, &v)) return false;
-  f.metrics.max_id_changes = static_cast<std::uint32_t>(v);
-  if (!expect(line, &pos, ",\"max_messages\":")) return false;
-  if (!scan_u64(line, &pos, &f.metrics.max_messages)) return false;
-  if (!expect(line, &pos, ",\"max_messages_sent\":")) return false;
-  if (!scan_u64(line, &pos, &f.metrics.max_messages_sent)) return false;
-  if (!expect(line, &pos, ",\"edges_added\":")) return false;
-  if (!scan_size(line, &pos, &f.metrics.edges_added)) return false;
-  if (!expect(line, &pos, ",\"surrogate_heals\":")) return false;
-  if (!scan_size(line, &pos, &f.metrics.surrogate_heals)) return false;
-  if (!expect(line, &pos, ",\"components\":")) return false;
-  if (!scan_size(line, &pos, &f.metrics.components)) return false;
-  if (!expect(line, &pos, ",\"largest_component\":")) return false;
-  if (!scan_size(line, &pos, &f.metrics.largest_component)) return false;
-  if (!expect(line, &pos, ",\"stayed_connected\":")) return false;
-  if (expect(line, &pos, "true")) {
-    f.metrics.stayed_connected = true;
-  } else if (expect(line, &pos, "false")) {
-    f.metrics.stayed_connected = false;
-  } else {
+  TraceMetrics& m = f.metrics;
+  try {
+    util::JsonReader r(line);
+    r.expect("{\"e\":\"end\",\"events\":");
+    f.events = r.uint<std::size_t>();
+    r.expect(",\"h\":\"");
+    f.row_hash = r.hex16();
+    r.expect("\",\"m\":{\"deletions\":");
+    m.deletions = r.uint<std::size_t>();
+    r.expect(",\"joins\":");
+    m.joins = r.uint<std::size_t>();
+    r.expect(",\"max_delta\":");
+    m.max_delta = r.uint<std::uint32_t>();
+    r.expect(",\"max_id_changes\":");
+    m.max_id_changes = r.uint<std::uint32_t>();
+    r.expect(",\"max_messages\":");
+    m.max_messages = r.uint<std::uint64_t>();
+    r.expect(",\"max_messages_sent\":");
+    m.max_messages_sent = r.uint<std::uint64_t>();
+    r.expect(",\"edges_added\":");
+    m.edges_added = r.uint<std::size_t>();
+    r.expect(",\"surrogate_heals\":");
+    m.surrogate_heals = r.uint<std::size_t>();
+    r.expect(",\"components\":");
+    m.components = r.uint<std::size_t>();
+    r.expect(",\"largest_component\":");
+    m.largest_component = r.uint<std::size_t>();
+    r.expect(",\"stayed_connected\":");
+    m.stayed_connected = r.boolean();
+    r.expect("}}");
+    r.end();
+  } catch (const util::JsonError&) {
     return false;
   }
-  if (!expect(line, &pos, "}}")) return false;
-  if (pos != line.size()) return false;
   *out = f;
   return true;
 }
@@ -258,30 +121,30 @@ bool parse_footer(const std::string& line, TraceFooter* out) {
 /// Header parse. Throws: the header is never covered by the
 /// truncated-final-line tolerance (without it there is no trace).
 void parse_header(const std::string& line, Trace* out) {
-  std::size_t pos = 0;
-  if (!expect(line, &pos, "{\"trace\":\"dash-replay\",\"v\":")) {
+  util::JsonReader r(line);
+  if (!r.consume("{\"trace\":\"dash-replay\",\"v\":")) {
     throw TraceError("not a dash-replay trace (bad header magic)");
   }
-  std::uint64_t version = 0;
-  if (!scan_u64(line, &pos, &version)) {
-    throw TraceError("corrupt trace header: missing version");
-  }
-  if (version != static_cast<std::uint64_t>(kTraceVersion)) {
-    throw VersionMismatchError(static_cast<int>(version), kTraceVersion);
-  }
-  out->version = static_cast<int>(version);
-  if (!expect(line, &pos, ",\"healer\":") ||
-      !scan_quoted(line, &pos, &out->healer) ||
-      !expect(line, &pos, ",\"scenario\":") ||
-      !scan_quoted(line, &pos, &out->scenario) ||
-      !expect(line, &pos, ",\"seed\":") ||
-      !scan_u64(line, &pos, &out->seed) ||
-      !expect(line, &pos, ",\"graph\":") ||
-      !scan_quoted(line, &pos, &out->graph_text) ||
-      !expect(line, &pos, ",\"state\":") ||
-      !scan_quoted(line, &pos, &out->state_text) ||
-      !expect(line, &pos, "}") || pos != line.size()) {
-    throw TraceError("corrupt trace header");
+  try {
+    const int version = r.uint<int>();
+    if (version != kTraceVersion) {
+      throw VersionMismatchError(version, kTraceVersion);
+    }
+    out->version = version;
+    r.expect(",\"healer\":");
+    out->healer = r.string();
+    r.expect(",\"scenario\":");
+    out->scenario = r.string();
+    r.expect(",\"seed\":");
+    out->seed = r.uint<std::uint64_t>();
+    r.expect(",\"graph\":");
+    out->graph_text = r.string();
+    r.expect(",\"state\":");
+    out->state_text = r.string();
+    r.expect("}");
+    r.end();
+  } catch (const util::JsonError& e) {
+    throw TraceError(std::string("corrupt trace header: ") + e.what());
   }
 }
 
@@ -329,13 +192,6 @@ std::uint64_t digest_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-std::string digest_hex(std::uint64_t h) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return std::string(buf, 16);
-}
-
 std::string TraceMetrics::describe() const {
   std::string out;
   const auto field = [&out](const char* name, std::uint64_t v) {
@@ -361,31 +217,31 @@ std::string TraceMetrics::describe() const {
 std::string header_line(const Trace& t) {
   std::string out = "{\"trace\":\"dash-replay\",\"v\":";
   out += std::to_string(t.version);
-  out += ",\"healer\":\"";
-  out += json_escape(t.healer);
-  out += "\",\"scenario\":\"";
-  out += json_escape(t.scenario);
-  out += "\",\"seed\":";
+  out += ",\"healer\":";
+  out += util::json_string(t.healer);
+  out += ",\"scenario\":";
+  out += util::json_string(t.scenario);
+  out += ",\"seed\":";
   out += std::to_string(t.seed);
-  out += ",\"graph\":\"";
-  out += json_escape(t.graph_text);
-  out += "\",\"state\":\"";
-  out += json_escape(t.state_text);
-  out += "\"}";
+  out += ",\"graph\":";
+  out += util::json_string(t.graph_text);
+  out += ",\"state\":";
+  out += util::json_string(t.state_text);
+  out += "}";
   return out;
 }
 
 std::string event_line(const TraceEvent& e) {
   switch (e.kind) {
     case EventKind::kPhase:
-      return "{\"e\":\"phase\",\"s\":\"" + json_escape(e.phase) + "\"}";
+      return "{\"e\":\"phase\",\"s\":" + util::json_string(e.phase) + "}";
     case EventKind::kRemove:
     case EventKind::kBatch: {
       std::string out = e.kind == EventKind::kRemove ? "{\"e\":\"rm\",\"n\":"
                                                      : "{\"e\":\"rmb\",\"n\":";
       out += node_list(e.nodes);
       out += ",\"h\":\"";
-      out += digest_hex(e.row_hash);
+      out += util::hex16(e.row_hash);
       out += "\"}";
       return out;
     }
@@ -395,7 +251,7 @@ std::string event_line(const TraceEvent& e) {
       out += ",\"n\":";
       out += node_list(e.nodes);
       out += ",\"h\":\"";
-      out += digest_hex(e.row_hash);
+      out += util::hex16(e.row_hash);
       out += "\"}";
       return out;
     }
@@ -408,7 +264,7 @@ std::string footer_line(const TraceFooter& f) {
   std::string out = "{\"e\":\"end\",\"events\":";
   out += std::to_string(f.events);
   out += ",\"h\":\"";
-  out += digest_hex(f.row_hash);
+  out += util::hex16(f.row_hash);
   out += "\",\"m\":{\"deletions\":";
   out += std::to_string(m.deletions);
   out += ",\"joins\":";

@@ -130,11 +130,8 @@ struct Trace {
 /// FNV-1a over a little-endian u64 stream; digests start here.
 inline constexpr std::uint64_t kDigestSeed = 0xcbf29ce484222325ULL;
 
-/// Fold one value into a digest.
+/// Fold one value into a digest. Digests are written as util::hex16.
 std::uint64_t digest_mix(std::uint64_t h, std::uint64_t v);
-
-/// 16 lowercase hex chars, zero-padded.
-std::string digest_hex(std::uint64_t h);
 
 // ---- serialization ---------------------------------------------------------
 

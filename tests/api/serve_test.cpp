@@ -3,20 +3,23 @@
 // while play() mutates on another thread, the one-shot ServeReader
 // conveniences, and the AsyncSink half of the observer pipeline
 // (byte-identity vs the synchronous path, bounded-capacity stress,
-// flush barrier).
+// flush barrier), and serve-bench's JSON document.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "api/async_sink.h"
 #include "api/network.h"
 #include "api/scenario.h"
 #include "api/serve.h"
+#include "api/serve_bench.h"
 #include "api/sink.h"
 #include "graph/generators.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -258,6 +261,27 @@ TEST(AsyncSink, NameReflectsInnerSink) {
   MemorySink memory;
   AsyncSink sink(memory, 4);
   EXPECT_EQ(sink.name(), "async:" + memory.name());
+}
+
+TEST(ServeBench, JsonEscapesHealerAndScenario) {
+  // A quote in --scenario once ended the JSON string early.
+  ServeBenchConfig cfg;
+  cfg.healer = "capped:\"2\"";
+  cfg.scenario = "trace:run \"a\"\\b.trace";
+  std::ostringstream os;
+  render_serve_json(cfg, ServeBenchReport{}, os);
+  const std::string doc = os.str();
+  for (const auto& [key, want] :
+       {std::pair<std::string, std::string>{"\"healer\": ", cfg.healer},
+        {"\"scenario\": ", cfg.scenario}}) {
+    const std::size_t at = doc.find(key);
+    ASSERT_NE(at, std::string::npos) << key;
+    util::JsonReader r(std::string_view(doc).substr(at + key.size()));
+    EXPECT_EQ(r.string(), want);
+    r.expect(",\n");
+  }
+  // The pretty layout the serve smoke test matches stays.
+  EXPECT_NE(doc.find("\n  \"torn_reads\": 0,\n"), std::string::npos);
 }
 
 }  // namespace

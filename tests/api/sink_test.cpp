@@ -1,7 +1,8 @@
 // sink_test.cpp -- the MetricSink output layer: SinkObserver row
 // production (single rounds, batch rounds, joins, stretch samples),
-// the in-memory / CSV-streaming / JSON-summary sinks, and sink feeding
-// through run_suite.
+// the in-memory / CSV-streaming / JSON-summary sinks, the BENCH group
+// and document format read back strictly, and sink feeding through
+// run_suite.
 #include "api/sink.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "api/api.h"
 #include "graph/generators.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -153,6 +155,72 @@ TEST(JsonSummarySink, WritesGroupsRunsAndAggregates) {
   // The document is written exactly once.
   json.flush();
   EXPECT_EQ(out.str(), text);
+}
+
+TEST(BenchFormat, GroupRunsReadBackWhatTheGroupWrote) {
+  Metrics a;
+  a.deletions = 5;
+  a.joins = 2;
+  a.max_delta = 3;
+  a.max_id_changes = 7;
+  a.max_messages = 1853;
+  a.max_messages_sent = 1508;
+  a.edges_added = 2313;
+  a.surrogate_heals = 1;
+  a.max_stretch = 16.75;
+  a.components = 1;
+  a.largest_component = 3096;
+  Metrics b;
+  b.stayed_connected = false;
+  b.violation = "G' \"cycle\"\n";
+  const std::string group = bench_group({{"n", "24"}}, {a, b});
+  const std::vector<Metrics> runs = bench_group_runs(group);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(bench_group({{"n", "24"}}, runs), group);
+  EXPECT_EQ(runs[0].max_messages, 1853u);
+  EXPECT_EQ(runs[0].max_stretch, 16.75);
+  EXPECT_FALSE(runs[1].stayed_connected);
+  EXPECT_EQ(runs[1].violation, b.violation);
+
+  for (std::size_t cut = 0; cut < group.size(); ++cut) {
+    EXPECT_THROW(bench_group_runs(group.substr(0, cut)), util::JsonError);
+  }
+  std::string fractional = group;
+  fractional.replace(fractional.find("\"deletions\":5"), 13,
+                     "\"deletions\":5.5");
+  EXPECT_THROW(bench_group_runs(fractional), util::JsonError);
+}
+
+TEST(BenchFormat, DocumentGroupsInvertTheFraming) {
+  const auto document = [](const std::vector<std::string>& groups) {
+    std::ostringstream out;
+    write_bench_document(out, groups);
+    return out.str();
+  };
+  const std::vector<std::string> groups = {
+      bench_group({{"n", "16"}}, {Metrics{}}),
+      bench_group({{"n", "32"}}, {Metrics{}, Metrics{}})};
+  const std::string doc = document(groups);
+  EXPECT_EQ(doc.rfind("{\"groups\":[", 0), 0u);
+  EXPECT_EQ(bench_document_groups(doc), groups);
+  EXPECT_EQ(document({}), "{\"groups\":[]}\n");
+  EXPECT_TRUE(bench_document_groups(document({})).empty());
+
+  // A sink document is the same framing around the same groups.
+  std::ostringstream out;
+  JsonSummarySink json(out);
+  json.begin_group({{"n", "16"}});
+  json.on_run(0, Metrics{});
+  json.begin_group({{"n", "32"}});
+  json.on_run(0, Metrics{});
+  json.on_run(1, Metrics{});
+  json.flush();
+  EXPECT_EQ(out.str(), doc);
+
+  for (std::size_t cut = 0; cut < doc.size(); ++cut) {
+    EXPECT_THROW(bench_document_groups(doc.substr(0, cut)), util::JsonError);
+  }
+  EXPECT_THROW(bench_document_groups(doc + " "), util::JsonError);
 }
 
 TEST(RunSuite, SuiteRowsCarryStretchFromConfiguredObserver) {

@@ -86,6 +86,23 @@ TEST(Rows, ParseRejectsTruncatedLines) {
   EXPECT_FALSE(parse_rows_line("a,b,c", &record));
 }
 
+TEST(Rows, ParseRejectsKeysAboveSizeMax) {
+  // 2^64 + 1 once parsed as 1, in each of the three key columns.
+  const std::string line = rows_line(1, sample_row());
+  const std::string key = "1,5,2,";
+  ASSERT_EQ(line.compare(0, key.size(), key), 0);
+  const std::string fields = line.substr(key.size());
+  RowsRecord record;
+  for (const char* wide :
+       {"18446744073709551617,5,2,", "1,18446744073709551617,2,",
+        "1,5,18446744073709551617,"}) {
+    EXPECT_FALSE(parse_rows_line(wide + fields, &record)) << wide;
+  }
+  ASSERT_TRUE(
+      parse_rows_line("18446744073709551615,5,2," + fields, &record));
+  EXPECT_EQ(record.cell, 18446744073709551615ULL);
+}
+
 TEST(Rows, MergedRowsSortsAndCollapsesDuplicates) {
   api::RoundRow a = sample_row();
   a.instance = 0;

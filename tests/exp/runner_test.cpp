@@ -217,6 +217,52 @@ TEST(ShardRecords, ParseRejectsMalformedLines) {
   EXPECT_FALSE(parse_shard_line(line.substr(0, line.size() - 3), &out));
 }
 
+TEST(ShardRecords, ParseRejectsEveryStrictPrefixOfARealLine) {
+  // A line that lost only its last byte or two once parsed, leaving the
+  // group with unclosed braces.
+  const auto spec = ExperimentSpec::parse_line(
+      "n=16 healer=dash scenario=paper-churn instances=2 seed=4");
+  const std::string line = shard_line(run_shard(spec, 0, 1).front());
+  ShardRecord out;
+  ASSERT_TRUE(parse_shard_line(line, &out));
+  for (std::size_t cut = 0; cut < line.size(); ++cut) {
+    EXPECT_FALSE(parse_shard_line(line.substr(0, cut), &out))
+        << "accepted a prefix of " << cut << " of " << line.size()
+        << " bytes";
+  }
+}
+
+TEST(ShardRecords, LoadShardFileDropsALastLineThatLostOneByte) {
+  const auto spec = ExperimentSpec::parse_line(
+      "n=16 healer=dash|graph scenario=paper-churn instances=2 seed=4");
+  const auto records = run_shard(spec, 0, 1);
+  ASSERT_EQ(records.size(), 2u);
+  const std::string path = ::testing::TempDir() + "/shard_lost_byte.jsonl";
+  {
+    std::ofstream out(path);
+    const std::string last = shard_line(records[1]);
+    out << shard_line(records[0]) << "\n" << last.substr(0, last.size() - 1);
+  }
+  const auto loaded = load_shard_file(path);
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded[0].cell, records[0].cell);
+  std::remove(path.c_str());
+}
+
+TEST(ShardRecords, ParseRejectsCellAboveSizeMax) {
+  // 2^64 + 1 once parsed as cell 1.
+  ShardRecord out;
+  EXPECT_FALSE(parse_shard_line(
+      "{\"cell\":18446744073709551617,\"spec_hash\":\"00000000000000aa\","
+      "\"group\":{\"a\":1}}",
+      &out));
+  ASSERT_TRUE(parse_shard_line(
+      "{\"cell\":18446744073709551615,\"spec_hash\":\"00000000000000aa\","
+      "\"group\":{\"a\":1}}",
+      &out));
+  EXPECT_EQ(out.cell, 18446744073709551615ULL);
+}
+
 TEST(ShardRecords, LoadShardFileDropsOnlyTruncatedFinalLine) {
   const ShardRecord a{0, "00000000000000aa", "{\"a\":1}"};
   const ShardRecord b{1, "00000000000000aa", "{\"b\":2}"};

@@ -84,21 +84,6 @@ TEST(Protocol, RowsRoundTripsLinesIncludingEmpty) {
   EXPECT_TRUE(round_trip(make_rows(0, {})).lines.empty());
 }
 
-TEST(Protocol, EscapeRoundTripsControlBytes) {
-  std::string nasty = "plain";
-  for (int c = 0; c < 0x20; ++c) nasty += static_cast<char>(c);
-  nasty += "\"\\ \xc3\xa9 end";
-  std::string back;
-  ASSERT_TRUE(unescape_json(escape_json(nasty), &back));
-  EXPECT_EQ(back, nasty);
-
-  std::string out;
-  EXPECT_FALSE(unescape_json("\\q", &out));     // unknown escape
-  EXPECT_FALSE(unescape_json("tail\\", &out));  // dangling backslash
-  EXPECT_FALSE(unescape_json("\\u00g0", &out));  // bad hex digit
-  EXPECT_FALSE(unescape_json("\\u0100", &out));  // beyond \u00XX
-}
-
 TEST(Protocol, DecodeRejectsCorruption) {
   EXPECT_THROW(decode_message(""), FrameError);
   EXPECT_THROW(decode_message("{\"type\":\"gossip\"}"), FrameError);
@@ -123,6 +108,20 @@ TEST(Protocol, DecodeRejectsCorruption) {
   EXPECT_THROW(
       decode_message("{\"type\":\"rows\",\"cell\":1,\"lines\":[\"a\""),
       FrameError);
+}
+
+TEST(Protocol, DecodeRejectsIntegersAboveTheirType) {
+  // 2^64 + 3 once wrapped to cell 3, and 2^32 + 1 to version 1.
+  EXPECT_THROW(
+      decode_message("{\"type\":\"grant\",\"cell\":18446744073709551619}"),
+      FrameError);
+  EXPECT_THROW(decode_message("{\"type\":\"hello\",\"version\":4294967297,"
+                              "\"spec_hash\":\"a\",\"agent\":\"x\"}"),
+               FrameError);
+  EXPECT_EQ(
+      decode_message("{\"type\":\"grant\",\"cell\":18446744073709551615}")
+          .cell,
+      18446744073709551615ULL);
 }
 
 // ---- framing ---------------------------------------------------------------

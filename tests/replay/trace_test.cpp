@@ -12,6 +12,7 @@
 #include "api/scenario.h"
 #include "exp/spec.h"
 #include "replay/recorder.h"
+#include "util/hash.h"
 
 namespace dash::replay {
 namespace {
@@ -189,13 +190,35 @@ TEST(TraceFormat, EventLinesRoundTripEveryKind) {
   EXPECT_EQ(back.applied_events(), 3u);
 }
 
-TEST(TraceFormat, DigestHexIsStable) {
-  EXPECT_EQ(digest_hex(0), "0000000000000000");
-  EXPECT_EQ(digest_hex(0xdeadbeefULL), "00000000deadbeef");
-  // FNV-1a of a single zero u64 from the seed, fixed forever by the
-  // format version.
-  EXPECT_EQ(digest_mix(kDigestSeed, 0), digest_mix(kDigestSeed, 0));
+TEST(TraceFormat, DigestMixIsFnv1aOverLittleEndianBytes) {
+  // Fixed forever by the format version: folding a u64 is FNV-1a over
+  // its 8 little-endian bytes.
+  EXPECT_EQ(digest_mix(kDigestSeed, 0), util::fnv1a64(std::string(8, '\0')));
+  EXPECT_EQ(digest_mix(kDigestSeed, 0x0807060504030201ULL),
+            util::fnv1a64("\x01\x02\x03\x04\x05\x06\x07\x08"));
   EXPECT_NE(digest_mix(kDigestSeed, 0), digest_mix(kDigestSeed, 1));
+}
+
+TEST(TraceFormat, NodeIdsAboveUint32AreCorrupt) {
+  // 2^32 + 3 once loaded as node 3.
+  Trace t;
+  t.healer = "dash";
+  TraceEvent rm;
+  rm.nodes = {3};
+  TraceEvent join;
+  join.kind = EventKind::kJoin;
+  join.nodes = {1};
+  join.joined = 3;
+  t.events = {rm, join, rm};
+  const std::string text = dump(t);
+  ASSERT_EQ(load_text(text).events.size(), 3u);
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"[3]", "[4294967299]"},
+        {"\"id\":3", "\"id\":4294967299"}}) {
+    std::string wide = text;
+    wide.replace(wide.find(from), from.size(), to);
+    EXPECT_THROW(load_text(wide), TraceError) << to;
+  }
 }
 
 }  // namespace

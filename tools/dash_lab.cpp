@@ -77,6 +77,7 @@
 #include "replay/trace.h"
 #include "util/cli.h"
 #include "util/csv.h"
+#include "util/json.h"
 #include "util/registry.h"
 
 namespace {
@@ -299,17 +300,17 @@ int cmd_list_cells(const LabOptions& opt) {
   const auto cells = spec.enumerate();
   if (opt.cells_json) {
     // One-line machine-readable form for scripts and CI.
-    using dash::fleet::escape_json;
-    std::cout << "{\"spec\":\"" << escape_json(spec.canonical())
-              << "\",\"hash\":\"" << escape_json(spec.hash())
-              << "\",\"cells\":[";
+    using dash::util::json_string;
+    std::cout << "{\"spec\":" << json_string(spec.canonical())
+              << ",\"hash\":" << json_string(spec.hash()) << ",\"cells\":[";
     for (const Cell& cell : cells) {
       if (cell.index) std::cout << ',';
-      std::cout << "{\"index\":" << cell.index << ",\"family\":\""
-                << escape_json(cell.family) << "\",\"n\":" << cell.n
-                << ",\"healer\":\"" << escape_json(cell.healer)
-                << "\",\"scenario\":\"" << escape_json(cell.scenario)
-                << "\",\"seed\":" << cell.seed
+      std::cout << "{\"index\":" << cell.index
+                << ",\"family\":" << json_string(cell.family)
+                << ",\"n\":" << cell.n
+                << ",\"healer\":" << json_string(cell.healer)
+                << ",\"scenario\":" << json_string(cell.scenario)
+                << ",\"seed\":" << cell.seed
                 << ",\"instances\":" << cell.instances << "}";
     }
     std::cout << "]}\n";
