@@ -20,6 +20,11 @@
 //      for strike:random and strike:neighborofmax, --churn-rounds
 //      rounds each on a fresh graph -- the mutation path whose cost
 //      must not grow with n.
+//   5. battery: one invariant battery through the public
+//      InvariantObserver, Lemma 4's rem bound off and on, on the
+//      network targeted:neighborofmax leaves after n/2 deletions (half
+//      the nodes dead, G' grown by the heals) -- the check the paper's
+//      guarantees rest on, at the scale they are claimed for.
 //
 // The last line is the process's peak RSS.
 //
@@ -274,6 +279,37 @@ void bench_victims(std::size_t n, std::size_t rounds, std::uint64_t seed) {
   table.print(std::cout);
 }
 
+void bench_battery(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  dash::api::Network net(dash::graph::barabasi_albert(n, 2, rng), "dash",
+                         seed);
+  Timer t_play;
+  const auto scenario = dash::api::Scenario::parse(
+      "targeted:neighborofmaxx" + std::to_string(n / 2));
+  Rng play_rng(seed + 2);
+  net.play(scenario, play_rng);
+  std::cout << "played " << net.metrics().deletions
+            << " neighborofmax deletions in " << t_play.seconds()
+            << " s; " << net.graph().num_alive() << " alive, "
+            << net.state().num_healing_edges() << " healing edges\n";
+
+  for (const bool rem : {false, true}) {
+    // battery_every = 0: no per-round batteries, one end-state sweep
+    // in on_finish -- a single battery over the whole state.
+    dash::api::InvariantObserver battery(
+        {.check_rem_bound = rem, .battery_every = 0});
+    battery.on_attach(net);
+    dash::api::Metrics out;
+    Timer t_battery;
+    battery.on_finish(net, out);
+    const double ms = t_battery.millis();
+    // Flushed per line: a slow rem-on battery leaves the rem-off line.
+    std::cout << "battery, rem bound " << (rem ? "on: " : "off: ") << ms
+              << " ms, " << (battery.ok() ? "all hold" : battery.violation())
+              << std::endl;
+  }
+}
+
 double peak_rss_mb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -318,6 +354,10 @@ int main(int argc, char** argv) {
 
   std::cout << "\n-- per-round victim choice + Network::remove --\n";
   bench_victims(n, churn_rounds, seed);
+
+  std::cout << "\n-- one invariant battery after n/2 neighborofmax "
+               "deletions --\n";
+  bench_battery(n, seed);
 
   std::cout << "\npeak RSS: " << peak_rss_mb() << " MB\n";
   return 0;

@@ -3,7 +3,9 @@
 // after each deletion+heal round.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/healing_state.h"
 #include "core/strategy.h"
@@ -32,17 +34,6 @@ struct Check {
 /// The healed network keeps all alive nodes in one component.
 Check check_connectivity(const Graph& g);
 
-/// Lemma 1: the healing graph G' = (V, E') is a forest.
-Check check_forest(const Graph& g, const HealingState& state);
-
-/// Component ids are uniform inside each G'-component and distinct
-/// across G'-components (what makes UN(v,G) well defined).
-Check check_component_ids(const Graph& g, const HealingState& state);
-
-/// Lemma 4: rem(v) >= 2^{delta(v)/2} for every alive v.
-/// Only valid for DASH (the potential argument is DASH-specific).
-Check check_rem_bound(const Graph& g, const HealingState& state);
-
 /// Lemma 5 / weight conservation: sum of alive weights stays n as long
 /// as every deletion had a surviving neighbor to inherit the weight.
 Check check_weight_conservation(const Graph& g, const HealingState& state,
@@ -55,13 +46,48 @@ Check check_locality(const HealAction& action, const DeletionContext& ctx);
 /// Theorem 1: delta(v) <= 2 log2 n for all v (n = initial node count).
 Check check_delta_bound(const HealingState& state, std::size_t n);
 
-/// E' is a subgraph of E: every healing edge still exists in the
-/// network (deletions detach both sides consistently).
-Check check_healing_subgraph(const Graph& g, const HealingState& state);
+/// Which of the optional properties a HealingForestWalk checks.
+struct ForestWalkOptions {
+  /// Lemma 1: G' is a forest. Holds for healers whose
+  /// maintains_forest() is true.
+  bool require_forest = true;
+  /// Lemma 4: rem(v) >= 2^{delta(v)/2} for every alive v. Proven for
+  /// DASH only (the potential argument is DASH-specific).
+  bool check_rem_bound = false;
+};
 
-/// Bookkeeping identity: delta(v) == degree_now(v) - initial_degree(v)
-/// for every alive node.
-Check check_delta_consistency(const Graph& g, const HealingState& state);
+/// The healing-forest properties, checked in one walk of G' that
+/// visits each alive node and each E' entry once (O(n + |E'|), plus an
+/// O(log deg) adjacency probe per entry). check() reports the first
+/// failing property in this order:
+///   1. G' is a forest (only with require_forest);
+///   2. component ids are uniform inside each G'-tree and distinct
+///      across trees (what makes UN(v,G) well defined);
+///   3. E' subset of E: every healing edge is still a network edge;
+///   4. delta(v) == degree_now(v) - initial_degree(v) for alive v;
+///   5. Lemma 4 (only with check_rem_bound), every rem(v) of a tree
+///      taken from subtree weights; undefined on a tree with a cycle,
+///      which fails as "rem(<root>) undefined: ...".
+/// Trees are walked from their lowest alive id in ascending order, and
+/// within a property the node named is the lowest failing one, as an
+/// ascending scan per property would name it. E' must be a simple
+/// symmetric adjacency over the graph's ids, which HealingState keeps
+/// and HealingState::load enforces. The scratch (epoch-stamped marks,
+/// a flat BFS queue) is reused across calls by one thread at a time.
+class HealingForestWalk {
+ public:
+  Check check(const Graph& g, const HealingState& state,
+              ForestWalkOptions opts);
+
+ private:
+  std::vector<std::uint32_t> seen_;     ///< per node: epoch of visit
+  std::vector<std::uint32_t> id_seen_;  ///< per component id: epoch used
+  std::uint32_t epoch_ = 0;
+  std::vector<NodeId> queue_;           ///< one tree in BFS order
+  std::vector<std::uint32_t> parent_;   ///< queue position of the parent
+  std::vector<std::uint64_t> subtree_;  ///< W(subtree), by queue position
+  std::vector<std::uint64_t> heaviest_; ///< heaviest child subtree
+};
 
 /// Differential check for the incremental connectivity subsystem: the
 /// tracker's component structure (count, largest size, and the full

@@ -320,9 +320,9 @@ bool Network::survivors_reconnected(
   // One shared post-heal component id places every survivor in one
   // healing-forest component, whose edges all exist in G among alive
   // nodes (E' subset of E) -- so the survivors are mutually reachable
-  // without the deleted node. This trusts exactly the id invariants
-  // the InvariantObserver battery verifies (check_component_ids,
-  // check_healing_subgraph); kVerify cross-checks the conclusion
+  // without the deleted node. This trusts exactly the id and E' subset
+  // of E invariants the InvariantObserver battery verifies (its
+  // analysis::HealingForestWalk); kVerify cross-checks the conclusion
   // against the scan.
   const std::uint64_t id = state_->component_id(survivors.front());
   for (std::size_t i = 1; i < survivors.size(); ++i) {

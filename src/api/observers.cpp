@@ -17,22 +17,18 @@ void InvariantObserver::on_attach(const Network& net) {
 void InvariantObserver::run_battery(const Network& net,
                                     const RoundEvent* ev) {
   if (!violation_.empty()) return;  // keep the first violation
-  const auto& g = net.graph();
-  const auto& state = net.state();
-
   Check c = Check::pass();
   if (ev != nullptr && ev->ctx != nullptr && ev->action != nullptr) {
     c = analysis::check_locality(*ev->action, *ev->ctx);
   }
-  if (c.ok && net.healer().maintains_forest()) {
-    c = analysis::check_forest(g, state);
+  if (c.ok) {
+    c = forest_walk_.check(
+        net.graph(), net.state(),
+        {.require_forest = net.healer().maintains_forest(),
+         .check_rem_bound = opts_.check_rem_bound});
   }
-  if (c.ok) c = analysis::check_component_ids(g, state);
-  if (c.ok) c = analysis::check_healing_subgraph(g, state);
-  if (c.ok) c = analysis::check_delta_consistency(g, state);
-  if (c.ok && opts_.check_rem_bound) c = analysis::check_rem_bound(g, state);
   if (c.ok && opts_.check_delta_bound) {
-    c = analysis::check_delta_bound(state, initial_size_);
+    c = analysis::check_delta_bound(net.state(), initial_size_);
   }
   if (!c.ok) violation_ = c.violation;
 }

@@ -1,6 +1,7 @@
 #include "core/batch.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 
 #include "core/reconstruction_tree.h"
@@ -94,7 +95,13 @@ std::vector<HealAction> dash_heal_batch(Graph& g, HealingState& state,
                                         const BatchDeletionContext& ctx) {
   std::vector<HealAction> actions;
   actions.reserve(ctx.clusters.size());
+  // G'-component marks for the candidate dedupe below: stamped with
+  // the cluster's index + 1, so one array serves the whole batch.
+  std::vector<std::uint32_t> stamp(g.num_nodes(), 0);
+  std::vector<NodeId> frontier;
+  std::uint32_t epoch = 0;
   for (const auto& cluster : ctx.clusters) {
+    ++epoch;
     HealAction action;
     // UN(C,G): one representative per component id among surviving
     // neighbors, skipping ids of the cluster's own components (those
@@ -131,13 +138,21 @@ std::vector<HealAction> dash_heal_batch(Graph& g, HealingState& state,
     candidates.insert(candidates.end(), cluster.forest_neighbors.begin(),
                       cluster.forest_neighbors.end());
     std::vector<NodeId> rt;
-    {
-      std::vector<char> seen(g.num_nodes(), 0);
-      for (NodeId c : candidates) {
-        if (seen[c]) continue;
-        for (NodeId x : state.healing_component(g, c)) seen[x] = 1;
-        rt.push_back(c);
+    for (NodeId c : candidates) {
+      if (stamp[c] == epoch) continue;
+      stamp[c] = epoch;
+      frontier.assign(1, c);
+      while (!frontier.empty()) {
+        const NodeId x = frontier.back();
+        frontier.pop_back();
+        for (NodeId u : state.forest_neighbors(x)) {
+          if (stamp[u] != epoch) {
+            stamp[u] = epoch;
+            frontier.push_back(u);
+          }
+        }
       }
+      rt.push_back(c);
     }
     state.sort_by_delta(rt);
 

@@ -1,10 +1,12 @@
 #include "core/healing_state.h"
 
 #include <algorithm>
+#include <charconv>
 #include <deque>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/check.h"
 
@@ -91,36 +93,6 @@ std::uint64_t HealingState::max_messages_sent() const {
   return best;
 }
 
-bool HealingState::healing_graph_is_forest(const Graph& g) const {
-  // BFS with parent tracking; a visited neighbor that is not the BFS
-  // parent closes a cycle. E' edges to dead nodes were detached at
-  // deletion time, so adjacency only references alive nodes.
-  std::vector<char> visited(forest_adj_.size(), 0);
-  std::deque<std::pair<NodeId, NodeId>> frontier;  // (node, parent)
-  for (NodeId root = 0; root < forest_adj_.size(); ++root) {
-    if (!g.alive(root) || visited[root]) continue;
-    visited[root] = 1;
-    frontier.emplace_back(root, graph::kInvalidNode);
-    while (!frontier.empty()) {
-      auto [v, parent] = frontier.front();
-      frontier.pop_front();
-      bool skipped_parent_edge = false;
-      for (NodeId u : forest_adj_[v]) {
-        if (u == parent && !skipped_parent_edge) {
-          // Skip exactly one edge back to the parent (E' is simple, so
-          // one occurrence).
-          skipped_parent_edge = true;
-          continue;
-        }
-        if (visited[u]) return false;
-        visited[u] = 1;
-        frontier.emplace_back(u, v);
-      }
-    }
-  }
-  return true;
-}
-
 std::vector<NodeId> HealingState::healing_component(const Graph& g,
                                                     NodeId v) const {
   DASH_CHECK(g.alive(v));
@@ -140,37 +112,6 @@ std::vector<NodeId> HealingState::healing_component(const Graph& g,
     }
   }
   return comp;
-}
-
-std::uint64_t HealingState::rem(const Graph& g, NodeId v) const {
-  DASH_CHECK(g.alive(v));
-  // rem(v) = sum_u W(T(u,v)) - max_u W(T(u,v)) + w(v), over G'-neighbors
-  // u of v, where T(u,v) is u's subtree when v is removed from its tree.
-  std::uint64_t sum = 0;
-  std::uint64_t largest = 0;
-  std::vector<char> visited(forest_adj_.size(), 0);
-  visited[v] = 1;
-  for (NodeId u : forest_adj_[v]) {
-    // Weight of u's side when the edge {v,u} is cut.
-    std::uint64_t w_subtree = 0;
-    std::deque<NodeId> frontier{u};
-    DASH_CHECK_MSG(!visited[u], "rem() requires E' to be a forest");
-    visited[u] = 1;
-    while (!frontier.empty()) {
-      const NodeId x = frontier.front();
-      frontier.pop_front();
-      w_subtree += weight_[x];
-      for (NodeId y : forest_adj_[x]) {
-        if (!visited[y]) {
-          visited[y] = 1;
-          frontier.push_back(y);
-        }
-      }
-    }
-    sum += w_subtree;
-    largest = std::max(largest, w_subtree);
-  }
-  return sum - largest + weight_[v];
 }
 
 DeletionContext HealingState::begin_deletion(const Graph& g, NodeId v) {
@@ -320,6 +261,10 @@ std::uint64_t HealingState::total_alive_weight(const Graph& g) const {
 namespace {
 constexpr const char* kStateHeader = "dashheal-state-v1";
 
+[[noreturn]] void malformed(const std::string& why) {
+  throw std::runtime_error("state: " + why);
+}
+
 template <typename T>
 void write_vector(std::ostream& out, const std::vector<T>& v) {
   out << v.size();
@@ -327,16 +272,36 @@ void write_vector(std::ostream& out, const std::vector<T>& v) {
   out << '\n';
 }
 
+/// One whitespace-separated value of `field`. The token must spell a
+/// value of T exactly: no sign on an unsigned field, nothing outside
+/// T's range, no trailing characters.
 template <typename T>
-std::vector<T> read_vector(std::istream& in) {
-  std::size_t n = 0;
-  if (!(in >> n)) throw std::runtime_error("state: bad vector length");
-  std::vector<T> v(n);
-  for (auto& x : v) {
-    long long raw;
-    if (!(in >> raw)) throw std::runtime_error("state: bad vector entry");
-    x = static_cast<T>(raw);
+T read_value(std::istream& in, const std::string& field) {
+  std::string token;
+  if (!(in >> token)) malformed(field + " is truncated");
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || stop != end) {
+    malformed(field + " value '" + token + "' is malformed or out of range");
   }
+  return value;
+}
+
+/// A length-prefixed vector of `field` with at most `max_len` entries
+/// (exactly `max_len` when `exact`), read one entry at a time so a
+/// hostile length allocates nothing before its entries exist.
+template <typename T>
+std::vector<T> read_vector(std::istream& in, const std::string& field,
+                           std::size_t max_len, bool exact) {
+  const auto len = read_value<std::size_t>(in, field + " length");
+  if (len > max_len || (exact && len != max_len)) {
+    malformed(field + " has " + std::to_string(len) + " entries for " +
+              std::to_string(max_len) + " nodes");
+  }
+  std::vector<T> v;
+  v.reserve(std::min<std::size_t>(len, std::size_t{1} << 16));
+  for (std::size_t i = 0; i < len; ++i) v.push_back(read_value<T>(in, field));
   return v;
 }
 }  // namespace
@@ -358,38 +323,69 @@ void HealingState::save(std::ostream& out) const {
 
 HealingState HealingState::load(std::istream& in) {
   std::string header;
-  if (!(in >> header) || header != kStateHeader) {
-    throw std::runtime_error("state: bad header");
-  }
+  if (!(in >> header) || header != kStateHeader) malformed("bad header");
   HealingState st;
-  std::size_t n = 0;
-  long long max_delta = 0;
-  if (!(in >> n >> st.healing_edges_ >> max_delta >> st.next_fresh_id_)) {
-    throw std::runtime_error("state: bad counters");
+  const auto n = read_value<std::size_t>(in, "node count");
+  if (n >= graph::kInvalidNode) malformed("node count exceeds the id space");
+  st.healing_edges_ = read_value<std::size_t>(in, "healing_edges");
+  st.max_delta_ever_ = read_value<std::int32_t>(in, "max_delta_ever");
+  st.next_fresh_id_ = read_value<std::uint64_t>(in, "next_fresh_id");
+  if (st.max_delta_ever_ < 0) malformed("max_delta_ever is negative");
+  // Ids are handed out densely: every id below next_fresh_id belongs to
+  // exactly one node, ever.
+  if (st.next_fresh_id_ != n) {
+    malformed("next_fresh_id " + std::to_string(st.next_fresh_id_) +
+              " != node count " + std::to_string(n));
   }
-  st.max_delta_ever_ = static_cast<std::int32_t>(max_delta);
-  st.initial_degree_ = read_vector<std::size_t>(in);
-  st.initial_id_ = read_vector<std::uint64_t>(in);
-  st.component_id_ = read_vector<std::uint64_t>(in);
-  st.delta_ = read_vector<std::int32_t>(in);
-  st.weight_ = read_vector<std::uint64_t>(in);
-  st.id_changes_ = read_vector<std::uint32_t>(in);
-  st.msgs_sent_ = read_vector<std::uint64_t>(in);
-  st.msgs_recv_ = read_vector<std::uint64_t>(in);
-  st.forest_adj_.resize(n);
-  for (auto& adj : st.forest_adj_) adj = read_vector<NodeId>(in);
-
-  const auto check_size = [n](std::size_t got) {
-    if (got != n) throw std::runtime_error("state: field length mismatch");
+  st.initial_degree_ = read_vector<std::size_t>(in, "initial_degree", n, true);
+  st.initial_id_ = read_vector<std::uint64_t>(in, "initial_id", n, true);
+  st.component_id_ = read_vector<std::uint64_t>(in, "component_id", n, true);
+  st.delta_ = read_vector<std::int32_t>(in, "delta", n, true);
+  st.weight_ = read_vector<std::uint64_t>(in, "weight", n, true);
+  st.id_changes_ = read_vector<std::uint32_t>(in, "id_changes", n, true);
+  st.msgs_sent_ = read_vector<std::uint64_t>(in, "msgs_sent", n, true);
+  st.msgs_recv_ = read_vector<std::uint64_t>(in, "msgs_recv", n, true);
+  const auto check_ids = [n](const std::vector<std::uint64_t>& ids,
+                             const char* field) {
+    for (std::size_t v = 0; v < n; ++v) {
+      if (ids[v] >= n) {
+        malformed(std::string(field) + " of node " + std::to_string(v) +
+                  " is " + std::to_string(ids[v]) +
+                  ", not below next_fresh_id");
+      }
+    }
   };
-  check_size(st.initial_degree_.size());
-  check_size(st.initial_id_.size());
-  check_size(st.component_id_.size());
-  check_size(st.delta_.size());
-  check_size(st.weight_.size());
-  check_size(st.id_changes_.size());
-  check_size(st.msgs_sent_.size());
-  check_size(st.msgs_recv_.size());
+  check_ids(st.initial_id_, "initial_id");
+  check_ids(st.component_id_, "component_id");
+
+  // E' must be a simple undirected graph on the n ids: every entry
+  // names another node, once, and is mirrored in that node's list.
+  st.forest_adj_.resize(n);
+  std::vector<std::pair<NodeId, NodeId>> arcs;
+  std::vector<std::pair<NodeId, NodeId>> mirrored;
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::string field = "forest_adj of node " + std::to_string(v);
+    st.forest_adj_[v] = read_vector<NodeId>(in, field, n, false);
+    for (NodeId u : st.forest_adj_[v]) {
+      if (u >= n || u == v) {
+        malformed(field + " names node " + std::to_string(u) + " of " +
+                  std::to_string(n));
+      }
+      arcs.emplace_back(static_cast<NodeId>(v), u);
+      mirrored.emplace_back(u, static_cast<NodeId>(v));
+    }
+  }
+  std::sort(arcs.begin(), arcs.end());
+  std::sort(mirrored.begin(), mirrored.end());
+  if (std::adjacent_find(arcs.begin(), arcs.end()) != arcs.end()) {
+    malformed("forest_adj lists an edge twice");
+  }
+  if (arcs != mirrored) malformed("forest_adj is not symmetric");
+  if (arcs.size() != 2 * st.healing_edges_) {
+    malformed("healing_edges " + std::to_string(st.healing_edges_) +
+              " != " + std::to_string(arcs.size() / 2) +
+              " edges in forest_adj");
+  }
   return st;
 }
 

@@ -96,16 +96,9 @@ class HealingState {
   }
   std::size_t num_healing_edges() const { return healing_edges_; }
 
-  /// True if E' restricted to alive nodes is acyclic.
-  bool healing_graph_is_forest(const Graph& g) const;
-
   /// All alive nodes in v's G'-component (v included). Works for cyclic
   /// E' too (visited-set BFS).
   std::vector<NodeId> healing_component(const Graph& g, NodeId v) const;
-
-  /// The paper's rem(v) potential: W(T_v) minus the heaviest subtree
-  /// hanging off v in G'. Only meaningful while E' is a forest.
-  std::uint64_t rem(const Graph& g, NodeId v) const;
 
   // ---- churn: organic node arrivals ----------------------------------
 
@@ -147,8 +140,8 @@ class HealingState {
   ///
   /// Precondition: the seeds are connected in G' (the heal's new edges
   /// join them), and every G'-tree they merged was uniformly labelled
-  /// before the heal and holds a seed -- the invariant
-  /// analysis::check_component_ids verifies. The walk then starts from
+  /// before the heal and holds a seed -- the id invariant
+  /// analysis::HealingForestWalk verifies. The walk then starts from
   /// the seeds that lack the minimum and visits exactly the nodes whose
   /// id changes, never the rest of the merged tree, so its cost follows
   /// the relabelling (Lemma 8), not the tree's size.

@@ -1,6 +1,7 @@
 #include "replay/play.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "api/observers.h"
@@ -58,6 +59,12 @@ std::string ReplayResult::failure() const {
 ReplayResult play_trace(const Trace& t, const ReplayOptions& opt) {
   graph::Graph g = t.build_graph();
   core::HealingState state = t.build_state();
+  if (state.num_nodes() != g.num_nodes()) {
+    throw TraceError("healing-state snapshot covers " +
+                     std::to_string(state.num_nodes()) +
+                     " nodes, graph snapshot " +
+                     std::to_string(g.num_nodes()));
+  }
   const std::string& healer =
       opt.healer_override.empty() ? t.healer : opt.healer_override;
   api::Network net(std::move(g), core::make_strategy(healer),

@@ -30,9 +30,19 @@ TEST(Forest, DetectsCycleInHealingGraph) {
   HealingState st(g, rng);
   st.add_healing_edge(g, 0, 1);
   st.add_healing_edge(g, 1, 2);
-  EXPECT_TRUE(check_forest(g, st).ok);
+  st.propagate_min_id(g, {0, 1, 2});
+  HealingForestWalk walk;
+  EXPECT_TRUE(walk.check(g, st, {}).ok);
   st.add_healing_edge(g, 2, 0);
-  EXPECT_FALSE(check_forest(g, st).ok);
+  EXPECT_EQ(walk.check(g, st, {}).violation,
+            "healing graph G' contains a cycle");
+  // Without the forest requirement the cycle only surfaces through the
+  // rem bound, which is undefined on it.
+  EXPECT_TRUE(walk.check(g, st, {.require_forest = false}).ok);
+  EXPECT_EQ(walk.check(g, st, {.require_forest = false,
+                               .check_rem_bound = true})
+                .violation,
+            "rem(0) undefined: its G'-tree contains a cycle");
 }
 
 TEST(ComponentIds, MixedIdDetected) {
@@ -41,16 +51,18 @@ TEST(ComponentIds, MixedIdDetected) {
   HealingState st(g, rng);
   st.add_healing_edge(g, 0, 1);
   // No propagation: the pair 0-1 still carries two distinct ids.
-  EXPECT_FALSE(check_component_ids(g, st).ok);
+  HealingForestWalk walk;
+  EXPECT_EQ(walk.check(g, st, {}).violation,
+            "component of node 0 has mixed ids");
   st.propagate_min_id(g, {0, 1});
-  EXPECT_TRUE(check_component_ids(g, st).ok);
+  EXPECT_TRUE(walk.check(g, st, {}).ok);
 }
 
 TEST(RemBound, HoldsInitially) {
   Rng rng(3);
   const Graph g = graph::path_graph(5);
   const HealingState st(g, rng);
-  EXPECT_TRUE(check_rem_bound(g, st).ok);
+  EXPECT_TRUE(HealingForestWalk().check(g, st, {.check_rem_bound = true}).ok);
 }
 
 TEST(WeightConservation, TracksTransfers) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "../forest_reference.h"
 #include "analysis/invariants.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
@@ -25,7 +26,7 @@ TEST(Batch, SingletonBatchMatchesSingleDeletionSemantics) {
   EXPECT_EQ(actions[0].reconnection_set_size, 5u);
   EXPECT_EQ(actions[0].new_graph_edges.size(), 4u);
   EXPECT_TRUE(graph::is_connected(g));
-  EXPECT_TRUE(st.healing_graph_is_forest(g));
+  EXPECT_TRUE(dash::testing::healing_graph_is_forest(g, st));
   EXPECT_EQ(st.total_alive_weight(g), 6u);
 }
 
@@ -52,7 +53,7 @@ TEST(Batch, DisjointDeletionsFormTwoClusters) {
   const auto actions = dash_delete_and_heal_batch(g, st, {1, 5});
   ASSERT_EQ(actions.size(), 2u);
   EXPECT_TRUE(graph::is_connected(g));
-  EXPECT_TRUE(st.healing_graph_is_forest(g));
+  EXPECT_TRUE(dash::testing::healing_graph_is_forest(g, st));
 }
 
 TEST(Batch, WholeNeighborhoodCluster) {
@@ -72,7 +73,7 @@ TEST(Batch, ComponentIdsConsistentAfterBatch) {
   Graph g = graph::barabasi_albert(48, 2, rng);
   HealingState st(g, rng);
   dash_delete_and_heal_batch(g, st, {3, 7, 11});
-  const auto check = analysis::check_component_ids(g, st);
+  const auto check = analysis::HealingForestWalk().check(g, st, {});
   EXPECT_TRUE(check.ok) << check.violation;
 }
 
@@ -91,6 +92,7 @@ TEST(Batch, RepeatedBatchesKeepInvariants) {
   Graph g = graph::barabasi_albert(96, 2, rng);
   HealingState st(g, rng);
   Rng pick(13);
+  analysis::HealingForestWalk walk;
   while (g.num_alive() > 8) {
     // Random batch of up to 4 alive nodes.
     auto alive = g.alive_nodes();
@@ -100,8 +102,7 @@ TEST(Batch, RepeatedBatchesKeepInvariants) {
                               alive.begin() + std::min(k, alive.size()));
     dash_delete_and_heal_batch(g, st, batch);
     ASSERT_TRUE(graph::is_connected(g));
-    ASSERT_TRUE(st.healing_graph_is_forest(g));
-    const auto check = analysis::check_component_ids(g, st);
+    const auto check = walk.check(g, st, {});
     ASSERT_TRUE(check.ok) << check.violation;
     for (NodeId v : g.alive_nodes()) {
       ASSERT_EQ(st.delta(v), st.raw_degree_increase(g, v));

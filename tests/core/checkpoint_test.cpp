@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "attack/factory.h"
 #include "core/dash.h"
@@ -103,6 +107,55 @@ TEST(Checkpoint, MalformedInputThrows) {
   {
     std::istringstream in("");
     EXPECT_THROW(HealingState::load(in), std::runtime_error);
+  }
+
+  // A valid 3-node state with one healing edge {0,1}. Each case below
+  // replaces lines of it, and the error must name the broken field.
+  const std::vector<std::string> base = {
+      "dashheal-state-v1", "3 1 0 3", "3 1 2 1", "3 0 1 2", "3 0 0 2",
+      "3 0 1 0",           "3 1 1 1", "3 0 0 0", "3 0 0 0", "3 0 0 0",
+      "1 1",               "1 0",     "0"};
+  using Edits = std::vector<std::pair<std::size_t, std::string>>;
+  const auto text = [&base](const Edits& edits) {
+    std::vector<std::string> lines = base;
+    for (const auto& [line, with] : edits) lines[line] = with;
+    std::string out;
+    for (const std::string& line : lines) out += line + '\n';
+    return out;
+  };
+  {
+    std::istringstream in(text({}));
+    EXPECT_NO_THROW(HealingState::load(in));
+  }
+  const std::pair<Edits, const char*> cases[] = {
+      {{{10, "1 7"}}, "forest_adj of node 0"},     // id past the 3 nodes
+      {{{2, "3 -1 2 1"}}, "initial_degree"},       // no sign on a size
+      {{{1, "3 1 0 4"}}, "next_fresh_id"},         // ids are dense
+      {{{1, "3 1 -1 3"}}, "max_delta_ever"},       // never negative
+      {{{3, "3 0 1 3"}}, "initial_id"},            // not yet handed out
+      {{{4, "3 0 0 9"}}, "component_id"},
+      {{{5, "3 0 2147483648 0"}}, "delta"},        // past int32
+      {{{7, "3 0 4294967296 0"}}, "id_changes"},   // past uint32
+      {{{6, "3 1 18446744073709551616 1"}}, "weight"},  // past uint64
+      {{{8, "3 0 x 0"}}, "msgs_sent"},
+      {{{9, "4 0 0 0 0"}}, "msgs_recv"},           // length != node count
+      {{{10, "99999999999999999 1"}}, "forest_adj of node 0"},
+      {{{10, "1 0"}}, "forest_adj of node 0"},     // self-loop
+      {{{11, "0"}}, "forest_adj is not symmetric"},
+      {{{12, "1 0"}}, "forest_adj is not symmetric"},
+      {{{10, "2 1 1"}, {11, "2 0 0"}}, "forest_adj lists an edge twice"},
+      {{{1, "3 2 0 3"}}, "healing_edges"},
+      {{{1, "99999999999999999999 1 0 3"}}, "node count"},
+  };
+  for (const auto& [edits, field] : cases) {
+    std::istringstream in(text(edits));
+    try {
+      HealingState::load(in);
+      ADD_FAILURE() << "loaded with a broken " << field;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << field << ": " << e.what();
+    }
   }
 }
 

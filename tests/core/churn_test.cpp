@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 
+#include "../forest_reference.h"
 #include "analysis/invariants.h"
 #include "api/api.h"
 #include "attack/basic.h"
@@ -45,7 +46,7 @@ TEST(Churn, JoinEdgesShiftBaselineNotDelta) {
   // Node 1's degree grew organically: baseline moved, delta untouched.
   EXPECT_EQ(st.delta(1), 0);
   EXPECT_EQ(st.initial_degree(1), 3u);
-  EXPECT_TRUE(analysis::check_delta_consistency(g, st).ok);
+  EXPECT_TRUE(analysis::HealingForestWalk().check(g, st, {}).ok);
 }
 
 TEST(Churn, FreshIdsAreUnique) {
@@ -83,6 +84,7 @@ TEST(Churn, MixedJoinAttackHealScheduleKeepsInvariants) {
   DashStrategy dash;
   attack::NeighborOfMaxAttack atk(7);
   Rng churn(11);
+  analysis::HealingForestWalk walk;
 
   for (int round = 0; round < 120; ++round) {
     if (churn.chance(0.3) || g.num_alive() < 8) {
@@ -103,10 +105,9 @@ TEST(Churn, MixedJoinAttackHealScheduleKeepsInvariants) {
     // targets the graph stays connected because targets are alive and
     // the pre-join graph is connected.
     ASSERT_TRUE(graph::is_connected(g)) << "round " << round;
-    ASSERT_TRUE(st.healing_graph_is_forest(g));
-    ASSERT_TRUE(analysis::check_delta_consistency(g, st).ok);
-    ASSERT_TRUE(analysis::check_component_ids(g, st).ok);
-    ASSERT_TRUE(analysis::check_healing_subgraph(g, st).ok);
+    // Forest, ids, E' subset of E and delta bookkeeping in one walk.
+    const analysis::Check check = walk.check(g, st, {});
+    ASSERT_TRUE(check.ok) << "round " << round << ": " << check.violation;
   }
 }
 
@@ -157,7 +158,8 @@ TEST(Churn, NetworkJoinInterleavedKeepsInvariants) {
     }
     ASSERT_TRUE(inv.ok()) << "round " << round << ": " << inv.violation();
     ASSERT_TRUE(net.stayed_connected()) << "round " << round;
-    ASSERT_TRUE(net.state().healing_graph_is_forest(net.graph()));
+    ASSERT_TRUE(
+        dash::testing::healing_graph_is_forest(net.graph(), net.state()));
   }
 
   const api::Metrics m = net.finish();

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "../forest_reference.h"
 #include "../test_helpers.h"
 #include "analysis/invariants.h"
 #include "graph/generators.h"
@@ -35,7 +36,7 @@ TEST(Dash, HealsStarDeletionIntoBinaryTree) {
   EXPECT_EQ(a.reconnection_set_size, 7u);
   EXPECT_EQ(a.new_graph_edges.size(), 6u);
   EXPECT_TRUE(graph::is_connected(g));
-  EXPECT_TRUE(st.healing_graph_is_forest(g));
+  EXPECT_TRUE(dash::testing::healing_graph_is_forest(g, st));
   // Complete binary tree on 7 nodes: max RT degree 3, and every member
   // also lost its edge to the hub => max net delta 3 - 1 = 2.
   EXPECT_LE(st.max_delta_ever(), 2u);
@@ -88,12 +89,13 @@ TEST(Dash, ComponentIdsStayConsistent) {
   HealingState st(g, rng);
   DashStrategy dash;
   dash::util::Rng pick(99);
+  analysis::HealingForestWalk walk;
   for (int round = 0; round < 30; ++round) {
     const auto alive = g.alive_nodes();
     const NodeId v =
         alive[static_cast<std::size_t>(pick.below(alive.size()))];
     delete_and_heal(g, st, dash, v);
-    const auto check = analysis::check_component_ids(g, st);
+    const auto check = walk.check(g, st, {});
     ASSERT_TRUE(check.ok) << check.violation;
   }
 }

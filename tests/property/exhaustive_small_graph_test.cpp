@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "../forest_reference.h"
 #include "core/dash.h"
 #include "core/factory.h"
 #include "core/healing_state.h"
@@ -51,7 +52,7 @@ std::uint32_t run_order(const Graph& g0, const std::vector<NodeId>& order,
     g.delete_node(v);
     healer->heal(g, st, ctx);
     EXPECT_TRUE(graph::is_connected(g));
-    EXPECT_TRUE(st.healing_graph_is_forest(g));
+    EXPECT_TRUE(dash::testing::healing_graph_is_forest(g, st));
   }
   return st.max_delta_ever();
 }

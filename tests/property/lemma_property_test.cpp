@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "../forest_reference.h"
 #include "analysis/invariants.h"
 #include "attack/factory.h"
 #include "core/dash.h"
@@ -53,7 +54,7 @@ TEST(Lemma1, ForestMaintainedUnderRandomSchedules) {
     while (s.g.num_alive() > 1) {
       const auto alive = s.g.alive_nodes();
       s.kill(alive[static_cast<std::size_t>(pick.below(alive.size()))]);
-      ASSERT_TRUE(s.st.healing_graph_is_forest(s.g));
+      ASSERT_TRUE(dash::testing::healing_graph_is_forest(s.g, s.st));
     }
   }
 }
@@ -69,14 +70,14 @@ TEST(Lemma2, RemNonDecreasingForSurvivors) {
     const auto alive = s.g.alive_nodes();
     std::vector<std::pair<NodeId, std::uint64_t>> before;
     for (std::size_t i = 0; i < alive.size(); i += 5) {
-      before.emplace_back(alive[i], s.st.rem(s.g, alive[i]));
+      before.emplace_back(alive[i], dash::testing::rem(s.g, s.st, alive[i]));
     }
     const NodeId victim =
         alive[static_cast<std::size_t>(pick.below(alive.size()))];
     s.kill(victim);
     for (auto [v, rem_before] : before) {
       if (!s.g.alive(v)) continue;
-      EXPECT_GE(s.st.rem(s.g, v), rem_before) << "node " << v;
+      EXPECT_GE(dash::testing::rem(s.g, s.st, v), rem_before) << "node " << v;
     }
   }
 }
@@ -95,7 +96,7 @@ TEST(Lemma3, SubtreeWeightsDominateRem) {
     // W(T(v,q)) = W(T_q) - W(T(q,v) subtree containing ... ) -- instead
     // check the direct definitional inequality using rem's parts.
     for (NodeId v : s.g.alive_nodes()) {
-      const std::uint64_t rem_v = s.st.rem(s.g, v);
+      const std::uint64_t rem_v = dash::testing::rem(s.g, s.st, v);
       for (NodeId q : s.st.forest_neighbors(v)) {
         // Weight of v's side when edge {v,q} is cut: total tree weight
         // minus q's side. Compute by BFS over forest from v avoiding q.
@@ -135,13 +136,14 @@ TEST(Lemma4, PotentialBoundAcrossFamiliesAndAttacks) {
     HealingState st(g, rng);
     auto attacker = attack::make_attack(c.attack, c.seed);
     core::DashStrategy dash;
+    analysis::HealingForestWalk walk;
     while (g.num_alive() > 1) {
       const NodeId v = attacker->select(g, st);
       if (v == graph::kInvalidNode) break;
       const DeletionContext ctx = st.begin_deletion(g, v);
       g.delete_node(v);
       dash.heal(g, st, ctx);
-      const auto check = analysis::check_rem_bound(g, st);
+      const auto check = walk.check(g, st, {.check_rem_bound = true});
       ASSERT_TRUE(check.ok) << c.attack << ": " << check.violation;
     }
   }
@@ -158,7 +160,7 @@ TEST(Lemma5, RemNeverExceedsTotalWeight) {
     const auto alive = s.g.alive_nodes();
     s.kill(alive[static_cast<std::size_t>(pick.below(alive.size()))]);
     for (NodeId v : s.g.alive_nodes()) {
-      ASSERT_LE(s.st.rem(s.g, v), n);
+      ASSERT_LE(dash::testing::rem(s.g, s.st, v), n);
     }
     ASSERT_LE(s.st.total_alive_weight(s.g), n);
   }

@@ -17,9 +17,12 @@
 #include "api/scenario.h"
 #include "api/sink.h"
 #include "api/suite.h"
+#include "core/healing_state.h"
 #include "exp/spec.h"
+#include "graph/graph.h"
 #include "replay/recorder.h"
 #include "replay/shrink.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace dash::replay {
@@ -165,6 +168,40 @@ TEST(Replay, NoHealerViolatesInvariants) {
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.violation.find("disconnected"), std::string::npos)
       << r.violation;
+}
+
+/// The message of the TraceError play_trace(t) throws ("" if none).
+std::string replay_error(const Trace& t) {
+  try {
+    play_trace(t);
+  } catch (const TraceError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(Replay, CorruptStateSnapshotThrows) {
+  const Trace recorded = record_and_load(small_config());
+  // Node 0's forest list (empty at time 0) names an id past the 32
+  // nodes: the load must refuse it before any walk indexes by it.
+  Trace t = recorded;
+  const std::size_t at = t.state_text.find("\n0\n");
+  ASSERT_NE(at, std::string::npos);
+  t.state_text.replace(at, 3, "\n1 77\n");
+  EXPECT_NE(replay_error(t).find("forest_adj of node 0 names node 77"),
+            std::string::npos)
+      << replay_error(t);
+
+  // A well-formed state for a different node count.
+  Trace other = recorded;
+  graph::Graph g3(3);
+  util::Rng rng(1);
+  std::ostringstream state3;
+  core::HealingState(g3, rng).save(state3);
+  other.state_text = state3.str();
+  EXPECT_NE(replay_error(other).find("covers 3 nodes, graph snapshot 32"),
+            std::string::npos)
+      << replay_error(other);
 }
 
 TEST(Replay, DuplicatedRemoveThrowsStrictSkipsLenient) {
