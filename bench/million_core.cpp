@@ -26,7 +26,10 @@
 //      the nodes dead, G' grown by the heals) -- the check the paper's
 //      guarantees rest on, at the scale they are claimed for.
 //
-// The last line is the process's peak RSS.
+// The last line is one JSON object: each section's medians under the
+// metric names of BENCH_perf_ledger.json, plus the process's peak RSS
+// (peak_rss_mb), so a ledger entry is read from the output, not
+// scraped from the tables.
 //
 // Run `million_core --n 1000000` for the headline numbers; defaults
 // keep a laptop run under a minute.
@@ -36,6 +39,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/stretch.h"
@@ -47,6 +51,8 @@
 #include "graph/generators.h"
 #include "graph/snapshot_store.h"
 #include "util/cli.h"
+#include "util/csv.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -59,6 +65,9 @@ using dash::graph::Graph;
 using dash::graph::NodeId;
 using dash::util::Rng;
 using dash::util::Timer;
+
+/// Ledger metrics in the order the sections record them.
+using Ledger = std::vector<std::pair<std::string, double>>;
 
 double median_of(std::vector<double> xs) {
   return dash::util::quantile(std::move(xs), 0.5);
@@ -91,7 +100,8 @@ void churn_step(Graph& g, std::vector<NodeId>& alive, Rng& rng) {
   }
 }
 
-void bench_publish(std::size_t n, std::size_t rounds, std::uint64_t seed) {
+void bench_publish(std::size_t n, std::size_t rounds, std::uint64_t seed,
+                   Ledger& ledger) {
   Rng rng(seed);
   Graph g = dash::graph::barabasi_albert(n, 2, rng);
   std::vector<NodeId> alive = g.alive_nodes();
@@ -146,11 +156,13 @@ void bench_publish(std::size_t n, std::size_t rounds, std::uint64_t seed) {
             << "store split: " << store.full_publishes() << " full / "
             << store.patched_publishes() << " patched publishes, "
             << store.touched_vertices() << " vertices re-mirrored\n";
+  ledger.emplace_back("csr_patch_ms", patched_med);
+  ledger.emplace_back("publish_ms", median_of(publish_ms));
 }
 
 void bench_stretch(std::size_t n, std::size_t landmarks, std::size_t pairs,
                    std::size_t samples, std::size_t exact_limit,
-                   std::uint64_t seed) {
+                   std::uint64_t seed, Ledger& ledger) {
   Rng rng(seed);
   Graph g = dash::graph::barabasi_albert(n, 2, rng);
 
@@ -203,11 +215,13 @@ void bench_stretch(std::size_t n, std::size_t landmarks, std::size_t pairs,
   table.print(std::cout);
   std::cout << "estimator build (landmark selection): " << build_ms
             << " ms\n";
+  ledger.emplace_back("estimate_sample_ms", median_of(est_ms));
 }
 
 void bench_end_to_end(std::size_t n, std::size_t rounds,
                       std::size_t stretch_every, std::size_t landmarks,
-                      std::size_t pairs, std::uint64_t seed) {
+                      std::size_t pairs, std::uint64_t seed,
+                      Ledger& ledger) {
   Rng rng(seed);
   Graph g = dash::graph::barabasi_albert(n, 2, rng);
 
@@ -244,9 +258,11 @@ void bench_end_to_end(std::size_t n, std::size_t rounds,
             << stretch->last_sample()
             << ", connected=" << (metrics.stayed_connected ? "yes" : "NO")
             << "\n";
+  ledger.emplace_back("end_to_end_s", secs);
 }
 
-void bench_victims(std::size_t n, std::size_t rounds, std::uint64_t seed) {
+void bench_victims(std::size_t n, std::size_t rounds, std::uint64_t seed,
+                   Ledger& ledger) {
   dash::util::Table table({"attack", "choice_p50_us", "choice_p99_us",
                            "remove_p50_us", "remove_p99_us"});
   for (const std::string name : {"random", "neighborofmax"}) {
@@ -275,11 +291,15 @@ void bench_victims(std::size_t n, std::size_t rounds, std::uint64_t seed) {
         .cell(q(choice_us, 0.99), 2)
         .cell(q(remove_us, 0.5), 2)
         .cell(q(remove_us, 0.99), 2);
+    ledger.emplace_back(name + ".choice_p50_us", q(choice_us, 0.5));
+    ledger.emplace_back(name + ".choice_p99_us", q(choice_us, 0.99));
+    ledger.emplace_back(name + ".remove_p50_us", q(remove_us, 0.5));
+    ledger.emplace_back(name + ".remove_p99_us", q(remove_us, 0.99));
   }
   table.print(std::cout);
 }
 
-void bench_battery(std::size_t n, std::uint64_t seed) {
+void bench_battery(std::size_t n, std::uint64_t seed, Ledger& ledger) {
   Rng rng(seed);
   dash::api::Network net(dash::graph::barabasi_albert(n, 2, rng), "dash",
                          seed);
@@ -288,9 +308,11 @@ void bench_battery(std::size_t n, std::uint64_t seed) {
       "targeted:neighborofmaxx" + std::to_string(n / 2));
   Rng play_rng(seed + 2);
   net.play(scenario, play_rng);
+  const double play_s = t_play.seconds();
+  ledger.emplace_back("battery_setup_play_s", play_s);
   std::cout << "played " << net.metrics().deletions
-            << " neighborofmax deletions in " << t_play.seconds()
-            << " s; " << net.graph().num_alive() << " alive, "
+            << " neighborofmax deletions in " << play_s << " s; "
+            << net.graph().num_alive() << " alive, "
             << net.state().num_healing_edges() << " healing edges\n";
 
   for (const bool rem : {false, true}) {
@@ -307,6 +329,7 @@ void bench_battery(std::size_t n, std::uint64_t seed) {
     std::cout << "battery, rem bound " << (rem ? "on: " : "off: ") << ms
               << " ms, " << (battery.ok() ? "all hold" : battery.violation())
               << std::endl;
+    ledger.emplace_back(rem ? "battery_rem_on_ms" : "battery_rem_off_ms", ms);
   }
 }
 
@@ -314,6 +337,16 @@ double peak_rss_mb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+void print_ledger(const Ledger& ledger) {
+  std::cout << '{';
+  for (std::size_t i = 0; i < ledger.size(); ++i) {
+    std::cout << (i == 0 ? "" : ", ")
+              << dash::util::json_string(ledger[i].first) << ": "
+              << dash::util::CsvWriter::to_field(ledger[i].second);
+  }
+  std::cout << "}\n";
 }
 
 }  // namespace
@@ -344,21 +377,27 @@ int main(int argc, char** argv) {
 
   std::cout << "\n== million_core: BA(" << n << ", 2), seed " << seed
             << " ==\n\n-- publish path: full rebuild vs delta patch --\n";
-  bench_publish(n, publish_rounds, seed);
+  Ledger ledger;
+  bench_publish(n, publish_rounds, seed, ledger);
 
   std::cout << "\n-- stretch sample: exact vs landmark bounds --\n";
-  bench_stretch(n, landmarks, pairs, stretch_samples, exact_limit, seed);
+  bench_stretch(n, landmarks, pairs, stretch_samples, exact_limit, seed,
+                ledger);
 
   std::cout << "\n-- end-to-end churn + serve + estimate-mode sampling --\n";
-  bench_end_to_end(n, churn_rounds, stretch_every, landmarks, pairs, seed);
+  bench_end_to_end(n, churn_rounds, stretch_every, landmarks, pairs, seed,
+                   ledger);
 
   std::cout << "\n-- per-round victim choice + Network::remove --\n";
-  bench_victims(n, churn_rounds, seed);
+  bench_victims(n, churn_rounds, seed, ledger);
 
   std::cout << "\n-- one invariant battery after n/2 neighborofmax "
                "deletions --\n";
-  bench_battery(n, seed);
+  bench_battery(n, seed, ledger);
 
-  std::cout << "\npeak RSS: " << peak_rss_mb() << " MB\n";
+  const double rss = peak_rss_mb();
+  std::cout << "\npeak RSS: " << rss << " MB\n";
+  ledger.emplace_back("peak_rss_mb", rss);
+  print_ledger(ledger);
   return 0;
 }

@@ -145,11 +145,17 @@ StretchStats StretchTracker::reduce(
   return out;
 }
 
+void StretchTracker::list_alive(const FlatView& view) const {
+  alive_.clear();
+  for (const NodeId v : view.alive_set()) alive_.push_back(v);
+}
+
 StretchStats StretchTracker::stretch_stats(const Graph& healed) const {
   DASH_CHECK(healed.num_nodes() == n_);
   const FlatView& view = healed.flat_view();
-  const auto& alive = view.alive_nodes();
-  if (alive.size() < 2) return {};
+  if (view.num_alive() < 2) return {};
+  list_alive(view);
+  const std::vector<NodeId>& alive = alive_;
   StretchStats out;
   double total = 0.0;
   SourcePartial wave[kWave];
@@ -173,11 +179,12 @@ StretchStats StretchTracker::stretch_stats(
     const Graph& healed, dash::util::ThreadPool& pool) const {
   DASH_CHECK(healed.num_nodes() == n_);
   const FlatView& view = healed.flat_view();  // ensure before fan-out
-  const auto& alive = view.alive_nodes();
-  if (alive.size() < 2) return {};
-  const std::size_t waves = (alive.size() + kWave - 1) / kWave;
+  if (view.num_alive() < 2) return {};
+  const std::size_t waves = (view.num_alive() + kWave - 1) / kWave;
   const std::size_t blocks = std::min(pool.size(), waves);
   if (blocks <= 1) return stretch_stats(healed);
+  list_alive(view);  // before fan-out: the workers share it read-only
+  const std::vector<NodeId>& alive = alive_;
 
   // One workspace per block, persisted across samples ([0] stays the
   // sequential path's). Workers own disjoint partial slots, so the

@@ -104,6 +104,10 @@ class StretchTracker {
                      SampleWorkspace& ws, SourcePartial* out) const;
   StretchStats reduce(const std::vector<SourcePartial>& partials,
                       std::size_t alive_count) const;
+  /// Decode the view's alive set into alive_: every wave level sweeps
+  /// the ids and every wave indexes its sources by rank, so a sample
+  /// pays for the decode once.
+  void list_alive(const graph::FlatView& view) const;
 
   std::size_t n_;
   std::vector<std::uint32_t> original_;  ///< row-major APSP matrix
@@ -113,6 +117,8 @@ class StretchTracker {
   /// -- samples are const reads of the tracker; concurrent samples on
   /// one tracker need external synchronization.
   mutable std::vector<SampleWorkspace> ws_;
+  /// The current sample's alive ids, ascending (see list_alive()).
+  mutable std::vector<graph::NodeId> alive_;
 };
 
 }  // namespace dash::analysis

@@ -24,10 +24,9 @@ StretchEstimator::StretchEstimator(const Graph& original,
   DASH_CHECK_MSG(graph::is_connected(original),
                  "stretch baseline must be connected");
   const FlatView& view = original.flat_view();
-  const auto& alive = view.alive_nodes();
-  DASH_CHECK_MSG(!alive.empty(), "empty baseline");
+  DASH_CHECK_MSG(view.num_alive() != 0, "empty baseline");
   const std::size_t k = std::min<std::size_t>(
-      {std::max<std::size_t>(opts.landmarks, 1), 64, alive.size()});
+      {std::max<std::size_t>(opts.landmarks, 1), 64, view.num_alive()});
 
   // Farthest-point selection: start from the lowest alive id, then
   // repeatedly add the node farthest from every chosen landmark. Each
@@ -36,13 +35,13 @@ StretchEstimator::StretchEstimator(const Graph& original,
   graph::TraversalScratch scratch;
   std::vector<std::uint32_t> nearest(n_, kUnreachable);
   d0_.resize(k * n_, kUnreachable);
-  NodeId next_landmark = alive.front();
+  NodeId next_landmark = view.kth_alive(0);
   for (std::size_t i = 0; i < k; ++i) {
     landmarks_.push_back(next_landmark);
     graph::bfs_distances(view, next_landmark, scratch);
     std::uint32_t* row = d0_.data() + i * n_;
     std::uint32_t best = 0;
-    for (const NodeId v : alive) {
+    for (const NodeId v : view.alive_set()) {
       const std::uint32_t d = scratch.distance(v);
       row[v] = d;
       if (d < nearest[v]) nearest[v] = d;
@@ -61,12 +60,15 @@ StretchEstimator::StretchEstimator(const Graph& original,
 // One 64-source wave from the surviving landmarks, recording the round
 // each landmark's bit first reaches each node -- the same bit-parallel
 // level advance the exact tracker's wave_partials uses, minus the
-// per-pair accounting.
+// per-pair accounting. Every level sweeps the alive ids and every pair
+// draw looks one up by rank, so a sample decodes the view's alive set
+// into a list once instead of per level and per draw.
 void StretchEstimator::sample_wave(const Graph& healed) {
   DASH_CHECK_MSG(healed.num_nodes() == n_,
                  "estimator and healed graph id spaces differ");
   const FlatView& view = healed.flat_view();
-  const auto& alive = view.alive_nodes();
+  alive_.clear();
+  for (const NodeId v : view.alive_set()) alive_.push_back(v);
   const std::size_t k = landmarks_.size();
 
   dt_.assign(k * n_, kUnreachable);
@@ -75,7 +77,7 @@ void StretchEstimator::sample_wave(const Graph& healed) {
   next_.resize(n_);
   for (std::size_t i = 0; i < k; ++i) {
     const NodeId s = landmarks_[i];
-    if (!std::binary_search(alive.begin(), alive.end(), s)) continue;
+    if (!view.alive(s)) continue;
     reached_[s] = frontier_[s] = std::uint64_t{1} << i;
     dt_[i * n_ + s] = 0;
   }
@@ -88,7 +90,7 @@ void StretchEstimator::sample_wave(const Graph& healed) {
     ++depth;
     const auto* frontier = frontier_.data();
     auto* next = next_.data();
-    for (const NodeId v : alive) {
+    for (const NodeId v : alive_) {
       std::uint64_t gather = 0;
       for (const NodeId u : view.neighbors(v)) gather |= frontier[u];
       std::uint64_t fresh = gather & ~reached[v];
@@ -162,18 +164,17 @@ StretchEstimate StretchEstimator::estimate(const Graph& healed,
                                            std::vector<PairBound>* detail) {
   if (detail != nullptr) detail->clear();
   StretchEstimate out;
-  const auto& alive = healed.flat_view().alive_nodes();
-  if (alive.size() < 2) return out;
+  if (healed.num_alive() < 2) return out;
   sample_wave(healed);
 
   double sum_lower = 0.0;
   double sum_upper = 0.0;
   for (std::size_t p = 0; p < opts_.pairs; ++p) {
     const std::size_t ui =
-        static_cast<std::size_t>(rng_.below(alive.size()));
-    std::size_t vi = static_cast<std::size_t>(rng_.below(alive.size() - 1));
+        static_cast<std::size_t>(rng_.below(alive_.size()));
+    std::size_t vi = static_cast<std::size_t>(rng_.below(alive_.size() - 1));
     if (vi >= ui) ++vi;
-    const PairBound b = bound_pair(alive[ui], alive[vi]);
+    const PairBound b = bound_pair(alive_[ui], alive_[vi]);
     if (detail != nullptr) detail->push_back(b);
     ++out.pairs;
     if (b.disconnected) {

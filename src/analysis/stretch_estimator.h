@@ -108,6 +108,7 @@ class StretchEstimator {
   std::vector<std::uint32_t> d0_;  ///< [landmark][node] time-0 rows
   std::vector<std::uint32_t> dt_;  ///< [landmark][node] last wave rows
   /// Wave workspace (persisted; warm samples allocate nothing).
+  std::vector<graph::NodeId> alive_;  ///< last wave's alive ids, ascending
   std::vector<std::uint64_t> reached_;
   std::vector<std::uint64_t> frontier_;
   std::vector<std::uint64_t> next_;

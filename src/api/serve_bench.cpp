@@ -114,16 +114,17 @@ ServeBenchRound run_one(const ServeBenchConfig& cfg, std::size_t readers,
       while (!stop.load(std::memory_order_relaxed)) {
         const auto t0 = Clock::now();
         ServePin pin = reader.pin();
-        const auto& alive = pin.snapshot().view().alive_nodes();
-        if (alive.size() < 2) {
+        const graph::FlatView& view = pin.snapshot().view();
+        const std::size_t alive = view.num_alive();
+        if (alive < 2) {
           ++tally.reads;
           std::this_thread::yield();
           continue;
         }
         const graph::NodeId u =
-            alive[static_cast<std::size_t>(rng.below(alive.size()))];
+            view.kth_alive(static_cast<std::size_t>(rng.below(alive)));
         const graph::NodeId v =
-            alive[static_cast<std::size_t>(rng.below(alive.size()))];
+            view.kth_alive(static_cast<std::size_t>(rng.below(alive)));
         const bool cross_check =
             cfg.verify ||
             (cfg.distance_every != 0 &&

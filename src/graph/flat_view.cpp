@@ -7,16 +7,11 @@
 namespace dash::graph {
 
 void FlatView::rebuild(const Graph& g) {
-  const std::size_t n = g.num_nodes();
   offsets_ = g.offset_;
   degrees_ = g.degree_;
   edges_ = g.slab_;
   edge_entries_ = 2 * g.num_edges();
-  alive_.clear();
-  alive_.reserve(g.num_alive());
-  for (NodeId v = 0; v < n; ++v) {
-    if (g.alive(v)) alive_.push_back(v);
-  }
+  alive_ = g.alive_;
   generation_ = g.generation();
   graph_uid_ = g.uid();
   log_seq_ = g.touched_end();
@@ -71,16 +66,18 @@ bool FlatView::try_patch(const Graph& g) {
     degrees_.resize(n, 0);
   }
   if (edges_.size() < g.slab_.size()) edges_.resize(g.slab_.size());
+  alive_.grow(n);
 
   died_.clear();
-  born_scratch_.clear();
   for (const NodeId v : touched_scratch_) {
-    const bool was_alive =
-        v < old_n &&
-        std::binary_search(alive_.begin(), alive_.end(), v);
     const bool now_alive = g.alive(v);
-    if (was_alive != now_alive) {
-      (now_alive ? born_scratch_ : died_).push_back(v);
+    if (alive_.contains(v) != now_alive) {
+      if (now_alive) {
+        alive_.insert(v);
+      } else {
+        alive_.erase(v);
+        died_.push_back(v);
+      }
     }
     const std::uint32_t old_deg = degrees_[v];
     const std::uint32_t new_deg = g.degree_[v];
@@ -93,27 +90,7 @@ bool FlatView::try_patch(const Graph& g) {
     edge_entries_ -= old_deg;
   }
 
-  if (!died_.empty() || !born_scratch_.empty()) {
-    std::sort(died_.begin(), died_.end());
-    std::sort(born_scratch_.begin(), born_scratch_.end());
-    alive_scratch_.clear();
-    alive_scratch_.reserve(g.num_alive());
-    std::size_t di = 0, bi = 0;
-    for (const NodeId v : alive_) {
-      while (bi < born_scratch_.size() && born_scratch_[bi] < v) {
-        alive_scratch_.push_back(born_scratch_[bi++]);
-      }
-      if (di < died_.size() && died_[di] == v) {
-        ++di;
-        continue;
-      }
-      alive_scratch_.push_back(v);
-    }
-    while (bi < born_scratch_.size()) {
-      alive_scratch_.push_back(born_scratch_[bi++]);
-    }
-    alive_.swap(alive_scratch_);
-  }
+  std::sort(died_.begin(), died_.end());
 
   generation_ = g.generation();
   log_seq_ = g.touched_end();

@@ -22,6 +22,12 @@
 // O(n + slab) rebuild; both paths are counted so benches can report the
 // split.
 //
+// The alive set is a copy of the graph's AliveSet (graph/alive_set.h):
+// a rebuild copies its O(n/64) words, and a patch flips one bit per
+// touched id whose aliveness changed, O(log n) each. Readers test
+// membership, iterate ascending, or look an id up by rank; none of
+// them needs the alive list materialized.
+//
 // Reads of a *fresh* view are safe from any number of threads (the
 // parallel stretch path hands one view to every worker); the lazy
 // refresh itself is not synchronized, so ensure freshness (call
@@ -33,6 +39,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/alive_set.h"
 #include "graph/types.h"
 
 namespace dash::graph {
@@ -57,13 +64,26 @@ class FlatView {
 
   /// Bring the mirror up to date: patch only the vertices g's touched
   /// log names since the last sync when the log window allows it, else
-  /// fall back to rebuild(). The cheap path is O(touched + alive-set
-  /// edits) -- churn rounds touch a tiny fraction of a large graph.
+  /// fall back to rebuild(). The cheap path costs O(touched blocks)
+  /// plus O(log n) per id that died or was born -- churn rounds touch
+  /// a tiny fraction of a large graph.
   void refresh(const Graph& g);
 
   /// Node-id space of the snapshot (alive + dead, like Graph).
   std::size_t num_nodes() const { return degrees_.size(); }
   std::size_t num_alive() const { return alive_.size(); }
+
+  /// True when v is alive in the snapshot; false past the id space.
+  bool alive(NodeId v) const {
+    return v < degrees_.size() && alive_.contains(v);
+  }
+
+  /// The r-th alive id in ascending order, in O(log n). r must be
+  /// < num_alive().
+  NodeId kth_alive(std::size_t r) const { return alive_.kth(r); }
+
+  /// The alive ids; range-for over it visits them in ascending order.
+  const AliveSet& alive_set() const { return alive_; }
 
   /// Packed sorted neighbors of v (empty for dead nodes).
   std::span<const NodeId> neighbors(NodeId v) const {
@@ -75,10 +95,6 @@ class FlatView {
   std::size_t num_edge_entries() const { return edge_entries_; }
 
   std::size_t degree(NodeId v) const { return degrees_[v]; }
-
-  /// Alive node ids, ascending -- cached at refresh, so per-sample
-  /// consumers (the stretch tracker) stop re-allocating the list.
-  const std::vector<NodeId>& alive_nodes() const { return alive_; }
 
   /// Ids alive at the previous sync that the last refresh found dead,
   /// ascending, when that refresh was a patch; empty when the patch had
@@ -108,15 +124,13 @@ class FlatView {
   std::vector<std::uint32_t> degrees_;
   std::vector<NodeId> edges_;  ///< slab mirror (gaps where blocks are free)
   std::size_t edge_entries_ = 0;  ///< 2m, maintained incrementally
-  std::vector<NodeId> alive_;     ///< alive ids, ascending
+  AliveSet alive_;
 
   // Patch scratch (persisted so warm refreshes allocate nothing).
   std::vector<std::uint64_t> stamp_;
   std::uint64_t stamp_epoch_ = 0;
   std::vector<NodeId> touched_scratch_;
   std::vector<NodeId> died_;
-  std::vector<NodeId> born_scratch_;
-  std::vector<NodeId> alive_scratch_;
 
   std::size_t full_rebuilds_ = 0;
   std::size_t patched_refreshes_ = 0;

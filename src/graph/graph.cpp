@@ -19,14 +19,8 @@ Graph::Graph(std::size_t n)
     : offset_(n, 0),
       degree_(n, 0),
       capacity_(n, 0),
-      alive_words_(std::bit_ceil(std::max<std::size_t>(1, (n + 63) / 64)),
-                   0),
-      alive_count_(n),
-      uid_(next_uid()) {
-  for (std::size_t w = 0; w < n / 64; ++w) alive_words_[w] = ~std::uint64_t{0};
-  if (n % 64 != 0) alive_words_[n / 64] = (std::uint64_t{1} << (n % 64)) - 1;
-  build_alive_fenwick();
-}
+      alive_(n),
+      uid_(next_uid()) {}
 
 Graph::Graph(const Graph& other)
     : offset_(other.offset_),
@@ -35,9 +29,7 @@ Graph::Graph(const Graph& other)
       slab_(other.slab_),
       free_lists_(other.free_lists_),
       free_entries_(other.free_entries_),
-      alive_words_(other.alive_words_),
-      alive_fenwick_(other.alive_fenwick_),
-      alive_count_(other.alive_count_),
+      alive_(other.alive_),
       edge_count_(other.edge_count_),
       generation_(other.generation_),
       uid_(next_uid()),
@@ -69,76 +61,16 @@ void Graph::touch(NodeId v) {
   touched_.push_back(v);
 }
 
-void Graph::set_alive(NodeId v, bool alive) {
-  alive_words_[v >> 6] ^= std::uint64_t{1} << (v & 63);
-  const std::size_t cap = alive_words_.size();
-  for (std::size_t i = (v >> 6) + 1; i <= cap; i += i & -i) {
-    if (alive) {
-      ++alive_fenwick_[i];
-    } else {
-      --alive_fenwick_[i];
-    }
-  }
-}
-
-void Graph::build_alive_fenwick() {
-  // Linear build: each entry pushes its finished sum to its parent. The
-  // pushes run up to the capacity, not the last populated word, so the
-  // entries covering empty words still carry their left siblings' sums.
-  const std::size_t cap = alive_words_.size();
-  alive_fenwick_.assign(cap + 1, 0);
-  for (std::size_t i = 1; i <= cap; ++i) {
-    alive_fenwick_[i] +=
-        static_cast<std::uint32_t>(std::popcount(alive_words_[i - 1]));
-    const std::size_t parent = i + (i & -i);
-    if (parent <= cap) alive_fenwick_[parent] += alive_fenwick_[i];
-  }
-}
-
 NodeId Graph::add_node() {
   const NodeId v = static_cast<NodeId>(degree_.size());
   offset_.push_back(0);
   degree_.push_back(0);
   capacity_.push_back(0);
-  if ((v >> 6) >= alive_words_.size()) {
-    // Double the capacity (from one word in a moved-from graph).
-    alive_words_.resize(std::max<std::size_t>(1, 2 * alive_words_.size()), 0);
-    build_alive_fenwick();
-  }
-  set_alive(v, true);
-  ++alive_count_;
+  alive_.grow(degree_.size());
+  alive_.insert(v);
   ++generation_;
   touch(v);
   return v;
-}
-
-NodeId Graph::kth_alive(std::size_t r) const {
-  DASH_CHECK_MSG(r < alive_count_, "alive rank out of range");
-  // Fenwick descent to the word holding the r-th alive bit; the
-  // capacity is a power of two, so the step halves from it.
-  const std::size_t cap = alive_words_.size();
-  std::size_t word = 0;
-  for (std::size_t step = cap; step != 0; step >>= 1) {
-    if (word + step <= cap && alive_fenwick_[word + step] <= r) {
-      word += step;
-      r -= alive_fenwick_[word];
-    }
-  }
-  // Select the r-th set bit inside the word by halving on popcounts.
-  std::uint64_t bits = alive_words_[word];
-  unsigned pos = 0;
-  for (unsigned width = 32; width != 0; width >>= 1) {
-    const std::uint64_t low = bits & ((std::uint64_t{1} << width) - 1);
-    const auto in_low = static_cast<std::size_t>(std::popcount(low));
-    if (r >= in_low) {
-      r -= in_low;
-      bits >>= width;
-      pos += width;
-    } else {
-      bits = low;
-    }
-  }
-  return static_cast<NodeId>(word * 64 + pos);
 }
 
 std::uint32_t Graph::alloc_block(std::uint32_t cap) {
@@ -260,8 +192,7 @@ std::vector<NodeId> Graph::delete_node(NodeId v) {
   }
   degree_[v] = 0;
   edge_count_ -= former_neighbors.size();
-  set_alive(v, false);
-  --alive_count_;
+  alive_.erase(v);
   ++generation_;
   touch(v);
   return former_neighbors;
@@ -333,12 +264,8 @@ void Graph::sync_degree_tree() const {
 
 std::vector<NodeId> Graph::alive_nodes() const {
   std::vector<NodeId> out;
-  out.reserve(alive_count_);
-  for (std::size_t w = 0; w < alive_words_.size(); ++w) {
-    for (std::uint64_t bits = alive_words_[w]; bits != 0; bits &= bits - 1) {
-      out.push_back(static_cast<NodeId>(w * 64 + std::countr_zero(bits)));
-    }
-  }
+  out.reserve(alive_.size());
+  for (const NodeId v : alive_) out.push_back(v);
   return out;
 }
 

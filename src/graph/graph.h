@@ -31,10 +31,10 @@
 // position fell behind the compacted prefix simply rebuilds in full.
 //
 // Two indexes keep per-event queries independent of the id space:
-//   * alive set: 64-bit alive words plus a Fenwick tree over their
-//     popcounts, kept by add_node/delete_node, so kth_alive(r) -- the
-//     r-th alive id in ascending order -- is O(log n) and a uniform
-//     alive draw never materializes the alive list;
+//   * alive set: an AliveSet (graph/alive_set.h) of rank/select words,
+//     kept by add_node/delete_node, so kth_alive(r) -- the r-th alive
+//     id in ascending order -- is O(log n) and a uniform alive draw
+//     never materializes the alive list; flat_view() copies it;
 //   * max degree: a tournament tree over ids keyed on (degree, -id),
 //     synced lazily from the touched log like flat_view(), so only
 //     callers of argmax_degree() pay for it.
@@ -45,6 +45,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/alive_set.h"
 #include "graph/flat_view.h"
 #include "graph/types.h"
 
@@ -67,18 +68,18 @@ class Graph {
   /// Number of node ids ever allocated (alive + deleted).
   std::size_t num_nodes() const { return degree_.size(); }
   /// Number of currently alive nodes.
-  std::size_t num_alive() const { return alive_count_; }
+  std::size_t num_alive() const { return alive_.size(); }
   /// Number of edges between alive nodes.
   std::size_t num_edges() const { return edge_count_; }
 
   /// False for deleted ids and for ids never allocated.
   bool alive(NodeId v) const {
-    return v < degree_.size() && ((alive_words_[v >> 6] >> (v & 63)) & 1);
+    return v < degree_.size() && alive_.contains(v);
   }
 
   /// The r-th alive id in ascending order, i.e. alive_nodes()[r], in
   /// O(log n). r must be < num_alive().
-  NodeId kth_alive(std::size_t r) const;
+  NodeId kth_alive(std::size_t r) const { return alive_.kth(r); }
 
   /// Alive id of maximum degree, lowest id on ties; kInvalidNode when
   /// no node is alive. O(log n) per vertex touched since the last call.
@@ -121,9 +122,10 @@ class Graph {
   /// node) use this to skip incremental block doubling.
   void reserve_neighbors(NodeId v, std::size_t expected);
 
-  /// All alive node ids, ascending. Allocates per call; traversal-heavy
-  /// readers should use flat_view().alive_nodes() instead, and uniform
-  /// draws graph::sample_alive (graph/sample.h).
+  /// All alive node ids, ascending. Allocates per call; sweeps should
+  /// iterate flat_view().alive_set() instead, rank lookups use
+  /// kth_alive(), and uniform draws graph::sample_alive
+  /// (graph/sample.h).
   std::vector<NodeId> alive_nodes() const;
 
   /// Monotone mutation counter: bumped by every topology change (node
@@ -171,11 +173,6 @@ class Graph {
 
   void check_alive(NodeId v) const;
   void touch(NodeId v);
-  /// Flip v's alive bit (which must differ from `alive`) and its
-  /// word's Fenwick count.
-  void set_alive(NodeId v, bool alive);
-  /// Rebuild the Fenwick tree from the alive words in O(words).
-  void build_alive_fenwick();
   /// Bring the max-degree tree up to date with the touched log.
   void sync_degree_tree() const;
   /// Pop a block of `cap` (power of two) entries from the free list or
@@ -202,13 +199,8 @@ class Graph {
   std::vector<std::vector<std::uint32_t>> free_lists_;
   std::size_t free_entries_ = 0;
 
-  /// Alive bit per id, 64 ids per word. The word count is a power of
-  /// two (the Fenwick capacity); bits past num_nodes() stay clear.
-  std::vector<std::uint64_t> alive_words_;
-  /// 1-based Fenwick tree over the words' popcounts, one entry per
-  /// word of capacity (entry 0 unused).
-  std::vector<std::uint32_t> alive_fenwick_;
-  std::size_t alive_count_ = 0;
+  /// Alive ids; bits past num_nodes() stay clear.
+  AliveSet alive_;
   std::size_t edge_count_ = 0;
   std::uint64_t generation_ = 0;
   std::uint64_t uid_ = 0;

@@ -14,8 +14,11 @@ namespace dash::graph {
 /// alive set exactly.
 void write_edge_list(std::ostream& out, const Graph& g);
 
-/// Inverse of write_edge_list. Throws std::runtime_error on malformed
-/// input (negative ids, out-of-range endpoints, missing header).
+/// Inverse of write_edge_list. Throws std::runtime_error naming the
+/// line on malformed input: a missing header, a node count that does
+/// not fit NodeId (checked before anything is allocated), a field that
+/// is not an unsigned decimal or is out of range, a self-loop, a dead
+/// id listed twice, or anything after a line's fields.
 Graph read_edge_list(std::istream& in);
 
 }  // namespace dash::graph

@@ -28,11 +28,6 @@ namespace dash::graph {
 // loses the race against a concurrent publish simply retries (its
 // validation "S->epoch == e" fails because S is newer).
 
-bool Snapshot::alive(NodeId v) const {
-  const std::vector<NodeId>& ids = view_.alive_nodes();
-  return std::binary_search(ids.begin(), ids.end(), v);
-}
-
 std::optional<std::uint32_t> Snapshot::distance(
     NodeId u, NodeId v, TraversalScratch& scratch) const {
   if (!alive(u) || !alive(v)) return std::nullopt;

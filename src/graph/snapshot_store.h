@@ -77,11 +77,11 @@ class Snapshot {
     return l == kInvalidComponent ? 0 : comps_.sizes[l];
   }
 
-  /// True when v is alive in this snapshot. Binary search over the
-  /// ascending alive list -- deliberately independent of the component
-  /// labels, so label-based and BFS-based answers cross-check each
-  /// other (the serve bench's torn-read detector).
-  bool alive(NodeId v) const;
+  /// True when v is alive in this snapshot; false past its id range.
+  /// One bit test on the view's alive set -- deliberately independent
+  /// of the component labels, so label-based and BFS-based answers
+  /// cross-check each other (the serve bench's torn-read detector).
+  bool alive(NodeId v) const { return view_.alive(v); }
 
   /// Same component in this snapshot? O(1) via the labels; false when
   /// either endpoint is dead or out of the snapshot's id range.

@@ -112,7 +112,7 @@ std::size_t bfs_distances(const FlatView& view, NodeId src,
             if (stamp[u] != epoch && !probe(u)) pool[kept++] = u;
           }
         } else {
-          for (NodeId u : view.alive_nodes()) {
+          for (NodeId u : view.alive_set()) {
             if (stamp[u] == epoch) continue;
             if (!probe(u)) pool[kept++] = u;
           }
@@ -159,7 +159,7 @@ std::size_t bfs_distances(const FlatView& view, NodeId src,
 bool is_connected(const FlatView& view, TraversalScratch& scratch) {
   const std::size_t alive = view.num_alive();
   if (alive <= 1) return true;
-  return bfs_distances(view, view.alive_nodes().front(), scratch) == alive;
+  return bfs_distances(view, view.kth_alive(0), scratch) == alive;
 }
 
 std::size_t Components::largest() const {
@@ -174,7 +174,7 @@ void connected_components(const FlatView& view, TraversalScratch& scratch,
   out.sizes.clear();
   scratch.begin(n);  // only the frontier buffer is used here
   auto* queue = scratch.frontier_.data();
-  for (NodeId root : view.alive_nodes()) {
+  for (NodeId root : view.alive_set()) {
     if (out.label[root] != kInvalidComponent) continue;
     const auto comp = static_cast<std::uint32_t>(out.sizes.size());
     std::size_t head = 0;
@@ -317,7 +317,7 @@ std::uint32_t diameter(const Graph& g) {
   TraversalScratch& scratch = local_scratch();
   if (!is_connected(view, scratch)) return kUnreachable;
   std::uint32_t diam = 0;
-  for (NodeId v : view.alive_nodes()) {
+  for (NodeId v : view.alive_set()) {
     diam = std::max(diam, eccentricity(view, v, scratch));
   }
   return diam;
@@ -328,7 +328,7 @@ std::vector<std::uint32_t> all_pairs_distances(const Graph& g) {
   const FlatView& view = g.flat_view();
   TraversalScratch& scratch = local_scratch();
   std::vector<std::uint32_t> mat(n * n, kUnreachable);
-  for (NodeId v : view.alive_nodes()) {
+  for (NodeId v : view.alive_set()) {
     bfs_distances(view, v, scratch);
     auto* row = mat.data() + static_cast<std::size_t>(v) * n;
     for (NodeId u : scratch.visited()) row[u] = scratch.distance(u);

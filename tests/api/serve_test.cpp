@@ -92,12 +92,12 @@ TEST(Serve, QueriesDuringPlayOnBackgroundThread) {
     Rng pick(11);
     while (!stop.load(std::memory_order_relaxed)) {
       ServePin pin = reader.pin();
-      const auto& alive = pin.snapshot().view().alive_nodes();
-      if (alive.size() < 2) continue;
-      const graph::NodeId u =
-          alive[static_cast<std::size_t>(pick.below(alive.size()))];
-      const graph::NodeId v =
-          alive[static_cast<std::size_t>(pick.below(alive.size()))];
+      const graph::FlatView& view = pin.snapshot().view();
+      if (view.num_alive() < 2) continue;
+      const graph::NodeId u = view.kth_alive(
+          static_cast<std::size_t>(pick.below(view.num_alive())));
+      const graph::NodeId v = view.kth_alive(
+          static_cast<std::size_t>(pick.below(view.num_alive())));
       if (pin.connected(u, v) != pin.distance(u, v).has_value()) {
         torn.fetch_add(1);
       }
@@ -162,14 +162,14 @@ TEST(Serve, NestedParallelForOverServeReads) {
     pool.parallel_for(4, [&](std::size_t inner) {
       ServeReader reader = serve.reader();
       ServePin pin = reader.pin();
-      const auto& alive = pin.snapshot().view().alive_nodes();
-      if (alive.size() < 2) return;
+      const graph::FlatView& view = pin.snapshot().view();
+      if (view.num_alive() < 2) return;
       Rng pick(100 + outer * 8 + inner);
       for (int q = 0; q < 20; ++q) {
-        const graph::NodeId u =
-            alive[static_cast<std::size_t>(pick.below(alive.size()))];
-        const graph::NodeId v =
-            alive[static_cast<std::size_t>(pick.below(alive.size()))];
+        const graph::NodeId u = view.kth_alive(
+            static_cast<std::size_t>(pick.below(view.num_alive())));
+        const graph::NodeId v = view.kth_alive(
+            static_cast<std::size_t>(pick.below(view.num_alive())));
         if (pin.connected(u, v) != pin.distance(u, v).has_value()) {
           torn.fetch_add(1);
         }

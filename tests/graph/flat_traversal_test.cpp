@@ -94,7 +94,9 @@ TEST(FlatView, MirrorsAdjacencyAndAliveSet) {
   const FlatView& view = g.flat_view();
   EXPECT_EQ(view.num_nodes(), g.num_nodes());
   EXPECT_EQ(view.num_alive(), g.num_alive());
-  EXPECT_EQ(view.alive_nodes(), g.alive_nodes());
+  std::vector<NodeId> listed;
+  for (NodeId v : view.alive_set()) listed.push_back(v);
+  EXPECT_EQ(listed, g.alive_nodes());
   EXPECT_EQ(view.num_edge_entries(), 2 * g.num_edges());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (!g.alive(v)) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -53,6 +54,52 @@ TEST(Io, MalformedInputThrows) {
     std::istringstream in("");  // missing header
     EXPECT_THROW(read_edge_list(in), std::runtime_error);
   }
+  // Each rejected input names its line and what is wrong with it.
+  const auto error_of = [](const std::string& text) -> std::string {
+    std::istringstream in(text);
+    try {
+      (void)read_edge_list(in);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "(no error)";
+  };
+  const struct {
+    const char* text;
+    const char* message;
+  } cases[] = {
+      // A dead id listed twice (was a DASH_CHECK abort in delete_node).
+      {"3\n! 1\n! 1\n", "line 3: dead node 1 is listed twice"},
+      // Bytes after a line's fields (the 7 used to be dropped).
+      {"3\n0 1 7\n", "line 2: edge line has bytes after its fields"},
+      {"3\n! 1 2\n", "line 2: dead-node line has bytes after its fields"},
+      {"3 4\n", "line 1: node-count header has bytes after its fields"},
+      {"3\n0 1x\n", "line 2: edge line value '1x' is malformed"},
+      // Node counts that do not fit NodeId fail before allocating (a
+      // 2^32 header was a std::bad_alloc).
+      {"4294967296\n", "line 1: node-count header value '4294967296'"},
+      {"4294967295\n", "line 1: node-count header value '4294967295'"},
+      {"99999999999999999999999\n", "line 1: node-count header value"},
+      {"-3\n", "line 1: node-count header value '-3'"},
+      {"# c\n3\n0 -1\n", "line 3: edge line value '-1'"},
+      {"3\n0 3\n", "line 2: edge line value '3' is malformed or out of range"},
+      {"3\n! 3\n", "line 2: dead-node line value '3'"},
+      {"3\n!\n", "line 2: dead-node line is truncated"},
+      {"3\n0\n", "line 2: edge line is truncated"},
+      {"3\n2 2\n", "line 2: edge line is a self-loop"},
+  };
+  for (const auto& c : cases) {
+    const std::string got = error_of(c.text);
+    EXPECT_NE(got.find(c.message), std::string::npos)
+        << "input: " << c.text << "error: " << got;
+    EXPECT_EQ(got.rfind("edge list: ", 0), 0u) << got;
+  }
+  // Other spellings the old reader took still load: "!v" without the
+  // blank, blank runs and tabs between fields, and CRLF line ends.
+  std::istringstream ok("3\r\n!2\n0\t 1 \r\n");
+  const Graph g = read_edge_list(ok);
+  EXPECT_EQ(g.num_alive(), 2u);
+  EXPECT_TRUE(g.has_edge(0, 1));
 }
 
 TEST(Metrics, MaxAndArgmaxDegree) {

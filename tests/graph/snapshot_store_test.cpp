@@ -130,12 +130,12 @@ TEST(SnapshotStore, ConcurrentPublishAndReadStress) {
           Rng pick(1000 + static_cast<std::uint64_t>(r));
           while (!stop.load(std::memory_order_relaxed)) {
             SnapshotStore::Pin pin = reader.pin();
-            const auto& alive = pin->view().alive_nodes();
-            if (alive.size() < 2) continue;
-            const NodeId u =
-                alive[static_cast<std::size_t>(pick.below(alive.size()))];
-            const NodeId v =
-                alive[static_cast<std::size_t>(pick.below(alive.size()))];
+            const FlatView& view = pin->view();
+            if (view.num_alive() < 2) continue;
+            const NodeId u = view.kth_alive(
+                static_cast<std::size_t>(pick.below(view.num_alive())));
+            const NodeId v = view.kth_alive(
+                static_cast<std::size_t>(pick.below(view.num_alive())));
             const bool conn = pin->connected(u, v);
             const bool reach = pin->distance(u, v, scratch).has_value();
             if (conn != reach) torn.fetch_add(1);

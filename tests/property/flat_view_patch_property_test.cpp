@@ -2,10 +2,13 @@
 // rebuilds: same alive set, same degrees, same packed neighbor bytes at
 // the same offsets, same edge-entry count -- across every scenario
 // phase type, under sequential and pooled suites, across touched-log
-// compaction (epoch wrap) and slab-block recycling.
+// compaction (epoch wrap), slab-block recycling, and recycled snapshots
+// whose alive set grows across a word-capacity doubling inside a patch.
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "graph/flat_view.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/snapshot_store.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -24,16 +28,30 @@ namespace dash::graph {
 namespace {
 
 /// Compare an incrementally refreshed view against a from-scratch
-/// rebuild of the same graph. Live content must match exactly (the
-/// mirrors share the slab layout, so matching spans are matching
-/// bytes); gap regions behind freed blocks are unobservable.
+/// rebuild of the same graph and against the graph itself. Live content
+/// must match exactly (the mirrors share the slab layout, so matching
+/// spans are matching bytes); gap regions behind freed blocks are
+/// unobservable. The alive set must agree on every id's membership
+/// (and on one id past the end), on every rank, and in ascending order.
 void expect_patched_equals_full(const FlatView& patched, const Graph& g) {
   FlatView full;
   full.rebuild(g);
   ASSERT_EQ(patched.num_nodes(), full.num_nodes());
   ASSERT_EQ(patched.num_alive(), full.num_alive());
+  ASSERT_EQ(patched.num_alive(), g.num_alive());
   ASSERT_EQ(patched.num_edge_entries(), full.num_edge_entries());
-  ASSERT_EQ(patched.alive_nodes(), full.alive_nodes());
+  for (NodeId v = 0; v <= full.num_nodes(); ++v) {
+    ASSERT_EQ(patched.alive(v), full.alive(v)) << "node " << v;
+    ASSERT_EQ(patched.alive(v), g.alive(v)) << "node " << v;
+  }
+  const std::vector<NodeId> ascending = g.alive_nodes();
+  std::vector<NodeId> walked;
+  for (const NodeId v : patched.alive_set()) walked.push_back(v);
+  ASSERT_EQ(walked, ascending);
+  for (std::size_t r = 0; r < ascending.size(); ++r) {
+    ASSERT_EQ(patched.kth_alive(r), ascending[r]) << "rank " << r;
+    ASSERT_EQ(full.kth_alive(r), ascending[r]) << "rank " << r;
+  }
   for (NodeId v = 0; v < full.num_nodes(); ++v) {
     ASSERT_EQ(patched.degree(v), full.degree(v)) << "node " << v;
     const auto a = patched.neighbors(v);
@@ -168,6 +186,48 @@ TEST(FlatViewPatch, SurvivesSlabBlockRecycling) {
   }
   EXPECT_GT(g.slab_free_entries(), 0u);
   EXPECT_GT(view.patched_refreshes(), 0u);
+}
+
+TEST(FlatViewPatch, RecycledSnapshotPatchesAcrossCapacityDoublings) {
+  // Joins push the id space past 64 * 2^k (a doubling of the alive
+  // set's word capacity) between publishes while a reader keeps the
+  // previous epoch pinned. The store then recycles a snapshot last
+  // synced several publishes back, whose patch must grow its alive set
+  // (rebuilding the Fenwick tree) before flipping the joined ids in.
+  util::Rng rng(0xD0B1E);
+  Graph g = barabasi_albert(100, 2, rng);
+  SnapshotStore store;
+  SnapshotStore::Reader old_reader = store.make_reader();
+  SnapshotStore::Reader reader = store.make_reader();
+  store.publish(g);
+  std::optional<SnapshotStore::Pin> held;
+  const auto capacity_words = [](std::size_t n) {
+    return std::bit_ceil(std::max<std::size_t>(1, (n + 63) / 64));
+  };
+  std::size_t patched_doublings = 0;
+  while (g.num_nodes() < 600) {
+    held.reset();
+    held.emplace(old_reader.pin());
+    const std::size_t words_before = capacity_words(g.num_nodes());
+    for (int j = 0; j < 7; ++j) {
+      const NodeId v = g.add_node();
+      // Ranks below num_alive() - 1 skip v, the highest alive id.
+      g.add_edge(v, g.kth_alive(static_cast<std::size_t>(
+                        rng.below(g.num_alive() - 1))));
+    }
+    g.delete_node(
+        g.kth_alive(static_cast<std::size_t>(rng.below(g.num_alive()))));
+    const std::size_t patched_before = store.patched_publishes();
+    store.publish(g);
+    const SnapshotStore::Pin pin = reader.pin();
+    expect_patched_equals_full(pin->view(), g);
+    if (capacity_words(g.num_nodes()) != words_before &&
+        store.patched_publishes() > patched_before) {
+      ++patched_doublings;
+    }
+  }
+  EXPECT_GT(store.live_snapshots(), 1u);  // the old epoch stayed pinned
+  EXPECT_EQ(patched_doublings, 3u);       // past 128, 256 and 512 ids
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ class SnapshotChecker final : public Observer {
     // components differ, and dead ids carry no label: together, the
     // same partition.
     std::vector<NodeId> first(fresh.count(), graph::kInvalidNode);
-    for (NodeId u : view.alive_nodes()) {
+    for (NodeId u : view.alive_set()) {
       const std::uint32_t c = fresh.label[u];
       if (first[c] == graph::kInvalidNode) first[c] = u;
       ASSERT_TRUE(snap.connected(first[c], u)) << what << " node " << u;

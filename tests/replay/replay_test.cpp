@@ -180,6 +180,18 @@ std::string replay_error(const Trace& t) {
   return {};
 }
 
+TEST(Replay, CorruptGraphSnapshotThrows) {
+  // The graph snapshot lists node 1 dead twice: the edge-list reader
+  // must name the line (it used to abort inside Graph::delete_node).
+  Trace t = record_and_load(small_config());
+  t.graph_text += "! 1\n! 1\n";
+  const std::string error = replay_error(t);
+  EXPECT_EQ(error.rfind("corrupt graph snapshot: edge list: line ", 0), 0u)
+      << error;
+  EXPECT_NE(error.find("dead node 1 is listed twice"), std::string::npos)
+      << error;
+}
+
 TEST(Replay, CorruptStateSnapshotThrows) {
   const Trace recorded = record_and_load(small_config());
   // Node 0's forest list (empty at time 0) names an id past the 32
