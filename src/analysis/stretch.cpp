@@ -213,12 +213,4 @@ StretchStats StretchTracker::stretch_stats(
   return reduce(partials, alive.size());
 }
 
-double StretchTracker::max_stretch(const Graph& healed) const {
-  return stretch_stats(healed).max;
-}
-
-double StretchTracker::average_stretch(const Graph& healed) const {
-  return stretch_stats(healed).average;
-}
-
 }  // namespace dash::analysis

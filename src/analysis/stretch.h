@@ -54,14 +54,6 @@ class StretchTracker {
   StretchStats stretch_stats(const graph::Graph& healed,
                              dash::util::ThreadPool& pool) const;
 
-  /// Maximum stretch over all alive pairs of `healed`. Returns 0 if
-  /// fewer than 2 alive nodes and +inf if some alive pair is
-  /// disconnected. Thin wrapper over stretch_stats().
-  double max_stretch(const graph::Graph& healed) const;
-
-  /// Average stretch over alive pairs (same conventions).
-  double average_stretch(const graph::Graph& healed) const;
-
   std::uint32_t original_distance(graph::NodeId u, graph::NodeId v) const {
     return original_[u * n_ + v];
   }

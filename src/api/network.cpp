@@ -196,8 +196,11 @@ HealAction Network::remove(NodeId v) {
     for (const auto& [a, b] : action.new_graph_edges) {
       tracker_->edge_added(a, b);
     }
-    tracker_->node_removed(v, ctx.neighbors_g,
-                           !survivors_reconnected(ctx.neighbors_g));
+    const bool may_split =
+        ctx.neighbors_g.size() >= 2 &&
+        (!healer_->reconnects_survivors() ||
+         !survivors_reconnected(ctx.neighbors_g));
+    tracker_->node_removed(v, ctx.neighbors_g, may_split);
   }
 
   ++engine_.deletions;

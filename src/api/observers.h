@@ -113,8 +113,10 @@ struct StretchObserverOptions {
   /// Sample every k-th deletion round (0 is clamped to 1).
   std::size_t sample_every = 1;
   /// Landmark estimation instead of the exact tracker: O(landmarks*n)
-  /// memory in place of O(n^2), one 64-source wave per sample in place
-  /// of APSP -- the only mode that scales to million-node networks.
+  /// memory in place of O(n^2), and in place of APSP one 64-source wave
+  /// per sample that records depths only at the sampled pairs'
+  /// endpoints and stops once they are settled -- the only mode that
+  /// scales to million-node networks.
   /// Samples then report the *upper* bound of the estimator's stretch
   /// interval (the conservative side; the true value is contained).
   bool estimate = false;

@@ -65,14 +65,6 @@ std::int64_t HealingState::raw_degree_increase(const Graph& g,
          static_cast<std::int64_t>(initial_degree_[v]);
 }
 
-std::int32_t HealingState::max_delta_alive(const Graph& g) const {
-  std::int32_t best = 0;
-  for (NodeId v = 0; v < delta_.size(); ++v) {
-    if (g.alive(v)) best = std::max(best, delta_[v]);
-  }
-  return best;
-}
-
 std::uint32_t HealingState::max_id_changes() const {
   std::uint32_t best = 0;
   for (auto c : id_changes_) best = std::max(best, c);

@@ -77,8 +77,6 @@ class HealingState {
   /// equals Graph::num_nodes() of the matching graph.
   std::size_t num_nodes() const { return initial_degree_.size(); }
 
-  /// Max delta over nodes still alive in `g` (at least 0).
-  std::int32_t max_delta_alive(const Graph& g) const;
   /// Max over time and over nodes of delta (the paper's headline
   /// metric: the adversary wins by overloading a node at any point in
   /// time). Never negative (all deltas start at 0).

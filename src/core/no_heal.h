@@ -11,6 +11,7 @@ namespace dash::core {
 class NoHealStrategy final : public HealingStrategy {
  public:
   std::string name() const override { return "NoHeal"; }
+  bool reconnects_survivors() const override { return false; }
   HealAction heal(Graph& g, HealingState& state,
                   const DeletionContext& ctx) override;
   std::unique_ptr<HealingStrategy> clone() const override {

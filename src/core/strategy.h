@@ -43,6 +43,12 @@ class HealingStrategy {
   /// GraphHeal does not. Invariant checks consult this.
   virtual bool maintains_forest() const { return true; }
 
+  /// Every strategy but NoHeal leaves a deletion's surviving neighbors
+  /// connected. Only then does a shared healing-forest component id
+  /// certify that the deletion split nothing: NoHeal keeps the ids that
+  /// earlier batch heals merged while it breaks their trees apart.
+  virtual bool reconnects_survivors() const { return true; }
+
   virtual std::unique_ptr<HealingStrategy> clone() const = 0;
 };
 

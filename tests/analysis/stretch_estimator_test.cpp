@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -111,14 +112,18 @@ TEST(StretchEstimator, PairsInvolvingLandmarksAreExact) {
   Graph g = graph::random_tree(64, rng);
   const StretchTracker tracker(g);
   StretchEstimator estimator(g, {.landmarks = 4, .pairs = 8, .seed = 7});
-  estimator.sample_wave(g);  // healed == original: stretch 1 everywhere
+  std::vector<std::pair<NodeId, NodeId>> pairs;
   for (const NodeId lm : estimator.landmarks()) {
     for (NodeId v = 0; v < 64; v += 9) {
-      if (v == lm) continue;
-      const PairBound b = estimator.bound_pair(lm, v);
-      EXPECT_DOUBLE_EQ(b.lower, 1.0);
-      EXPECT_DOUBLE_EQ(b.upper, 1.0);
+      if (v != lm) pairs.emplace_back(lm, v);
     }
+  }
+  // healed == original: stretch 1 everywhere
+  const std::vector<PairBound> bounds = estimator.bound_pairs(g, pairs);
+  ASSERT_EQ(bounds.size(), pairs.size());
+  for (const PairBound& b : bounds) {
+    EXPECT_DOUBLE_EQ(b.lower, 1.0);
+    EXPECT_DOUBLE_EQ(b.upper, 1.0);
   }
 }
 
@@ -129,8 +134,8 @@ TEST(StretchEstimator, DetectsDisconnection) {
   Graph g = graph::path_graph(9);
   StretchEstimator estimator(g, {.landmarks = 3, .pairs = 16, .seed = 1});
   g.delete_node(4);
-  estimator.sample_wave(g);
-  const PairBound b = estimator.bound_pair(0, 8);
+  const std::pair<NodeId, NodeId> cross{0, 8};
+  const PairBound b = estimator.bound_pairs(g, {&cross, 1}).front();
   EXPECT_TRUE(b.disconnected);
   EXPECT_TRUE(std::isinf(b.lower));
   EXPECT_TRUE(std::isinf(b.upper));

@@ -163,7 +163,9 @@ INSTANTIATE_TEST_SUITE_P(
         "targeted:maxnodex30",                       // targeted
         "until:10,random",                           // until
         "repeat:3{strike:randomx5;churn:0.3,0.2x10}",  // repeat (nested)
-        "floor:16;targeted:maxnode"),                // floor
+        "floor:16;targeted:maxnode",                 // floor
+        // batch heals merge ids that later unhealed strikes split
+        "batch:3,hubsx8;strike:randomx30"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;
       for (char& c : name) {
