@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
+#include <span>
 
 #include "graph/dynamic_connectivity.h"
 #include "graph/traversal.h"
@@ -65,21 +65,88 @@ Check HealingForestWalk::check(const Graph& g, const HealingState& state,
     epoch_ = 1;
   }
 
-  // Each property's first failure; per-node ones keep the lowest node.
-  Check ids, edges, deltas, rems;
-  NodeId edge_at = graph::kInvalidNode;
-  NodeId delta_at = graph::kInvalidNode;
-  NodeId rem_at = graph::kInvalidNode;
+  // Each property's first failure, kept as a node: the lowest failing
+  // one, or for the ids the root of the first failing tree. The
+  // violation strings are built once, after the walk.
+  constexpr NodeId kNone = graph::kInvalidNode;
+  NodeId ids_at = kNone;
+  bool ids_mixed = false;
+  NodeId edge_at = kNone;
+  NodeId delta_at = kNone;
+  NodeId rem_at = kNone;
+  bool rem_cyclic = false;
+  double rem_value = 0.0;
+  double rem_bound = 0.0;
 
-  for (NodeId root = 0; root < n; ++root) {
-    if (!g.alive(root) || seen_[root] == epoch_) continue;
+  auto drifts = [&](NodeId v) {
+    return state.delta(v) != state.raw_degree_increase(g, v);
+  };
+  // Trees come in ascending root order: the first failing one is the
+  // one a per-root scan names.
+  auto claim_id = [&](NodeId root, std::uint64_t id, bool mixed) {
+    if (ids_at != kNone) return;
+    if (mixed) {
+      ids_at = root;
+      ids_mixed = true;
+      return;
+    }
+    DASH_CHECK_MSG(id < n, "component id out of range");
+    if (id_seen_[id] == epoch_) ids_at = root;
+    id_seen_[id] = epoch_;
+  };
+  auto check_rem = [&](NodeId v, std::uint64_t rem_weight) {
+    const auto rem = static_cast<double>(rem_weight);
+    const double bound = std::exp2(static_cast<double>(state.delta(v)) / 2.0);
+    if (rem + 1e-9 < bound) {
+      rem_at = v;
+      rem_value = rem;
+      rem_bound = bound;
+    }
+  };
+  // E' subset of E, one probe per undirected E' edge {v, u}, taken from
+  // v < u: E' is symmetric, so u's list names v too. Its lowest failing
+  // endpoint is v when v is alive, else u. Adjacency is symmetric, so
+  // the probe searches the shorter of the two sorted blocks.
+  auto probe_edge = [&](NodeId v, std::span<const NodeId> v_block,
+                        bool v_alive, NodeId u) {
+    const bool u_alive = g.alive(u);
+    if (!v_alive) {
+      if (u_alive && u < edge_at) edge_at = u;
+      return;
+    }
+    if (v >= edge_at) return;
+    if (!u_alive) {
+      edge_at = v;
+      return;
+    }
+    std::span<const NodeId> block = v_block;
+    NodeId other = u;
+    const std::span<const NodeId> u_block = g.neighbors(u);
+    if (u_block.size() < block.size()) {
+      block = u_block;
+      other = v;
+    }
+    if (!std::binary_search(block.begin(), block.end(), other)) edge_at = v;
+  };
+
+  for (const NodeId root : g.alive_set()) {
+    if (seen_[root] == epoch_) continue;
+    const std::uint64_t id = state.component_id(root);
+    if (state.forest_neighbors(root).empty()) {
+      // A G'-singleton: no edge to walk or probe, and rem = w(root).
+      if (root < delta_at && drifts(root)) delta_at = root;
+      claim_id(root, id, false);
+      if (opts.check_rem_bound && root < rem_at) {
+        check_rem(root, state.weight(root));
+      }
+      continue;
+    }
     // BFS from the tree's lowest alive id. A dead id that E' still
     // names is walked like any node; only its per-node checks are
     // skipped. The root is its own parent (E' has no self-loops).
     queue_.assign(1, root);
     parent_.assign(1, 0);
     seen_[root] = epoch_;
-    const std::uint64_t id = state.component_id(root);
     bool mixed = false;
     bool cyclic = false;
     for (std::size_t i = 0; i < queue_.size(); ++i) {
@@ -87,12 +154,10 @@ Check HealingForestWalk::check(const Graph& g, const HealingState& state,
       const NodeId parent = queue_[parent_[i]];
       const bool v_alive = g.alive(v);
       mixed |= state.component_id(v) != id;
-      for (NodeId u : state.forest_neighbors(v)) {
-        if (v_alive && v < edge_at && (!g.alive(u) || !g.has_edge(v, u))) {
-          edge_at = v;
-          edges = Check::fail("healing edge {" + std::to_string(v) + "," +
-                              std::to_string(u) + "} is not in the network");
-        }
+      const std::span<const NodeId> v_block =
+          v_alive ? g.neighbors(v) : std::span<const NodeId>{};
+      for (const NodeId u : state.forest_neighbors(v)) {
+        if (v < u) probe_edge(v, v_block, v_alive, u);
         if (u == parent) continue;
         if (seen_[u] == epoch_) {
           cyclic = true;
@@ -102,37 +167,17 @@ Check HealingForestWalk::check(const Graph& g, const HealingState& state,
         queue_.push_back(u);
         parent_.push_back(static_cast<std::uint32_t>(i));
       }
-      if (v_alive && v < delta_at &&
-          state.delta(v) != state.raw_degree_increase(g, v)) {
-        delta_at = v;
-        deltas = Check::fail(
-            "delta(" + std::to_string(v) + ")=" +
-            std::to_string(state.delta(v)) + " != deg_now - deg_init = " +
-            std::to_string(state.raw_degree_increase(g, v)));
-      }
+      if (v_alive && v < delta_at && drifts(v)) delta_at = v;
     }
     if (cyclic && opts.require_forest) {
       return Check::fail("healing graph G' contains a cycle");
     }
-    // Trees come in ascending root order: the first failing one is the
-    // one a per-root scan names.
-    if (ids.ok && mixed) {
-      ids = Check::fail("component of node " + std::to_string(root) +
-                        " has mixed ids");
-    } else if (ids.ok) {
-      DASH_CHECK_MSG(id < n, "component id out of range");
-      if (id_seen_[id] == epoch_) {
-        ids = Check::fail("component id " + std::to_string(id) +
-                          " appears in two distinct G'-components");
-      }
-      id_seen_[id] = epoch_;
-    }
+    claim_id(root, id, mixed);
 
     if (!opts.check_rem_bound || root >= rem_at) continue;
     if (cyclic) {
       rem_at = root;
-      rems = Check::fail("rem(" + std::to_string(root) +
-                         ") undefined: its G'-tree contains a cycle");
+      rem_cyclic = true;
       continue;
     }
     // rem(v) = W(T) minus the heaviest side of T once v is cut out: a
@@ -152,21 +197,44 @@ Check HealingForestWalk::check(const Graph& g, const HealingState& state,
       const NodeId v = queue_[i];
       if (v >= rem_at || !g.alive(v)) continue;
       const std::uint64_t above = i == 0 ? 0 : subtree_[0] - subtree_[i];
-      const auto rem = static_cast<double>(
-          subtree_[0] - std::max(heaviest_[i], above));
-      const double bound =
-          std::exp2(static_cast<double>(state.delta(v)) / 2.0);
-      if (rem + 1e-9 < bound) {
-        rem_at = v;
-        rems = Check::fail("rem(" + std::to_string(v) + ")=" +
-                           std::to_string(rem) + " < 2^(delta/2)=" +
-                           std::to_string(bound) + " with delta=" +
-                           std::to_string(state.delta(v)));
-      }
+      check_rem(v, subtree_[0] - std::max(heaviest_[i], above));
     }
   }
-  for (Check* c : {&ids, &edges, &deltas, &rems}) {
-    if (!c->ok) return std::move(*c);
+
+  if (ids_at != kNone) {
+    if (ids_mixed) {
+      return Check::fail("component of node " + std::to_string(ids_at) +
+                         " has mixed ids");
+    }
+    return Check::fail("component id " +
+                       std::to_string(state.component_id(ids_at)) +
+                       " appears in two distinct G'-components");
+  }
+  if (edge_at != kNone) {
+    // Named by the first failing entry of the node's own list.
+    for (const NodeId u : state.forest_neighbors(edge_at)) {
+      if (!g.alive(u) || !g.has_edge(edge_at, u)) {
+        return Check::fail("healing edge {" + std::to_string(edge_at) + "," +
+                           std::to_string(u) + "} is not in the network");
+      }
+    }
+    DASH_CHECK_MSG(false, "E' is not symmetric");
+  }
+  if (delta_at != kNone) {
+    return Check::fail("delta(" + std::to_string(delta_at) + ")=" +
+                       std::to_string(state.delta(delta_at)) +
+                       " != deg_now - deg_init = " +
+                       std::to_string(state.raw_degree_increase(g, delta_at)));
+  }
+  if (rem_at != kNone) {
+    if (rem_cyclic) {
+      return Check::fail("rem(" + std::to_string(rem_at) +
+                         ") undefined: its G'-tree contains a cycle");
+    }
+    return Check::fail("rem(" + std::to_string(rem_at) + ")=" +
+                       std::to_string(rem_value) + " < 2^(delta/2)=" +
+                       std::to_string(rem_bound) + " with delta=" +
+                       std::to_string(state.delta(rem_at)));
   }
   return Check::pass();
 }

@@ -57,9 +57,11 @@ struct ForestWalkOptions {
 };
 
 /// The healing-forest properties, checked in one walk of G' that
-/// visits each alive node and each E' entry once (O(n + |E'|), plus an
-/// O(log deg) adjacency probe per entry). check() reports the first
-/// failing property in this order:
+/// visits each alive node and each E' entry once (O(n + |E'|), plus one
+/// O(log deg) adjacency probe per undirected E' edge, in the sorted
+/// block of its lower-degree endpoint). Roots come from the graph's
+/// alive words, and a G'-singleton is settled without a BFS.
+/// check() reports the first failing property in this order:
 ///   1. G' is a forest (only with require_forest);
 ///   2. component ids are uniform inside each G'-tree and distinct
 ///      across trees (what makes UN(v,G) well defined);
@@ -70,10 +72,11 @@ struct ForestWalkOptions {
 ///      which fails as "rem(<root>) undefined: ...".
 /// Trees are walked from their lowest alive id in ascending order, and
 /// within a property the node named is the lowest failing one, as an
-/// ascending scan per property would name it. E' must be a simple
-/// symmetric adjacency over the graph's ids, which HealingState keeps
-/// and HealingState::load enforces. The scratch (epoch-stamped marks,
-/// a flat BFS queue) is reused across calls by one thread at a time.
+/// ascending scan per property would name it; an E' edge failure names
+/// that node's first failing entry. E' must be a simple symmetric
+/// adjacency over the graph's ids, which HealingState keeps and
+/// HealingState::load enforces. The work buffers (epoch-stamped marks,
+/// a flat BFS queue) are reused across calls by one thread at a time.
 class HealingForestWalk {
  public:
   Check check(const Graph& g, const HealingState& state,

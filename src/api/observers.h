@@ -53,9 +53,10 @@ struct InvariantOptions {
 /// battery is the round's locality check, one O(n + |E'|) walk of G'
 /// (analysis::HealingForestWalk, whose scratch this observer keeps)
 /// and the O(1) delta bound. Measured on BA(n, 2) after n/2
-/// neighborofmax deletions (bench/million_core): about 0.26 s a
-/// battery at n = 10^6, rem bound on or off; at the default cadence
-/// that is every round, so large runs amortize it with battery_every.
+/// neighborofmax deletions (bench/million_core, median of five): about
+/// 0.11 s a battery at n = 10^6 with the rem bound off and 0.14 s with
+/// it on; at the default cadence that is every round, so large runs
+/// amortize it with battery_every.
 class InvariantObserver final : public Observer {
  public:
   explicit InvariantObserver(InvariantOptions opts = {}) : opts_(opts) {}

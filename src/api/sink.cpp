@@ -1,5 +1,7 @@
 #include "api/sink.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -7,6 +9,7 @@
 
 #include "api/network.h"
 #include "api/observers.h"
+#include "util/csv.h"
 #include "util/json.h"
 #include "util/stats.h"
 
@@ -21,20 +24,37 @@ const std::vector<std::string>& round_row_header() {
   return header;
 }
 
-std::vector<std::string> round_row_fields(const RoundRow& row) {
-  using dash::util::CsvWriter;
-  return {CsvWriter::to_field(row.instance),
-          CsvWriter::to_field(row.round),
-          CsvWriter::to_field(row.deletions_in_round),
-          CsvWriter::to_field(static_cast<std::size_t>(row.event_node)),
-          row.is_join ? "join" : "delete",
-          CsvWriter::to_field(row.alive),
-          CsvWriter::to_field(row.edges),
-          CsvWriter::to_field(row.edges_added),
-          CsvWriter::to_field(static_cast<std::size_t>(row.max_delta)),
-          CsvWriter::to_field(row.largest_component),
-          CsvWriter::to_field(row.stretch),
-          CsvWriter::to_field(row.stretch_sampled ? 1 : 0)};
+void append_round_row(std::string& out, const RoundRow& row) {
+  // Formatted in place, then trimmed. A row is at most 195 chars: seven
+  // size_t fields of 20 digits, two uint32 fields of 10, "delete", a
+  // %.10g double of at most 17 ("-1.234567891e-308"), the 0/1 flag and
+  // 11 commas.
+  const std::size_t at = out.size();
+  out.resize(at + 256);
+  char* p = out.data() + at;
+  char* const end = out.data() + out.size();
+  const auto field = [&](auto value) {
+    p = std::to_chars(p, end, value).ptr;
+    *p++ = ',';
+  };
+  field(row.instance);
+  field(row.round);
+  field(row.deletions_in_round);
+  field(row.event_node);
+  const std::string_view kind = row.is_join ? "join," : "delete,";
+  p = std::copy(kind.begin(), kind.end(), p);
+  field(row.alive);
+  field(row.edges);
+  field(row.edges_added);
+  field(row.max_delta);
+  field(row.largest_component);
+  // As util::CsvWriter::to_field(double): printf "%.10g" in the C
+  // locale.
+  p = std::to_chars(p, end, row.stretch, std::chars_format::general, 10)
+          .ptr;
+  *p++ = ',';
+  *p++ = row.stretch_sampled ? '1' : '0';
+  out.resize(static_cast<std::size_t>(p - out.data()));
 }
 
 namespace {
@@ -93,11 +113,16 @@ const std::vector<SummaryField>& summary_fields() {
 
 // ---- CsvStreamSink ----------------------------------------------------
 
-CsvStreamSink::CsvStreamSink(std::ostream& out)
-    : out_(out), writer_(out, round_row_header()) {}
+CsvStreamSink::CsvStreamSink(std::ostream& out) : out_(out) {
+  util::CsvWriter header(out_, round_row_header());  // writes the header
+}
 
 void CsvStreamSink::on_row(const RoundRow& row) {
-  writer_.write_row(round_row_fields(row));
+  line_.clear();
+  append_round_row(line_, row);
+  line_ += '\n';
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
+  ++rows_;
 }
 
 void CsvStreamSink::flush() { out_.flush(); }

@@ -32,7 +32,6 @@
 
 #include "api/metrics.h"
 #include "api/observer.h"
-#include "util/csv.h"
 
 namespace dash::api {
 
@@ -68,9 +67,11 @@ struct RoundRow {
 /// in-process CSV stream.
 const std::vector<std::string>& round_row_header();
 
-/// One row's fields, formatted exactly as CsvStreamSink writes them
-/// (same field order as round_row_header(), same float formatting).
-std::vector<std::string> round_row_fields(const RoundRow& row);
+/// Appends one row's fields, comma-separated and without a newline, in
+/// round_row_header() order: integers as std::to_string writes them,
+/// the stretch as util::CsvWriter::to_field does. CsvStreamSink and
+/// exp::rows_line both write rows with it.
+void append_round_row(std::string& out, const RoundRow& row);
 
 class MetricSink {
  public:
@@ -124,11 +125,12 @@ class CsvStreamSink final : public MetricSink {
   void on_row(const RoundRow& row) override;
   void flush() override;
 
-  std::size_t rows_written() const { return writer_.rows_written(); }
+  std::size_t rows_written() const { return rows_; }
 
  private:
   std::ostream& out_;
-  dash::util::CsvWriter writer_;
+  std::string line_;  ///< reused per row: one write per line
+  std::size_t rows_ = 0;
 };
 
 /// Collects per-run snapshots into labelled groups and, on flush(),

@@ -240,10 +240,8 @@ std::string rows_line(std::size_t cell, const api::RoundRow& row) {
   std::string out = std::to_string(cell);
   out += ',';
   out += std::to_string(row.seq);
-  for (const std::string& field : api::round_row_fields(row)) {
-    out += ',';
-    out += field;
-  }
+  out += ',';
+  api::append_round_row(out, row);
   return out;
 }
 

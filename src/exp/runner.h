@@ -131,7 +131,7 @@ std::string merged_document(const ExperimentSpec& spec,
 // With --rows, every worker streams its cells' RoundRows to a CSV-ish
 // rows file: one header, then one line per row prefixed with the
 // (cell, seq) sort key; the row fields themselves come from
-// api::round_row_fields, i.e. exactly the bytes CsvStreamSink would
+// api::append_round_row, i.e. exactly the bytes CsvStreamSink would
 // write. merged_rows() reassembles any multiset of rows files into one
 // canonical document -- sorted by (cell, instance, seq), tolerant of
 // identical duplicates (a worker killed after its rows but before its
@@ -150,7 +150,7 @@ struct RowsRecord {
 /// CsvStreamSink column set.
 std::string rows_header();
 
-/// One row's line (no newline): cell, seq, then api::round_row_fields.
+/// One row's line (no newline): cell, seq, then api::append_round_row.
 std::string rows_line(std::size_t cell, const api::RoundRow& row);
 
 /// Parse a rows line's sort-key prefix; false on malformed input.

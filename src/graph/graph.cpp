@@ -44,11 +44,6 @@ Graph& Graph::operator=(const Graph& other) {
   return *this;
 }
 
-void Graph::check_alive(NodeId v) const {
-  DASH_CHECK_MSG(v < degree_.size(), "node id out of range");
-  DASH_CHECK_MSG(alive(v), "operation on deleted node");
-}
-
 void Graph::touch(NodeId v) {
   // Compact by dropping the whole retained window once it outgrows ~2n:
   // consumers further behind than that would take the full-rebuild

@@ -48,6 +48,7 @@
 #include "graph/alive_set.h"
 #include "graph/flat_view.h"
 #include "graph/types.h"
+#include "util/check.h"
 
 namespace dash::graph {
 
@@ -80,6 +81,10 @@ class Graph {
   /// The r-th alive id in ascending order, i.e. alive_nodes()[r], in
   /// O(log n). r must be < num_alive().
   NodeId kth_alive(std::size_t r) const { return alive_.kth(r); }
+
+  /// The alive ids as rank/select words: iterating it visits them in
+  /// ascending order, one word at a time. Valid until the next mutation.
+  const AliveSet& alive_set() const { return alive_; }
 
   /// Alive id of maximum degree, lowest id on ties; kInvalidNode when
   /// no node is alive. O(log n) per vertex touched since the last call.
@@ -123,9 +128,8 @@ class Graph {
   void reserve_neighbors(NodeId v, std::size_t expected);
 
   /// All alive node ids, ascending. Allocates per call; sweeps should
-  /// iterate flat_view().alive_set() instead, rank lookups use
-  /// kth_alive(), and uniform draws graph::sample_alive
-  /// (graph/sample.h).
+  /// iterate alive_set() instead, rank lookups use kth_alive(), and
+  /// uniform draws graph::sample_alive (graph/sample.h).
   std::vector<NodeId> alive_nodes() const;
 
   /// Monotone mutation counter: bumped by every topology change (node
@@ -171,7 +175,11 @@ class Graph {
  private:
   friend class FlatView;
 
-  void check_alive(NodeId v) const;
+  /// Inline: neighbors() and degree() run it on every call.
+  void check_alive(NodeId v) const {
+    DASH_CHECK_MSG(v < degree_.size(), "node id out of range");
+    DASH_CHECK_MSG(alive_.contains(v), "operation on deleted node");
+  }
   void touch(NodeId v);
   /// Bring the max-degree tree up to date with the touched log.
   void sync_degree_tree() const;

@@ -1,19 +1,23 @@
 // Per-shard rows I/O tests: the rows-file grammar, crash-tolerant
 // loading, canonical merging (sorting, duplicate collapse, conflict
-// rejection), and the runner's on_rows hook staying bit-for-bit in
-// sync with the in-process CsvStreamSink column formatter.
+// rejection), the runner's on_rows hook staying bit-for-bit in sync
+// with the in-process CsvStreamSink column formatter, and both row
+// emitters pinned to the util::CsvWriter::to_field bytes.
 #include "exp/runner.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/sink.h"
 #include "exp/spec.h"
+#include "util/csv.h"
 
 namespace dash::exp {
 namespace {
@@ -73,6 +77,80 @@ TEST(Rows, LineEmbedsCsvStreamSinkBytes) {
   EXPECT_EQ(rows_line(3, row), "3,5," + csv_row);
   const std::string csv_header = csv.substr(0, header_end);
   EXPECT_EQ(rows_header(), "cell,seq," + csv_header);
+}
+
+/// A row's fields as the formatter before api::append_round_row built
+/// them: one util::CsvWriter::to_field string per column.
+std::vector<std::string> to_field_fields(const api::RoundRow& row) {
+  using util::CsvWriter;
+  return {CsvWriter::to_field(row.instance),
+          CsvWriter::to_field(row.round),
+          CsvWriter::to_field(row.deletions_in_round),
+          CsvWriter::to_field(static_cast<std::size_t>(row.event_node)),
+          row.is_join ? "join" : "delete",
+          CsvWriter::to_field(row.alive),
+          CsvWriter::to_field(row.edges),
+          CsvWriter::to_field(row.edges_added),
+          CsvWriter::to_field(static_cast<std::size_t>(row.max_delta)),
+          CsvWriter::to_field(row.largest_component),
+          CsvWriter::to_field(row.stretch),
+          CsvWriter::to_field(row.stretch_sampled ? 1 : 0)};
+}
+
+TEST(Rows, RowBytesMatchTheToFieldComposition) {
+  api::RoundRow widest;
+  widest.instance = widest.seq = widest.round = SIZE_MAX;
+  widest.deletions_in_round = widest.alive = widest.edges = SIZE_MAX;
+  widest.edges_added = widest.largest_component = SIZE_MAX;
+  widest.event_node = UINT32_MAX;
+  widest.max_delta = UINT32_MAX;
+  api::RoundRow join = sample_row();
+  join.is_join = true;
+  join.deletions_in_round = 0;
+  join.edges_added = 0;
+  api::RoundRow zeros;
+  std::vector<api::RoundRow> rows;
+  for (const api::RoundRow& base : {sample_row(), widest, join, zeros}) {
+    for (const double stretch : {0.0, 1.5, 1e-7, 4.0 / 3.0,
+                                 std::numeric_limits<double>::infinity()}) {
+      for (const bool sampled : {false, true}) {
+        api::RoundRow row = base;
+        row.stretch = stretch;
+        row.stretch_sampled = sampled;
+        rows.push_back(row);
+      }
+    }
+  }
+
+  // The bytes CsvStreamSink wrote through util::CsvWriter before.
+  std::ostringstream want;
+  util::CsvWriter writer(want, api::round_row_header());
+  std::ostringstream got;
+  api::CsvStreamSink sink(got);
+  for (const api::RoundRow& row : rows) {
+    const std::vector<std::string> fields = to_field_fields(row);
+    writer.write_row(fields);
+    sink.on_row(row);
+    std::string line = std::to_string(4) + ',' + std::to_string(row.seq);
+    for (const std::string& f : fields) line += ',' + f;
+    EXPECT_EQ(rows_line(4, row), line);
+  }
+  sink.flush();
+  EXPECT_EQ(got.str(), want.str());
+  EXPECT_EQ(sink.rows_written(), rows.size());
+
+  // Known answers for the extremes.
+  api::RoundRow row = widest;
+  row.stretch = std::numeric_limits<double>::infinity();
+  row.stretch_sampled = true;
+  const std::string max = "18446744073709551615";
+  EXPECT_EQ(rows_line(0, row),
+            "0," + max + ',' + max + ',' + max + ',' + max +
+                ",4294967295,delete," + max + ',' + max + ',' + max +
+                ",4294967295," + max + ",inf,1");
+  row = join;
+  row.stretch = 1e-7;
+  EXPECT_EQ(rows_line(1, row), "1,5,2,7,0,13,join,30,61,0,3,30,1e-07,1");
 }
 
 TEST(Rows, ParseRejectsTruncatedLines) {

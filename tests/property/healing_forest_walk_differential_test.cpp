@@ -8,8 +8,10 @@
 //     rem bound on and off;
 //   * on healthy states corrupted one property at a time and in pairs
 //     (a cycle edge, a mixed id, one id on two trees, an E' edge missing
-//     from G, a dead E' endpoint, delta drift, a rem violation), which
-//     also pins the order the failures rank in.
+//     from G, a dead E' endpoint, delta drift, a rem violation, and the
+//     id, delta and rem cases again on a G'-singleton, plus a dead
+//     endpoint below all its E' partners), which also pins the order
+//     the failures rank in.
 //
 // The one place the walk departs from the reference is Lemma 4 on a
 // cyclic E', where the reference rem() aborts: the expectation there is
@@ -355,6 +357,25 @@ std::vector<std::uint64_t> component_ids(const HealingState& st) {
   return ids;
 }
 
+std::vector<std::uint64_t> weights_of(const HealingState& st) {
+  std::vector<std::uint64_t> weights(st.num_nodes());
+  for (NodeId v = 0; v < weights.size(); ++v) weights[v] = st.weight(v);
+  return weights;
+}
+
+/// A random alive node without G'-edges (the walk settles these
+/// without a BFS), or kInvalidNode.
+NodeId pick_singleton(const State& s, Rng& rng) {
+  std::vector<NodeId> singles;
+  for (NodeId v = 0; v < s.g.num_nodes(); ++v) {
+    if (s.g.alive(v) && s.st.forest_neighbors(v).empty()) {
+      singles.push_back(v);
+    }
+  }
+  if (singles.empty()) return graph::kInvalidNode;
+  return singles[static_cast<std::size_t>(rng.below(singles.size()))];
+}
+
 struct Corruption {
   const char* name;
   Rank rank;  ///< the property it breaks first
@@ -391,6 +412,18 @@ const Corruption kCorruptions[] = {
        while (used.count(fresh) != 0) ++fresh;
        if (fresh >= ids.size()) return false;
        ids[(*tree)[rng.below(tree->size())]] = fresh;
+       s.st = with_line(s.st, 4, ids);
+       return true;
+     }},
+    {"singleton shares an id", kIds,
+     [](State& s, Rng& rng) {
+       const NodeId x = pick_singleton(s, rng);
+       const auto trees = trees_of(s);
+       if (x == graph::kInvalidNode || trees.size() < 2) return false;
+       NodeId other = x;
+       while (other == x) other = trees[rng.below(trees.size())].front();
+       auto ids = component_ids(s.st);
+       ids[x] = ids[other];
        s.st = with_line(s.st, 4, ids);
        return true;
      }},
@@ -433,6 +466,16 @@ const Corruption kCorruptions[] = {
        s.g.delete_node((*tree)[rng.below(tree->size())]);
        return true;
      }},
+    {"dead E' endpoint below its partners", kSubgraph,
+     [](State& s, Rng& rng) {
+       // The tree's lowest node: every E' edge it leaves behind has its
+       // dead end as the lower id, and must be named at the alive one.
+       const auto trees = trees_of(s);
+       const auto* tree = pick_tree(trees, 2, rng);
+       if (tree == nullptr) return false;
+       s.g.delete_node(tree->front());
+       return true;
+     }},
     {"delta drift", kDelta,
      [](State& s, Rng& rng) {
        const std::vector<NodeId> alive = s.g.alive_nodes();
@@ -450,6 +493,27 @@ const Corruption kCorruptions[] = {
        }
        return false;
      }},
+    {"singleton delta drift", kDelta,
+     [](State& s, Rng& rng) {
+       const NodeId x = pick_singleton(s, rng);
+       if (x == graph::kInvalidNode) return false;
+       // One below the truth: the rem bound only gets looser.
+       std::vector<std::int32_t> deltas(s.st.num_nodes());
+       for (NodeId v = 0; v < deltas.size(); ++v) deltas[v] = s.st.delta(v);
+       --deltas[x];
+       s.st = with_line(s.st, 5, deltas);
+       return true;
+     }},
+    {"singleton rem violation", kRem,
+     [](State& s, Rng& rng) {
+       // rem(x) = w(x) = 0 is below 2^(delta/2) for every delta.
+       const NodeId x = pick_singleton(s, rng);
+       if (x == graph::kInvalidNode) return false;
+       auto weights = weights_of(s.st);
+       weights[x] = 0;
+       s.st = with_line(s.st, 6, weights);
+       return true;
+     }},
     {"rem violation", kRem,
      [](State& s, Rng& rng) {
        // All of a tree's weight on its root: every other alive node of
@@ -457,10 +521,7 @@ const Corruption kCorruptions[] = {
        const auto trees = trees_of(s);
        const auto* tree = pick_tree(trees, 2, rng);
        if (tree == nullptr) return false;
-       std::vector<std::uint64_t> weights(s.st.num_nodes());
-       for (NodeId v = 0; v < weights.size(); ++v) {
-         weights[v] = s.st.weight(v);
-       }
+       auto weights = weights_of(s.st);
        const std::vector<NodeId> all =
            s.st.healing_component(s.g, tree->front());
        std::uint64_t total = 0;

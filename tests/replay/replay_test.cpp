@@ -58,10 +58,7 @@ std::string render(const api::Metrics& m) {
 std::string render_rows(const std::vector<api::RoundRow>& rows) {
   std::string out;
   for (const api::RoundRow& row : rows) {
-    for (std::size_t i = 0; i < api::round_row_fields(row).size(); ++i) {
-      if (i) out += ',';
-      out += api::round_row_fields(row)[i];
-    }
+    api::append_round_row(out, row);
     out += '\n';
   }
   return out;
