@@ -186,11 +186,12 @@ HealAction Network::remove(NodeId v) {
   DASH_CHECK_MSG(g_->alive(v), "removing a dead node");
   notify_round_begin(engine_.deletions + 1);
 
-  const core::DeletionContext ctx = state_->begin_deletion(*g_, v);
-  const auto removed_neighbors = g_->delete_node(v);
-  DASH_CHECK(removed_neighbors == ctx.neighbors_g);
+  const core::DeletionContext& ctx = deletion_ctx_;
+  state_->begin_deletion(*g_, v, deletion_ctx_);
+  g_->delete_node(v, removed_neighbors_);
+  DASH_CHECK(removed_neighbors_ == ctx.neighbors_g);
 
-  const HealAction action = healer_->heal(*g_, *state_, ctx);
+  HealAction action = healer_->heal(*g_, *state_, ctx);
 
   if (tracker_.has_value()) {
     for (const auto& [a, b] : action.new_graph_edges) {

@@ -258,6 +258,11 @@ class Network {
   ConnectivityMode conn_mode_ = ConnectivityMode::kBfs;
   /// The concurrent read path (api/serve.h); null until serve().
   std::unique_ptr<ServeHandle> serve_;
+
+  /// remove()'s per-deletion buffers, reused so that a deletion in
+  /// steady state allocates only its HealAction's edge list.
+  core::DeletionContext deletion_ctx_;
+  std::vector<graph::NodeId> removed_neighbors_;
 };
 
 }  // namespace dash::api

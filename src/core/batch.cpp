@@ -215,17 +215,16 @@ void HealingState::begin_cluster_deletions(const Graph& g,
     // internal edges from their lower endpoint).
     std::size_t removed_edges = 0;
     for (NodeId v : cluster.deleted) {
-      for (NodeId u : forest_adj_[v]) {
+      for (NodeId u : forest_.list(v)) {
         if (!in_batch[u]) {
-          auto& adj = forest_adj_[u];
-          adj.erase(std::remove(adj.begin(), adj.end(), v), adj.end());
+          forest_erase(u, v);
           ++removed_edges;
         } else if (v < u) {
           ++removed_edges;
         }
       }
     }
-    for (NodeId v : cluster.deleted) forest_adj_[v].clear();
+    for (NodeId v : cluster.deleted) forest_.release(v);
     healing_edges_ -= removed_edges;
   }
 }

@@ -10,6 +10,8 @@
 // <= 2(d + 2 log n) ln n messages per node whp.
 #pragma once
 
+#include <vector>
+
 #include "core/strategy.h"
 
 namespace dash::core {
@@ -22,6 +24,9 @@ class DashStrategy final : public HealingStrategy {
   std::unique_ptr<HealingStrategy> clone() const override {
     return std::make_unique<DashStrategy>(*this);
   }
+
+ private:
+  std::vector<NodeId> rt_;  ///< reconnection-set scratch, reused per heal
 };
 
 }  // namespace dash::core

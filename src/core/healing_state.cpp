@@ -31,7 +31,7 @@ HealingState::HealingState(const Graph& g, dash::util::Rng& rng) {
   id_changes_.assign(n, 0);
   msgs_sent_.assign(n, 0);
   msgs_recv_.assign(n, 0);
-  forest_adj_.assign(n, {});
+  forest_ = graph::BlockSlab(n);
   next_fresh_id_ = n;
 }
 
@@ -55,7 +55,7 @@ NodeId HealingState::join_node(Graph& g,
   id_changes_.push_back(0);
   msgs_sent_.push_back(0);
   msgs_recv_.push_back(0);
-  forest_adj_.emplace_back();
+  forest_.add_list();
   return v;
 }
 
@@ -89,14 +89,14 @@ std::vector<NodeId> HealingState::healing_component(const Graph& g,
                                                     NodeId v) const {
   DASH_CHECK(g.alive(v));
   std::vector<NodeId> comp;
-  std::vector<char> visited(forest_adj_.size(), 0);
+  std::vector<char> visited(forest_.num_lists(), 0);
   std::deque<NodeId> frontier{v};
   visited[v] = 1;
   while (!frontier.empty()) {
     const NodeId x = frontier.front();
     frontier.pop_front();
     comp.push_back(x);
-    for (NodeId u : forest_adj_[x]) {
+    for (NodeId u : forest_.list(x)) {
       if (!visited[u]) {
         visited[u] = 1;
         frontier.push_back(u);
@@ -106,13 +106,27 @@ std::vector<NodeId> HealingState::healing_component(const Graph& g,
   return comp;
 }
 
+void HealingState::forest_erase(NodeId u, NodeId v) {
+  const auto list = forest_.list(u);
+  const auto at = std::find(list.begin(), list.end(), v);
+  DASH_DCHECK(at != list.end());
+  forest_.erase_at(u, static_cast<std::uint32_t>(at - list.begin()));
+}
+
 DeletionContext HealingState::begin_deletion(const Graph& g, NodeId v) {
-  DASH_CHECK(g.alive(v));
   DeletionContext ctx;
+  begin_deletion(g, v, ctx);
+  return ctx;
+}
+
+void HealingState::begin_deletion(const Graph& g, NodeId v,
+                                  DeletionContext& ctx) {
+  DASH_CHECK(g.alive(v));
   ctx.deleted = v;
   const auto nbrs = g.neighbors(v);
   ctx.neighbors_g.assign(nbrs.begin(), nbrs.end());
-  ctx.forest_neighbors = forest_adj_[v];
+  const auto forest = forest_.list(v);
+  ctx.forest_neighbors.assign(forest.begin(), forest.end());
   ctx.component_id = component_id_[v];
   ctx.weight = weight_[v];
 
@@ -131,13 +145,10 @@ DeletionContext HealingState::begin_deletion(const Graph& g, NodeId v) {
   }
   weight_[v] = 0;
 
-  // Detach v from G'.
-  for (NodeId u : forest_adj_[v]) {
-    auto& adj = forest_adj_[u];
-    adj.erase(std::remove(adj.begin(), adj.end(), v), adj.end());
-    --healing_edges_;
-  }
-  forest_adj_[v].clear();
+  // Detach v from G' and hand its block back to the slab.
+  for (NodeId u : ctx.forest_neighbors) forest_erase(u, v);
+  healing_edges_ -= ctx.forest_neighbors.size();
+  forest_.release(v);
 
   // Every surviving neighbor is about to lose its edge to v: the
   // paper's delta is the *net* degree change, so charge the -1 now
@@ -145,14 +156,20 @@ DeletionContext HealingState::begin_deletion(const Graph& g, NodeId v) {
   for (NodeId u : ctx.neighbors_g) {
     --delta_[u];
   }
-  return ctx;
 }
 
 std::vector<NodeId> HealingState::unique_neighbors(
     const DeletionContext& ctx) const {
+  std::vector<NodeId> reps;
+  unique_neighbors(ctx, reps);
+  return reps;
+}
+
+void HealingState::unique_neighbors(const DeletionContext& ctx,
+                                    std::vector<NodeId>& reps) const {
   // Partition N(v,G) by current component id, excluding v's own id;
   // representative = lowest *initial* id in the partition (Sec. 2.1).
-  std::vector<NodeId> reps;
+  reps.clear();
   for (NodeId u : ctx.neighbors_g) {
     if (component_id_[u] == ctx.component_id) continue;
     bool placed = false;
@@ -165,18 +182,23 @@ std::vector<NodeId> HealingState::unique_neighbors(
     }
     if (!placed) reps.push_back(u);
   }
-  return reps;
 }
 
 std::vector<NodeId> HealingState::reconnection_set(
     const DeletionContext& ctx) const {
-  std::vector<NodeId> s = unique_neighbors(ctx);
+  std::vector<NodeId> s;
+  reconnection_set(ctx, s);
+  return s;
+}
+
+void HealingState::reconnection_set(const DeletionContext& ctx,
+                                    std::vector<NodeId>& s) const {
+  unique_neighbors(ctx, s);
   // UN(v,G) and N(v,G') are disjoint: forest neighbors carry v's own
   // component id, which unique_neighbors excluded.
   s.insert(s.end(), ctx.forest_neighbors.begin(),
            ctx.forest_neighbors.end());
   sort_by_delta(s);
-  return s;
 }
 
 void HealingState::sort_by_delta(std::vector<NodeId>& nodes) const {
@@ -196,10 +218,10 @@ bool HealingState::add_healing_edge(Graph& g, NodeId a, NodeId b) {
   }
   // Record in E' unless this healing edge is already there (possible if
   // an earlier heal added it and the pair meets again).
-  auto& adj = forest_adj_[a];
-  if (std::find(adj.begin(), adj.end(), b) == adj.end()) {
-    forest_adj_[a].push_back(b);
-    forest_adj_[b].push_back(a);
+  const auto list = forest_.list(a);
+  if (std::find(list.begin(), list.end(), b) == list.end()) {
+    forest_.push_back(a, b);
+    forest_.push_back(b, a);
     ++healing_edges_;
   }
   return new_in_g;
@@ -217,23 +239,23 @@ std::size_t HealingState::propagate_min_id(
   // it is reached doubles as the visited mark, and the walk never
   // enters the part of the merged tree that already holds the minimum.
   std::size_t changed = 0;
-  std::vector<NodeId> frontier;
+  frontier_.clear();
   const auto relabel = [&](NodeId x) {
     component_id_[x] = min_id;
     ++id_changes_[x];
     // Lemma 8: a node whose id changes broadcasts it to its G-neighbors.
     msgs_sent_[x] += g.degree(x);
     for (NodeId w : g.neighbors(x)) ++msgs_recv_[w];
-    frontier.push_back(x);
+    frontier_.push_back(x);
     ++changed;
   };
   for (NodeId s : seeds) {
     if (component_id_[s] != min_id) relabel(s);
   }
-  while (!frontier.empty()) {
-    const NodeId x = frontier.back();
-    frontier.pop_back();
-    for (NodeId u : forest_adj_[x]) {
+  while (!frontier_.empty()) {
+    const NodeId x = frontier_.back();
+    frontier_.pop_back();
+    for (NodeId u : forest_.list(x)) {
       if (component_id_[u] != min_id) relabel(u);
     }
   }
@@ -257,8 +279,9 @@ constexpr const char* kStateHeader = "dashheal-state-v1";
   throw std::runtime_error("state: " + why);
 }
 
-template <typename T>
-void write_vector(std::ostream& out, const std::vector<T>& v) {
+/// A vector or E' list: its length, then its entries.
+template <typename List>
+void write_vector(std::ostream& out, const List& v) {
   out << v.size();
   for (const auto& x : v) out << ' ' << +x;
   out << '\n';
@@ -310,7 +333,9 @@ void HealingState::save(std::ostream& out) const {
   write_vector(out, id_changes_);
   write_vector(out, msgs_sent_);
   write_vector(out, msgs_recv_);
-  for (const auto& adj : forest_adj_) write_vector(out, adj);
+  for (NodeId v = 0; v < forest_.num_lists(); ++v) {
+    write_vector(out, forest_.list(v));
+  }
 }
 
 HealingState HealingState::load(std::istream& in) {
@@ -352,19 +377,20 @@ HealingState HealingState::load(std::istream& in) {
 
   // E' must be a simple undirected graph on the n ids: every entry
   // names another node, once, and is mirrored in that node's list.
-  st.forest_adj_.resize(n);
+  st.forest_ = graph::BlockSlab(n);
   std::vector<std::pair<NodeId, NodeId>> arcs;
   std::vector<std::pair<NodeId, NodeId>> mirrored;
   for (std::size_t v = 0; v < n; ++v) {
+    const auto id = static_cast<NodeId>(v);
     const std::string field = "forest_adj of node " + std::to_string(v);
-    st.forest_adj_[v] = read_vector<NodeId>(in, field, n, false);
-    for (NodeId u : st.forest_adj_[v]) {
+    for (NodeId u : read_vector<NodeId>(in, field, n, false)) {
       if (u >= n || u == v) {
         malformed(field + " names node " + std::to_string(u) + " of " +
                   std::to_string(n));
       }
-      arcs.emplace_back(static_cast<NodeId>(v), u);
-      mirrored.emplace_back(u, static_cast<NodeId>(v));
+      st.forest_.push_back(id, u);
+      arcs.emplace_back(id, u);
+      mirrored.emplace_back(u, id);
     }
   }
   std::sort(arcs.begin(), arcs.end());
@@ -388,7 +414,7 @@ bool HealingState::operator==(const HealingState& other) const {
          weight_ == other.weight_ && id_changes_ == other.id_changes_ &&
          msgs_sent_ == other.msgs_sent_ &&
          msgs_recv_ == other.msgs_recv_ &&
-         forest_adj_ == other.forest_adj_ &&
+         forest_ == other.forest_ &&
          healing_edges_ == other.healing_edges_ &&
          max_delta_ever_ == other.max_delta_ever_ &&
          next_fresh_id_ == other.next_fresh_id_;

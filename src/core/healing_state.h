@@ -19,13 +19,25 @@
 //     Lemma 2);
 //   * the healing graph G' = (V, E') itself, E' being all edges added by
 //     healing (a forest for component-aware strategies, Lemma 1).
+//
+// E' is kept as one list per id in a graph::BlockSlab, the allocator
+// under Graph's adjacency (graph/block_slab.h). A healing edge appends
+// to both endpoints' lists and a detach erases without reordering the
+// rest, so every list holds its entries in insertion order -- the
+// order checkpoints, traces and the forest walk's violation strings
+// read. A deletion returns the dead node's block to the slab's free
+// lists. With the caller-owned buffers of begin_deletion and
+// reconnection_set, and the min-id walk's frontier kept here, a
+// deletion in steady state allocates nothing in this class.
 #pragma once
 
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <vector>
 
+#include "graph/block_slab.h"
 #include "graph/graph.h"
 #include "util/rng.h"
 
@@ -89,8 +101,10 @@ class HealingState {
 
   // ---- the healing graph G' -----------------------------------------
 
-  const std::vector<NodeId>& forest_neighbors(NodeId v) const {
-    return forest_adj_[v];
+  /// v's E' neighbors in insertion order: a view valid until E' next
+  /// changes.
+  std::span<const NodeId> forest_neighbors(NodeId v) const {
+    return forest_.list(v);
   }
   std::size_t num_healing_edges() const { return healing_edges_; }
 
@@ -114,7 +128,10 @@ class HealingState {
   /// Capture the context of v's deletion, transfer its weight to a
   /// G'-neighbor (or a G-neighbor if it has none), detach v from G',
   /// and charge every surviving neighbor the -1 degree it is about to
-  /// lose. Must be called *before* Graph::delete_node(v).
+  /// lose. Must be called *before* Graph::delete_node(v). Fills `ctx`,
+  /// whose buffers are reused.
+  void begin_deletion(const Graph& g, NodeId v, DeletionContext& ctx);
+  /// The same, returning a fresh context.
   DeletionContext begin_deletion(const Graph& g, NodeId v);
 
   /// UN(v, G) of Section 2.1: one representative (lowest initial id) per
@@ -124,7 +141,10 @@ class HealingState {
 
   /// UN(v,G) + N(v,G'): the node set every component-aware strategy
   /// reconnects. Sorted ascending by (delta, initial id) -- the order
-  /// DASH fills its reconstruction tree in.
+  /// DASH fills its reconstruction tree in. Written into `out`, whose
+  /// capacity is reused.
+  void reconnection_set(const DeletionContext& ctx,
+                        std::vector<NodeId>& out) const;
   std::vector<NodeId> reconnection_set(const DeletionContext& ctx) const;
 
   /// Add {a,b} to G (if absent) and to E'. Updates delta for genuinely
@@ -170,11 +190,18 @@ class HealingState {
   /// Inverse of save(). Throws std::runtime_error on malformed input.
   static HealingState load(std::istream& in);
 
-  /// Deep equality (all per-node fields + counters); for tests.
+  /// Deep equality (all per-node fields + counters, E' list by list);
+  /// for tests.
   bool operator==(const HealingState& other) const;
 
  private:
   HealingState() = default;  // for load()
+
+  /// unique_neighbors() into `out`, whose capacity is reused.
+  void unique_neighbors(const DeletionContext& ctx,
+                        std::vector<NodeId>& out) const;
+  /// Remove v from u's E' list, keeping the order of the rest.
+  void forest_erase(NodeId u, NodeId v);
 
   std::vector<std::size_t> initial_degree_;
   std::vector<std::uint64_t> initial_id_;
@@ -184,10 +211,13 @@ class HealingState {
   std::vector<std::uint32_t> id_changes_;
   std::vector<std::uint64_t> msgs_sent_;
   std::vector<std::uint64_t> msgs_recv_;
-  std::vector<std::vector<NodeId>> forest_adj_;
+  graph::BlockSlab forest_;  ///< E', one insertion-ordered list per id
   std::size_t healing_edges_ = 0;
   std::int32_t max_delta_ever_ = 0;
   std::uint64_t next_fresh_id_ = 0;  ///< id source for joined nodes
+  /// propagate_min_id's frontier: scratch, not state, so save() and
+  /// operator== ignore it.
+  std::vector<NodeId> frontier_;
 };
 
 }  // namespace dash::core

@@ -1,36 +1,35 @@
 #include "core/sdash.h"
 
-#include "core/reconstruction_tree.h"
-
 namespace dash::core {
 
 HealAction SdashStrategy::heal(Graph& g, HealingState& state,
                                const DeletionContext& ctx) {
   HealAction action;
-  const std::vector<NodeId> rt = state.reconnection_set(ctx);
-  action.reconnection_set_size = rt.size();
-  if (rt.empty()) return action;
+  state.reconnection_set(ctx, rt_);
+  action.reconnection_set_size = rt_.size();
+  if (rt_.empty()) return action;
 
-  // rt is sorted by increasing delta: rt.front() is the cheapest
-  // candidate surrogate w, rt.back() is m, the max-delta member.
+  // rt_ is sorted by increasing delta: rt_.front() is the cheapest
+  // candidate surrogate w, rt_.back() is m, the max-delta member.
   // Deltas are signed (net degree change) -- keep the arithmetic signed.
-  const std::int64_t max_delta = state.delta(rt.back());
-  const std::int64_t w_delta = state.delta(rt.front());
+  const std::int64_t max_delta = state.delta(rt_.back());
+  const std::int64_t w_delta = state.delta(rt_.front());
   const bool surrogate_ok =
-      rt.size() >= 2 &&
-      w_delta + static_cast<std::int64_t>(rt.size() - 1) <=
+      rt_.size() >= 2 &&
+      w_delta + static_cast<std::int64_t>(rt_.size() - 1) <=
           max_delta + static_cast<std::int64_t>(slack_);
 
-  const auto edges = surrogate_ok
-                         ? star_edges(rt.size(), /*center=*/0)
-                         : complete_binary_tree_edges(rt.size());
+  // Slot i's parent: the surrogate in slot 0 for the star, slot
+  // (i - 1) / 2 for DASH's complete binary tree.
   action.used_surrogate = surrogate_ok;
-  for (auto [a, b] : edges) {
-    if (state.add_healing_edge(g, rt[a], rt[b])) {
-      action.new_graph_edges.emplace_back(rt[a], rt[b]);
+  action.new_graph_edges.reserve(rt_.size() - 1);
+  for (std::size_t i = 1; i < rt_.size(); ++i) {
+    const NodeId parent = rt_[surrogate_ok ? 0 : (i - 1) / 2];
+    if (state.add_healing_edge(g, parent, rt_[i])) {
+      action.new_graph_edges.emplace_back(parent, rt_[i]);
     }
   }
-  action.ids_rewritten = state.propagate_min_id(g, rt);
+  action.ids_rewritten = state.propagate_min_id(g, rt_);
   return action;
 }
 

@@ -9,6 +9,8 @@
 // keeps both degree increase and stretch at O(log n).
 #pragma once
 
+#include <vector>
+
 #include "core/strategy.h"
 
 namespace dash::core {
@@ -38,6 +40,7 @@ class SdashStrategy final : public HealingStrategy {
 
  private:
   std::uint32_t slack_;
+  std::vector<NodeId> rt_;  ///< reconnection-set scratch, reused per heal
 };
 
 }  // namespace dash::core

@@ -4,6 +4,10 @@
 // removed from the graph, with the context captured just before removal.
 // It may add edges only among ctx.neighbors_g (locality-awareness); the
 // invariant checkers in analysis/ verify this for every heal.
+//
+// Strategies may keep scratch buffers that each heal reuses (DASH and
+// SDASH keep their reconnection set), so one strategy object serves one
+// network at a time; api::run_suite builds one per instance.
 #pragma once
 
 #include <memory>

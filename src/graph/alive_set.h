@@ -4,10 +4,11 @@
 //
 // Membership is one bit test; insert and erase flip one bit and walk
 // O(log n) Fenwick entries; the r-th member in ascending order is one
-// O(log n) descent plus an in-word select; ascending iteration decodes
-// the words. Graph keeps one as its alive index, and every FlatView
-// snapshot holds a copy that a patch edits one bit per id that died or
-// was born -- so neither ever materializes the alive list.
+// O(log n) descent plus an in-word select, both free of data-dependent
+// branches; ascending iteration decodes the words. Graph keeps one as
+// its alive index, and every FlatView snapshot holds a copy that a
+// patch edits one bit per id that died or was born -- so neither ever
+// materializes the alive list.
 #pragma once
 
 #include <bit>

@@ -7,9 +7,9 @@
 namespace dash::graph {
 
 void FlatView::rebuild(const Graph& g) {
-  offsets_ = g.offset_;
-  degrees_ = g.degree_;
-  edges_ = g.slab_;
+  offsets_ = g.slab_.offsets();
+  degrees_ = g.slab_.sizes();
+  edges_ = g.slab_.entries();
   edge_entries_ = 2 * g.num_edges();
   alive_ = g.alive_;
   generation_ = g.generation();
@@ -65,7 +65,8 @@ bool FlatView::try_patch(const Graph& g) {
     offsets_.resize(n, 0);
     degrees_.resize(n, 0);
   }
-  if (edges_.size() < g.slab_.size()) edges_.resize(g.slab_.size());
+  const std::vector<NodeId>& slab = g.slab_.entries();
+  if (edges_.size() < slab.size()) edges_.resize(slab.size());
   alive_.grow(n);
 
   died_.clear();
@@ -80,11 +81,11 @@ bool FlatView::try_patch(const Graph& g) {
       }
     }
     const std::uint32_t old_deg = degrees_[v];
-    const std::uint32_t new_deg = g.degree_[v];
-    const std::uint32_t off = g.offset_[v];
+    const std::uint32_t new_deg = g.slab_.sizes()[v];
+    const std::uint32_t off = g.slab_.offsets()[v];
     offsets_[v] = off;
     degrees_[v] = new_deg;
-    std::copy(g.slab_.begin() + off, g.slab_.begin() + off + new_deg,
+    std::copy(slab.begin() + off, slab.begin() + off + new_deg,
               edges_.begin() + off);
     edge_entries_ += new_deg;
     edge_entries_ -= old_deg;

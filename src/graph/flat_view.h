@@ -9,7 +9,7 @@
 // between mutations -- an APSP stretch sample, the invariant battery,
 // a components labelling -- all share a single refresh.
 //
-// The view mirrors the graph's slab layout (graph.h): per-vertex
+// The view mirrors the graph's slab layout (graph/block_slab.h): per-vertex
 // {offset, degree} descriptors into an edges array shaped like the
 // graph's neighbor slab. That makes *delta patching* sound: refresh()
 // replays the graph's touched-vertex log and re-copies only the blocks

@@ -12,16 +12,15 @@
 //   * adjacency iteration must be cheap and deterministic (sorted
 //     blocks, so identical seeds give identical runs).
 //
-// Storage is a slab/pool SoA layout rather than a vector of vectors:
-// every vertex owns one contiguous block {offset_, degree_, capacity_}
-// inside a single shared neighbor slab. Blocks have power-of-two
-// capacities, grow by doubling, and are recycled through per-class free
-// lists when a node dies or outgrows its block -- so a million-node
-// graph is three flat arrays plus one slab instead of a million heap
-// allocations, and iterating a neighborhood is one contiguous span.
-// Insertion keeps each block sorted (memmove within the block), so
-// iteration order -- and every byte downstream of it -- is identical to
-// the historical sorted-vector layout.
+// Adjacency lives in a graph::BlockSlab (graph/block_slab.h): every
+// vertex owns one contiguous block {offset, degree, capacity} inside a
+// single shared neighbor slab, grown by doubling and recycled through
+// per-class free lists when a node dies or outgrows its block -- so a
+// million-node graph is three flat arrays plus one slab instead of a
+// million heap allocations, and iterating a neighborhood is one
+// contiguous span. Graph inserts at the sorted position (memmove within
+// the block), so iteration order -- and every byte downstream of it --
+// is identical to the historical sorted-vector layout.
 //
 // Every mutation also appends the vertices it touched to a bounded
 // *touched log* (monotone sequence numbers, prefix-compacted when it
@@ -38,6 +37,10 @@
 //   * max degree: a tournament tree over ids keyed on (degree, -id),
 //     synced lazily from the touched log like flat_view(), so only
 //     callers of argmax_degree() pay for it.
+//
+// Once the slab's block classes and the touched log have reached their
+// steady sizes, add_edge, remove_edge and delete_node into a caller's
+// buffer allocate nothing.
 #pragma once
 
 #include <cstddef>
@@ -46,6 +49,7 @@
 #include <vector>
 
 #include "graph/alive_set.h"
+#include "graph/block_slab.h"
 #include "graph/flat_view.h"
 #include "graph/types.h"
 #include "util/check.h"
@@ -67,7 +71,7 @@ class Graph {
   Graph& operator=(Graph&&) noexcept = default;
 
   /// Number of node ids ever allocated (alive + deleted).
-  std::size_t num_nodes() const { return degree_.size(); }
+  std::size_t num_nodes() const { return slab_.num_lists(); }
   /// Number of currently alive nodes.
   std::size_t num_alive() const { return alive_.size(); }
   /// Number of edges between alive nodes.
@@ -75,7 +79,7 @@ class Graph {
 
   /// False for deleted ids and for ids never allocated.
   bool alive(NodeId v) const {
-    return v < degree_.size() && alive_.contains(v);
+    return v < slab_.num_lists() && alive_.contains(v);
   }
 
   /// The r-th alive id in ascending order, i.e. alive_nodes()[r], in
@@ -104,7 +108,10 @@ class Graph {
   bool has_edge(NodeId a, NodeId b) const;
 
   /// Delete node v: marks it dead and removes all incident edges.
-  /// Returns v's neighbor set at the moment of deletion (sorted).
+  /// Writes v's neighbor set at the moment of deletion (sorted) into
+  /// `former_neighbors`, whose capacity is reused.
+  void delete_node(NodeId v, std::vector<NodeId>& former_neighbors);
+  /// The same, returning the former neighbors.
   std::vector<NodeId> delete_node(NodeId v);
 
   /// Sorted adjacency of an alive node: a view into the node's slab
@@ -113,12 +120,12 @@ class Graph {
   /// mutation must copy it first.
   std::span<const NodeId> neighbors(NodeId v) const {
     check_alive(v);
-    return {slab_.data() + offset_[v], degree_[v]};
+    return slab_.list(v);
   }
 
   std::size_t degree(NodeId v) const {
     check_alive(v);
-    return degree_[v];
+    return slab_.size(v);
   }
 
   /// Pre-size v's slab block for `expected` neighbors. Capacity only --
@@ -168,44 +175,29 @@ class Graph {
   // ---- slab introspection (tests, telemetry) --------------------------
 
   /// Total slab entries (live blocks + recycled free blocks).
-  std::size_t slab_size() const { return slab_.size(); }
+  std::size_t slab_size() const { return slab_.slab_size(); }
   /// Entries currently parked on the per-class free lists.
-  std::size_t slab_free_entries() const { return free_entries_; }
+  std::size_t slab_free_entries() const { return slab_.free_entries(); }
 
  private:
   friend class FlatView;
 
   /// Inline: neighbors() and degree() run it on every call.
   void check_alive(NodeId v) const {
-    DASH_CHECK_MSG(v < degree_.size(), "node id out of range");
+    DASH_CHECK_MSG(v < slab_.num_lists(), "node id out of range");
     DASH_CHECK_MSG(alive_.contains(v), "operation on deleted node");
   }
   void touch(NodeId v);
   /// Bring the max-degree tree up to date with the touched log.
   void sync_degree_tree() const;
-  /// Pop a block of `cap` (power of two) entries from the free list or
-  /// extend the slab. Returns the block's offset.
-  std::uint32_t alloc_block(std::uint32_t cap);
-  void free_block(std::uint32_t offset, std::uint32_t cap);
-  /// Move v's block to one of capacity `new_cap`, preserving contents.
-  void regrow(NodeId v, std::uint32_t new_cap);
-  /// Insert x into v's sorted block (growing it if full); returns true
-  /// on insert, false if already present.
+  /// Insert x into v's sorted block; returns true on insert, false if
+  /// already present.
   bool block_insert(NodeId v, NodeId x);
   /// Erase x from v's sorted block; returns true if it was present.
   bool block_erase(NodeId v, NodeId x);
 
-  // SoA per-vertex block descriptors into the shared slab. capacity_ is
-  // 0 (no block yet) or a power of two >= 2.
-  std::vector<std::uint32_t> offset_;
-  std::vector<std::uint32_t> degree_;
-  std::vector<std::uint32_t> capacity_;
-  std::vector<NodeId> slab_;
-  /// Free blocks per power-of-two class: free_lists_[k] holds offsets
-  /// of recycled blocks with capacity 1<<k (LIFO, so reuse is
-  /// deterministic and cache-warm).
-  std::vector<std::vector<std::uint32_t>> free_lists_;
-  std::size_t free_entries_ = 0;
+  /// Per-vertex sorted neighbor blocks.
+  BlockSlab slab_;
 
   /// Alive ids; bits past num_nodes() stay clear.
   AliveSet alive_;

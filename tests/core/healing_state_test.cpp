@@ -64,7 +64,9 @@ TEST(HealingState, HealingEdgeOverExistingGraphEdge) {
   EXPECT_FALSE(st.add_healing_edge(g, 0, 1));
   EXPECT_EQ(st.delta(0), 0);
   EXPECT_EQ(st.num_healing_edges(), 1u);
-  EXPECT_EQ(st.forest_neighbors(0), std::vector<NodeId>{1});
+  const auto forest = st.forest_neighbors(0);
+  EXPECT_EQ(std::vector<NodeId>(forest.begin(), forest.end()),
+            std::vector<NodeId>{1});
 }
 
 TEST(HealingState, DeltaIsNetDegreeChange) {

@@ -41,45 +41,10 @@ constexpr std::uint64_t kGraphSeed = 0xD1FFu;
 constexpr std::uint64_t kStateSeed = 3;
 constexpr std::uint64_t kPlaySeed = 9;
 
-std::string save_bytes(const HealingState& st) {
-  std::ostringstream out;
-  st.save(out);
-  return out.str();
-}
-
-/// One engine event and the state's bytes after it.
-struct Event {
-  enum Kind { kDelete, kBatch, kJoin } kind = kDelete;
-  std::vector<NodeId> nodes;  ///< victim, batch, or join attach list
-  NodeId joined = graph::kInvalidNode;
-  std::string state;
-};
-
-class Recorder final : public api::Observer {
- public:
-  explicit Recorder(std::vector<Event>& out) : out_(out) {}
-  std::string name() const override { return "walk-recorder"; }
-  void on_round_end(const api::Network& net,
-                    const api::RoundEvent& ev) override {
-    Event e;
-    e.kind = ev.batch != nullptr ? Event::kBatch : Event::kDelete;
-    e.nodes = ev.batch != nullptr ? *ev.batch
-                                  : std::vector<NodeId>{ev.victim};
-    e.state = save_bytes(net.state());
-    out_.push_back(std::move(e));
-  }
-  void on_join(const api::Network& net, const api::JoinEvent& ev) override {
-    Event e;
-    e.kind = Event::kJoin;
-    e.nodes = ev.attached_to;
-    e.joined = ev.joined;
-    e.state = save_bytes(net.state());
-    out_.push_back(std::move(e));
-  }
-
- private:
-  std::vector<Event>& out_;
-};
+using dash::testing::save_bytes;
+using Event = dash::testing::StateEvent;
+using Recorder = dash::testing::StateEventRecorder;
+using dash::testing::cluster_seeds;
 
 /// The books the min-id walk writes, copied out of a state.
 struct IdBooks {
@@ -153,39 +118,6 @@ std::vector<NodeId> strategy_seeds(const std::string& healer,
   if (healer == "none") return {};                // never propagates
   if (healer == "graph") return ctx.neighbors_g;  // all of N(v, G)
   return pre.reconnection_set(ctx);               // UN(v,G) + N(v,G')
-}
-
-/// The seeds dash_heal_batch hands to propagate_min_id for one cluster:
-/// one representative per component id among the survivors (ids of
-/// the cluster's own members excluded, lowest initial id wins), then
-/// the forest neighbours, keeping the first candidate per G'-tree.
-std::vector<NodeId> cluster_seeds(const graph::Graph& g,
-                                  const HealingState& pre,
-                                  const ClusterContext& cluster) {
-  std::vector<NodeId> candidates;
-  for (NodeId u : cluster.survivor_neighbors) {
-    const std::uint64_t cid = pre.component_id(u);
-    const auto& own = cluster.member_component_ids;
-    if (std::find(own.begin(), own.end(), cid) != own.end()) continue;
-    const auto rep = std::find_if(
-        candidates.begin(), candidates.end(),
-        [&](NodeId r) { return pre.component_id(r) == cid; });
-    if (rep == candidates.end()) {
-      candidates.push_back(u);
-    } else if (pre.initial_id(u) < pre.initial_id(*rep)) {
-      *rep = u;
-    }
-  }
-  candidates.insert(candidates.end(), cluster.forest_neighbors.begin(),
-                    cluster.forest_neighbors.end());
-  std::vector<NodeId> seeds;
-  std::vector<char> seen(g.num_nodes(), 0);
-  for (NodeId c : candidates) {
-    if (seen[c]) continue;
-    for (NodeId x : pre.healing_component(g, c)) seen[x] = 1;
-    seeds.push_back(c);
-  }
-  return seeds;
 }
 
 graph::Graph initial_graph() {

@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/api.h"
+#include "core/batch.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -83,6 +86,85 @@ inline std::string spec_test_name(
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
   return name;
+}
+
+/// The healing state's checkpoint bytes.
+inline std::string save_bytes(const core::HealingState& st) {
+  std::ostringstream out;
+  st.save(out);
+  return out.str();
+}
+
+/// One engine event and the healing state's bytes after it.
+struct StateEvent {
+  enum Kind { kDelete, kBatch, kJoin } kind = kDelete;
+  std::vector<graph::NodeId> nodes;  ///< victim, batch, or join attach list
+  graph::NodeId joined = graph::kInvalidNode;
+  std::string state;
+};
+
+/// Records every event a Network plays, with the state's save bytes
+/// after it, so a test can replay the events through the core protocol
+/// calls and compare the two runs event by event.
+class StateEventRecorder final : public api::Observer {
+ public:
+  explicit StateEventRecorder(std::vector<StateEvent>& out) : out_(out) {}
+  std::string name() const override { return "state-event-recorder"; }
+  void on_round_end(const api::Network& net,
+                    const api::RoundEvent& ev) override {
+    StateEvent e;
+    e.kind = ev.batch != nullptr ? StateEvent::kBatch : StateEvent::kDelete;
+    e.nodes = ev.batch != nullptr ? *ev.batch
+                                  : std::vector<graph::NodeId>{ev.victim};
+    e.state = save_bytes(net.state());
+    out_.push_back(std::move(e));
+  }
+  void on_join(const api::Network& net, const api::JoinEvent& ev) override {
+    StateEvent e;
+    e.kind = StateEvent::kJoin;
+    e.nodes = ev.attached_to;
+    e.joined = ev.joined;
+    e.state = save_bytes(net.state());
+    out_.push_back(std::move(e));
+  }
+
+ private:
+  std::vector<StateEvent>& out_;
+};
+
+/// The seeds dash_heal_batch hands to propagate_min_id for one cluster,
+/// in the order it places them before sorting by delta, read from the
+/// state `pre` it heals: one representative per component id among the
+/// survivors (ids of the cluster's own members excluded, lowest initial
+/// id wins), then the forest neighbours, keeping the first candidate
+/// per G'-tree.
+inline std::vector<graph::NodeId> cluster_seeds(
+    const graph::Graph& g, const core::HealingState& pre,
+    const core::ClusterContext& cluster) {
+  std::vector<graph::NodeId> candidates;
+  for (graph::NodeId u : cluster.survivor_neighbors) {
+    const std::uint64_t cid = pre.component_id(u);
+    const auto& own = cluster.member_component_ids;
+    if (std::find(own.begin(), own.end(), cid) != own.end()) continue;
+    const auto rep = std::find_if(
+        candidates.begin(), candidates.end(),
+        [&](graph::NodeId r) { return pre.component_id(r) == cid; });
+    if (rep == candidates.end()) {
+      candidates.push_back(u);
+    } else if (pre.initial_id(u) < pre.initial_id(*rep)) {
+      *rep = u;
+    }
+  }
+  candidates.insert(candidates.end(), cluster.forest_neighbors.begin(),
+                    cluster.forest_neighbors.end());
+  std::vector<graph::NodeId> seeds;
+  std::vector<char> seen(g.num_nodes(), 0);
+  for (graph::NodeId c : candidates) {
+    if (seen[c]) continue;
+    for (graph::NodeId x : pre.healing_component(g, c)) seen[x] = 1;
+    seeds.push_back(c);
+  }
+  return seeds;
 }
 
 }  // namespace dash::testing
