@@ -1,0 +1,16 @@
+# expect_exit.cmake -- run one command and require its exit code and a
+# match in its stderr: the ctest form of a CLI's usage-error contract.
+#
+#   cmake -DPROG=<binary> -DARGS="<args>" -DEXIT=<code> -DMATCH=<regex>
+#         -P expect_exit.cmake
+if(NOT PROG OR NOT DEFINED EXIT OR NOT MATCH)
+  message(FATAL_ERROR "need -DPROG=<binary>, -DEXIT=<code> and -DMATCH=<regex>")
+endif()
+
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND ${PROG} ${args}
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL EXIT OR NOT err MATCHES "${MATCH}")
+  message(FATAL_ERROR "${PROG} ${ARGS}: expected exit ${EXIT} and stderr "
+                      "matching '${MATCH}', got ${rc}:\n${err}")
+endif()

@@ -7,6 +7,8 @@
 //   $ ./quickstart --scenario 'churn:0.3,0.1x200;batch:4x10'
 #include <cmath>
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 
 #include "api/api.h"
 #include "graph/generators.h"
@@ -31,12 +33,18 @@ int main(int argc, char** argv) {
   // 1. Build a power-law network (the paper's experimental substrate)
   //    and hand it to the engine together with a healer from the
   //    registry. The engine owns graph + healing state + strategy.
+  std::unique_ptr<dash::core::HealingStrategy> healer;
+  try {
+    healer = dash::core::make_strategy(healer_name);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "bad healer: " << e.what() << "\n";
+    return 2;
+  }
   dash::util::Rng rng(seed);
   auto g = dash::graph::barabasi_albert(static_cast<std::size_t>(n), 2, rng);
   std::cout << "network: " << g.num_alive() << " nodes, " << g.num_edges()
             << " edges\n";
-  dash::api::Network net(std::move(g), dash::core::make_strategy(healer_name),
-                         rng);
+  dash::api::Network net(std::move(g), std::move(healer), rng);
 
   // 2. Plug in measurement: the full invariant battery after each round.
   dash::api::InvariantObserver invariants;

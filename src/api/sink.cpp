@@ -203,18 +203,6 @@ void write_bench_document(std::ostream& out,
   out << kDocumentTail;
 }
 
-std::vector<std::string> bench_document_groups(std::string_view document) {
-  util::JsonReader r(document);
-  r.expect(kDocumentHead);
-  std::vector<std::string> groups;
-  while (!r.consume(kDocumentTail)) {
-    if (!groups.empty()) r.expect(",");
-    groups.emplace_back(r.object());
-  }
-  r.end();
-  return groups;
-}
-
 std::vector<Metrics> bench_group_runs(std::string_view group) {
   util::JsonReader r(group);
   r.expect("{\"labels\":");

@@ -175,10 +175,6 @@ std::string bench_group(
 void write_bench_document(std::ostream& out,
                           const std::vector<std::string>& groups);
 
-/// Inverse of write_bench_document: its group objects, verbatim. Throws
-/// util::JsonError on anything write_bench_document did not write.
-std::vector<std::string> bench_document_groups(std::string_view document);
-
 /// Inverse of bench_group for the runs: every run's metrics, read back
 /// strictly. Throws util::JsonError on anything bench_group did not
 /// write.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
-#include <optional>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -86,20 +86,70 @@ std::vector<CellResult> run(const ExperimentSpec& spec,
         " of " + std::to_string(opt.shard.count));
   }
   const auto cells = spec.enumerate();
-
-  // One pool serves every suite of the shard (run_suite borrows it per
-  // call and never stores it).
-  std::optional<util::ThreadPool> pool;
-  if (opt.threads != 1) pool.emplace(opt.threads);
-
-  std::vector<CellResult> results;
+  std::vector<const Cell*> todo;
   for (const Cell& cell : cells) {
     if (cell.index % opt.shard.count != opt.shard.index) continue;
     if (opt.skip != nullptr && opt.skip->count(cell.index) != 0) continue;
-    results.push_back(
-        run_cell(spec, cell, pool ? &*pool : nullptr, opt.on_rows));
-    if (opt.on_cell) opt.on_cell(results.back());
+    todo.push_back(&cell);
   }
+
+  std::vector<CellResult> results(todo.size());
+  if (opt.threads == 1) {
+    for (std::size_t i = 0; i < todo.size(); ++i) {
+      results[i] = run_cell(spec, *todo[i], nullptr, opt.on_rows);
+      if (opt.on_cell) opt.on_cell(results[i]);
+    }
+    return results;
+  }
+
+  // Cells run concurrently on one pool, and each cell's suite spreads
+  // its instances over the same pool (parallel_for nests safely). A
+  // finished cell is committed -- on_rows, then on_cell -- only once
+  // every earlier cell has been, so the callbacks see the sequential
+  // loop's order. As in the loop, a failure commits no later cell.
+  util::ThreadPool pool(opt.threads);
+  std::vector<std::vector<api::RoundRow>> rows(todo.size());
+  std::vector<char> finished(todo.size(), 0);
+  std::mutex mu;
+  // Guarded by mu: cells below `committed` went through the callbacks;
+  // none from `stop` (the first failure) on will.
+  std::size_t committed = 0;
+  std::size_t stop = todo.size();
+  pool.parallel_for(todo.size(), [&](std::size_t i) {
+    {
+      std::lock_guard lock(mu);
+      if (i >= stop) return;
+    }
+    decltype(opt.on_rows) keep_rows;
+    if (opt.on_rows) {
+      keep_rows = [&rows, i](const Cell&,
+                             const std::vector<api::RoundRow>& r) {
+        rows[i] = r;
+      };
+    }
+    CellResult result;
+    try {
+      result = run_cell(spec, *todo[i], &pool, keep_rows);
+    } catch (...) {
+      std::lock_guard lock(mu);
+      stop = std::min(stop, i);
+      throw;
+    }
+    std::lock_guard lock(mu);
+    results[i] = std::move(result);
+    finished[i] = 1;
+    while (committed < stop && finished[committed]) {
+      const std::size_t k = committed++;
+      try {
+        if (opt.on_rows) opt.on_rows(results[k].cell, rows[k]);
+        if (opt.on_cell) opt.on_cell(results[k]);
+      } catch (...) {
+        stop = committed;
+        throw;
+      }
+      std::vector<api::RoundRow>().swap(rows[k]);
+    }
+  });
   return results;
 }
 

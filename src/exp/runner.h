@@ -13,11 +13,15 @@
 //   merged_document(spec, shard0 ∪ shard1 ∪ ...)  == sequential bytes
 //
 // `dash_lab run --shard I/N --out FILE` persists a shard's records as
-// JSON lines (one ShardRecord per line, stamped with the spec's hash),
-// and so does the fleet coordinator's spool (fleet/coordinator.h); the
-// same file doubles as the resume manifest -- cells already recorded
-// are skipped on re-run. merge rejects records whose spec hash does
-// not match and documents with missing or conflicting cells.
+// JSON lines (one ShardRecord per line, stamped with the spec's hash);
+// the same file doubles as the resume manifest -- cells already
+// recorded are skipped on re-run. merge rejects records whose spec
+// hash does not match and documents with missing or conflicting cells.
+//
+// Within one process, run() spreads the shard's cells and each cell's
+// instances over one util::ThreadPool and commits finished cells in
+// enumeration order, so its callbacks, records and rows are the same
+// bytes at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -53,38 +57,42 @@ struct CellResult {
 
 struct RunnerOptions {
   ShardOptions shard;
-  /// Worker threads of the per-cell suite pool (one pool shared by
-  /// every cell of the shard): 0 = hardware concurrency, 1 = run
-  /// suites sequentially. Results are identical either way.
+  /// Worker threads of the one pool the shard's cells and their suite
+  /// instances share: 0 = hardware concurrency, 1 = run everything on
+  /// the calling thread, one cell after another. Results and callback
+  /// order are identical either way.
   std::size_t threads = 0;
   /// Streamed per finished cell, in the shard's cell order -- persist
   /// shard records here so interrupted sweeps keep completed cells.
+  /// With threads != 1 it is called from pool workers, one call at a
+  /// time.
   std::function<void(const CellResult&)> on_cell;
   /// When set, every cell's suite runs with record_rows on and the
   /// cell's full per-round row series is streamed here (before
   /// on_cell) in the suite's deterministic buffered order -- rows
   /// sorted by (RoundRow::instance, RoundRow::seq). This is how shard
   /// workers feed per-shard rows files whose merge is byte-identical
-  /// to an in-process CsvStreamSink run.
+  /// to an in-process CsvStreamSink run. Called like on_cell.
   std::function<void(const Cell&, const std::vector<api::RoundRow>&)>
       on_rows;
   /// Cell indices to skip (already completed, from a resume manifest).
   const std::set<std::size_t>* skip = nullptr;
 };
 
-/// Execute the shard's cells in enumeration order; returns their
-/// results (skipped cells are absent). Throws std::invalid_argument
-/// for malformed shard options and anything spec validation rejects.
+/// Execute the shard's cells; returns their results in enumeration
+/// order (skipped cells are absent). Throws std::invalid_argument for
+/// malformed shard options and anything spec validation rejects; after
+/// a failure no later cell reaches the callbacks.
 std::vector<CellResult> run(const ExperimentSpec& spec,
                             const RunnerOptions& opt = {});
 
-/// Execute exactly one cell of the grid -- the work-stealing quantum
-/// the fleet layer (fleet/agent.h) dispatches. `pool` (when non-null)
-/// fans the cell's suite instances out; `on_rows`, when set, receives
-/// the cell's full deterministic row series before returning. The
-/// result (and its rows) is byte-identical to the same cell executed
-/// by run() under any sharding -- that is what lets a coordinator merge
-/// cells computed by any agent in any order.
+/// Execute exactly one cell of the grid -- run()'s unit of work.
+/// `pool` (when non-null) fans the cell's suite instances out;
+/// `on_rows`, when set, receives the cell's full deterministic row
+/// series before returning. The result (and its rows) is
+/// byte-identical to the same cell executed by run() under any
+/// sharding and thread count -- that is what lets merge combine cells
+/// computed anywhere in any order.
 CellResult run_cell(
     const ExperimentSpec& spec, const Cell& cell,
     dash::util::ThreadPool* pool = nullptr,

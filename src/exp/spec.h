@@ -1,5 +1,5 @@
 // spec.h -- declarative experiment grids: the input of the sharded
-// runner (exp/runner.h) and of the fleet coordinator (fleet/).
+// runner (exp/runner.h).
 //
 // An ExperimentSpec is a value describing a *sweep*: the cartesian
 // product of graph family x size x healer x scenario, plus replication
@@ -23,9 +23,9 @@
 // list of Cells (family outermost, then n, healer, scenario) whose
 // indices, labels and derived RNG seeds depend only on the spec text --
 // never on sharding or scheduling. That is the property the sharded
-// runner and the fleet build on: any partition of the cell list,
-// executed anywhere, reassembles into the byte-identical document a
-// sequential run produces.
+// runner builds on: any partition of the cell list, executed anywhere
+// and on any number of threads, reassembles into the byte-identical
+// document a sequential run produces.
 //
 // Cell seeds are paired across healers and scenarios: every cell at
 // the same size draws the same per-instance graph streams (the paper's

@@ -5,12 +5,9 @@
 #include <charconv>
 #include <filesystem>
 #include <stdexcept>
-#include <thread>
 
 #include "api/sink.h"
 #include "exp/runner.h"
-#include "fleet/agent.h"
-#include "fleet/coordinator.h"
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/hash.h"
@@ -194,18 +191,18 @@ std::vector<double> Evaluator::evaluate(
 
 void Evaluator::compute(const std::vector<std::string>& specs) {
   const exp::ExperimentSpec spec = base_spec(specs);
+  exp::RunnerOptions opt;
+  opt.threads = cfg_.threads;
+  const std::vector<exp::CellResult> cells = exp::run(spec, opt);
   // Cell enumeration is healer-major (family x n are singletons):
-  // group index = healer * |specs| + spec.
-  const std::vector<std::string> groups = cfg_.fleet_agents > 0
-                                              ? run_fleet_grid(spec)
-                                              : run_grid(spec);
-  DASH_CHECK_MSG(groups.size() == cfg_.healers.size() * specs.size(),
-                 "hunt grid returned a wrong-shaped group list");
+  // cell index = healer * |specs| + spec.
+  DASH_CHECK_MSG(cells.size() == cfg_.healers.size() * specs.size(),
+                 "hunt grid returned a wrong-shaped cell list");
   double batch_best = kUnscored;
   for (std::size_t s = 0; s < specs.size(); ++s) {
     Score score;
     for (std::size_t h = 0; h < cfg_.healers.size(); ++h) {
-      score.groups.push_back(groups[h * specs.size() + s]);
+      score.groups.push_back(cells[h * specs.size() + s].group_json);
     }
     score.fitness = score_groups(score.groups);
     batch_best = std::max(batch_best, score.fitness);
@@ -220,74 +217,12 @@ void Evaluator::compute(const std::vector<std::string>& specs) {
   }
 }
 
-std::vector<std::string> Evaluator::run_grid(
-    const exp::ExperimentSpec& spec) {
-  exp::RunnerOptions opt;
-  opt.threads = cfg_.threads;
-  const std::vector<exp::CellResult> results = exp::run(spec, opt);
-  std::vector<std::string> groups;
-  groups.reserve(results.size());
-  for (const exp::CellResult& r : results) groups.push_back(r.group_json);
-  return groups;
-}
-
-std::vector<std::string> Evaluator::run_fleet_grid(
-    const exp::ExperimentSpec& spec) {
-  namespace fs = std::filesystem;
-  // Each batch gets a throwaway fleet spool (the hunt spool is the
-  // durable one); batches are sequential so the counter suffices.
-  const std::string base =
-      cfg_.state_dir.empty()
-          ? (fs::temp_directory_path() / "dash_hunt_fleet").string()
-          : cfg_.state_dir + "/fleet";
-  const std::string dir = base + "_batch" + std::to_string(fleet_batch_++);
-  fs::remove_all(dir);
-  fleet::CoordinatorOptions copt;
-  copt.state_dir = dir;
-  copt.progress = [](const std::string&) {};
-  fleet::Coordinator coord(spec, copt);
-  const std::string endpoint = coord.endpoint().spec();
-  std::vector<std::thread> agents;
-  agents.reserve(cfg_.fleet_agents);
-  for (std::size_t i = 0; i < cfg_.fleet_agents; ++i) {
-    agents.emplace_back([&spec, endpoint, i]() {
-      fleet::AgentOptions aopt;
-      aopt.connect = endpoint;
-      aopt.name = "hunt-agent-" + std::to_string(i);
-      aopt.threads = 1;
-      aopt.progress = [](const std::string&) {};
-      try {
-        fleet::run_agent(spec, aopt);
-      } catch (...) {
-        // A dying agent only slows the batch down; the coordinator
-        // reassigns its lease and the grid still completes.
-      }
-    });
-  }
-  fleet::FleetReport report;
-  try {
-    report = coord.run();
-  } catch (...) {
-    for (std::thread& t : agents) t.join();
-    throw;
-  }
-  for (std::thread& t : agents) t.join();
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-  if (!report.complete) {
-    throw std::runtime_error("hunt fleet batch did not complete");
-  }
-  // The merged document is byte-identical to a sequential run; its
-  // groups are the cells' groups.
-  return api::bench_document_groups(report.document);
-}
-
 double Evaluator::score_groups(
     const std::vector<std::string>& groups) const {
   // Fitness is read back from the group bytes rather than from
-  // in-memory Metrics, because the fleet backend only hands back bytes
-  // -- and identical bytes in every backend is exactly the property
-  // that makes sequential / threaded / fleet hunts byte-identical.
+  // in-memory Metrics, so a score is a function of exactly the bytes
+  // the leaderboard and the spool keep for its candidate -- bytes that
+  // are the same at any thread count.
   double sum = 0.0;
   std::size_t runs = 0;
   for (const std::string& group : groups) {

@@ -3,12 +3,11 @@
 // A candidate AttackGenome is scored by actually playing it: the
 // evaluator expands each genome into one exp::ExperimentSpec cell per
 // healer (family x n fixed by the HuntConfig) and runs the grid through
-// the very machinery the lab uses everywhere else -- exp::run with its
-// shared suite ThreadPool, or, with fleet_agents > 0, a dash::fleet
-// coordinator feeding in-process agents. Both backends emit the same
-// BENCH group bytes for a cell, so fitness -- parsed from those bytes --
-// and therefore the whole search trajectory is identical regardless of
-// how the evaluations were scheduled.
+// the very machinery the lab uses everywhere else -- exp::run, whose
+// one ThreadPool runs the batch's cells and their instances. A cell's
+// BENCH group bytes do not depend on the thread count, so fitness --
+// parsed from those bytes -- and therefore the whole search trajectory
+// is identical regardless of how the evaluations were scheduled.
 //
 // Budget semantics: every *distinct* genome spec requested charges the
 // budget once, at first request, and is stamped with its request order.
@@ -64,7 +63,7 @@ struct FitnessSpec {
 
 /// Everything one hunt needs: the target (family x n x healers), the
 /// search (strategy, budget, seed), the scoring (fitness), and the
-/// plumbing (threads / fleet, spool dir, trace dir).
+/// plumbing (threads, spool dir, trace dir).
 struct HuntConfig {
   std::string name = "hunt";
 
@@ -86,12 +85,8 @@ struct HuntConfig {
   std::size_t top_k = 3;
 
   // -- plumbing -------------------------------------------------------
-  /// Suite pool width (0 = hardware, 1 = sequential). Ignored when
-  /// fleet_agents > 0.
+  /// exp::run pool width (0 = hardware, 1 = sequential).
   std::size_t threads = 1;
-  /// > 0: score generations through a dash::fleet coordinator with this
-  /// many in-process agents (one suite thread each).
-  std::size_t fleet_agents = 0;
   /// Spool/resume dir; empty disables the spool (and --resume).
   std::string state_dir;
   bool resume = false;
@@ -158,8 +153,6 @@ class Evaluator {
 
   exp::ExperimentSpec base_spec(std::vector<std::string> scenarios) const;
   void compute(const std::vector<std::string>& specs);
-  std::vector<std::string> run_grid(const exp::ExperimentSpec& spec);
-  std::vector<std::string> run_fleet_grid(const exp::ExperimentSpec& spec);
   double score_groups(const std::vector<std::string>& groups) const;
   void load_spool();
   void append_spool(const std::string& spec, const Score& score);
@@ -170,7 +163,6 @@ class Evaluator {
   std::map<std::string, Score> computed_;     ///< spec -> score (cache)
   std::map<std::string, Evaluated> requested_;  ///< spec -> ledger entry
   std::size_t used_ = 0;
-  std::size_t fleet_batch_ = 0;
   std::ofstream spool_;
 };
 

@@ -50,7 +50,7 @@ struct HuntResult {
 /// is set) and the best-k traces (into trace_dir, falling back to
 /// state_dir; skipped when both are empty). Deterministic in cfg: the
 /// same config produces byte-identical artifacts whether evaluations
-/// ran sequentially, on a ThreadPool, or across fleet agents.
+/// ran sequentially or on a ThreadPool of any width.
 HuntResult run_hunt(const HuntConfig& cfg);
 
 /// The analytical adversary's score, for baseline comparison.

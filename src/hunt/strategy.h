@@ -4,7 +4,7 @@
 // every coin from one caller-owned Rng: same seed, same budget, same
 // evaluator identity => the same sequence of candidates, hence the same
 // leaderboard, byte for byte, no matter how the evaluator schedules the
-// replays (sequential, ThreadPool, fleet).
+// replays (sequential or on a ThreadPool).
 //
 // Strategies live behind the same util::Registry machinery as healers,
 // attacks and scenario phases: "random", "greedy[:<neighbors>]",

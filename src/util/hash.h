@@ -1,6 +1,6 @@
 // hash.h -- FNV-1a, the one string hash behind persisted identities:
-// experiment-spec hashes (shard records, fleet handshakes, resume
-// manifests), attack-genome hashes and the hunt spool's config hash.
+// experiment-spec hashes (shard records, resume manifests),
+// attack-genome hashes and the hunt spool's config hash.
 // Changing it orphans every stored manifest and spool.
 #pragma once
 

@@ -1,6 +1,6 @@
 // json.h -- the one JSON codec. Every string this library puts into a
-// JSON document (BENCH summaries, shard records, fleet frames, replay
-// traces, list-cells and serve-bench output) goes through json_string,
+// JSON document (BENCH summaries, shard records, replay traces,
+// list-cells and serve-bench output) goes through json_string,
 // and every parser of those documents reads them with JsonReader.
 //
 // The writer escapes exactly `"`, `\`, \n, \r, \t and the other bytes

@@ -1,6 +1,7 @@
 // thread_pool.h -- fixed-size worker pool used to run independent
-// experiment instances in parallel (each instance owns a forked RNG
-// stream, so results are identical regardless of worker count).
+// experiment cells, and the instances within each cell, in parallel
+// (each instance owns a forked RNG stream, so results are identical
+// regardless of worker count).
 #pragma once
 
 #include <condition_variable>

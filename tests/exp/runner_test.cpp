@@ -148,6 +148,56 @@ TEST(Runner, SkippedCellsMergeWithPriorRecords) {
   EXPECT_EQ(merged_document(spec, records), merged_document(spec, all));
 }
 
+TEST(Runner, PooledCellsCommitInEnumerationOrder) {
+  // One instance per cell leaves the pool to the cells themselves, and
+  // the large cells come first, so cells finish out of order. The
+  // callbacks must still arrive as the sequential loop makes them --
+  // rows then record, cell by cell -- with the same bytes.
+  const auto spec = ExperimentSpec::parse_line(
+      "name=pooled n=96|16 healer=dash|graph|line "
+      "scenario=paper-churn|until-quarter instances=1 seed=21");
+  struct Observed {
+    std::vector<std::string> events;
+    std::vector<std::string> records;
+    std::vector<std::string> rows;
+    std::vector<std::string> groups;
+  };
+  const auto observe = [&](std::size_t threads) {
+    Observed seen;
+    RunnerOptions opt;
+    opt.threads = threads;
+    opt.on_rows = [&](const Cell& cell,
+                      const std::vector<api::RoundRow>& rows) {
+      seen.events.push_back("rows " + std::to_string(cell.index));
+      for (const api::RoundRow& row : rows) {
+        seen.rows.push_back(rows_line(cell.index, row));
+      }
+    };
+    opt.on_cell = [&](const CellResult& result) {
+      seen.events.push_back("cell " + std::to_string(result.cell.index));
+      seen.records.push_back(shard_line(to_record(spec, result)));
+    };
+    for (const CellResult& result : run(spec, opt)) {
+      seen.groups.push_back(result.group_json);
+    }
+    return seen;
+  };
+
+  std::vector<std::string> expected;
+  for (const Cell& cell : spec.enumerate()) {
+    expected.push_back("rows " + std::to_string(cell.index));
+    expected.push_back("cell " + std::to_string(cell.index));
+  }
+  const Observed seq = observe(1);
+  const Observed pooled = observe(4);
+  EXPECT_EQ(seq.events, expected);
+  EXPECT_EQ(pooled.events, expected);
+  EXPECT_EQ(pooled.records, seq.records);
+  EXPECT_EQ(pooled.rows, seq.rows);
+  EXPECT_EQ(pooled.groups, seq.groups);
+  EXPECT_FALSE(seq.rows.empty());
+}
+
 TEST(Runner, RejectsBadShardOptions) {
   const auto spec = tiny_spec();
   RunnerOptions opt;
@@ -158,9 +208,9 @@ TEST(Runner, RejectsBadShardOptions) {
 }
 
 TEST(Runner, RunCellReproducesEveryRunnerCellIncludingRows) {
-  // run_cell is the fleet layer's work-stealing quantum: one cell,
-  // computed in isolation, must yield the exact group bytes and row
-  // series the same cell gets inside a full run().
+  // run_cell is run()'s unit of work: one cell, computed in isolation,
+  // must yield the exact group bytes and row series the same cell gets
+  // inside a full run().
   const auto spec = tiny_spec();
   RunnerOptions opt;
   opt.threads = 1;

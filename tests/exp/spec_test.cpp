@@ -54,7 +54,8 @@ TEST(ExperimentSpec, LineAndFileFormsAgree) {
 }
 
 TEST(ExperimentSpec, HashIsPinned) {
-  // Shard records and fleet spools carry this digest; it must not move.
+  // Shard records and resume manifests carry this digest; it must not
+  // move.
   const auto spec = ExperimentSpec::parse_line(
       "name=smoke n=24|32 healer=dash|graph "
       "scenario=paper-churn|until-quarter instances=2 seed=11");

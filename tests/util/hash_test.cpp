@@ -1,4 +1,4 @@
-// Known answers for util/hash.h. Resume manifests, fleet handshakes and
+// Known answers for util/hash.h. Shard records, resume manifests and
 // hunt spools store these digests, so a change to either function
 // orphans every file written before it.
 #include "util/hash.h"

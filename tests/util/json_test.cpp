@@ -15,7 +15,6 @@
 #include "api/metrics.h"
 #include "api/sink.h"
 #include "exp/runner.h"
-#include "fleet/protocol.h"
 #include "replay/trace.h"
 
 namespace dash::util {
@@ -242,29 +241,6 @@ TEST(JsonCodec, ParsersRejectEveryStrictPrefix) {
                             replay::event_line(phase) + "\n");
       EXPECT_THROW(replay::load_trace(in), replay::TraceError)
           << line.substr(0, cut);
-    }
-  }
-
-  // Fleet: all 11 message types.
-  const std::vector<fleet::Message> messages = {
-      fleet::make_hello("0123456789abcdef", "agent \"0\""),
-      fleet::make_welcome(48, 2500, true),
-      fleet::make_claim(),
-      fleet::make_grant(17),
-      fleet::make_heartbeat(),
-      fleet::make_rows(5, {"0,0,16", "a\tb"}),
-      fleet::make_result(3, "{\"cell\":3}"),
-      fleet::make_status(),
-      fleet::make_report("7/8 cells done"),
-      fleet::make_shutdown("grid complete"),
-      fleet::make_error("spec-mismatch", "hash \"x\""),
-  };
-  for (const fleet::Message& m : messages) {
-    const std::string payload = fleet::encode_message(m);
-    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
-      EXPECT_THROW(fleet::decode_message(payload.substr(0, cut)),
-                   fleet::FrameError)
-          << payload.substr(0, cut);
     }
   }
 

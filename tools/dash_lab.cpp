@@ -1,12 +1,11 @@
 // dash_lab.cpp -- unified experiment-orchestration CLI over the exp
 // layer: describe a sweep once (spec file or one-line grid), then run
-// it in one process, shard-by-shard on different machines, or as a
-// fleet of agent processes (serve, below), and get the single
-// BENCH_*.json document a sequential run would have written --
-// byte-identical, whichever path produced it.
+// it in one process on N threads, or shard-by-shard on different
+// machines, and get the single BENCH_*.json document a sequential run
+// would have written -- byte-identical, whichever path produced it.
 //
 //   dash_lab list-cells --grid 'n=64|128 healer=dash|sdash scenario=paper-churn'
-//   dash_lab run  --spec sweep.spec --json BENCH_sweep.json
+//   dash_lab run  --spec sweep.spec --threads 4 --json BENCH_sweep.json
 //   dash_lab run  --spec sweep.spec --shard 0/2 --out shards/s0.jsonl
 //   dash_lab run  --spec sweep.spec --shard 1/2 --out shards/s1.jsonl
 //   dash_lab merge --spec sweep.spec --json BENCH_sweep.json
@@ -24,40 +23,14 @@
 //   dash_lab replay --trace run.trace            # bit-identity check
 //   dash_lab replay --trace run.trace --healer none --lenient --invariants
 //   dash_lab fuzz   --trace run.trace --mutants 50
-//
-// The fleet verbs run a grid as a coordinator/agent service with a
-// work-stealing cell queue (src/fleet/); serve --agents N is how one
-// grid spans local processes:
-//
-//   dash_lab serve --spec sweep.spec --agents 3 --json BENCH_sweep.json
-//   dash_lab serve --spec sweep.spec --listen tcp:4815   # external agents
-//   dash_lab agent --connect tcp:host:4815 --spec sweep.spec
-//   dash_lab status --connect tcp:host:4815
-//
-// Agents claim one cell at a time, heartbeat while it computes, and
-// stream rows + the cell's shard record back; a killed or silent agent
-// forfeits its lease and the cell is reassigned, with the final merged
-// document still byte-identical to a sequential run. The coordinator's
-// state dir doubles as a resume manifest (serve --resume), and --chaos
-// kill:<cell> | torn:<cell> makes an agent die at a chosen cell so the
-// reassignment path stays honest.
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
 #include <charconv>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -65,10 +38,6 @@
 #include "api/serve_bench.h"
 #include "exp/runner.h"
 #include "exp/spec.h"
-#include "fleet/agent.h"
-#include "fleet/channel.h"
-#include "fleet/coordinator.h"
-#include "fleet/protocol.h"
 #include "hunt/hunt.h"
 #include "replay/fuzz.h"
 #include "replay/play.h"
@@ -112,27 +81,19 @@ struct LabOptions {
   bool lenient = false;                  ///< --lenient (replay)
   bool invariants = false;               ///< --invariants (replay/record)
   bool no_shrink = false;                ///< --no-shrink (fuzz)
-  // fleet (serve/agent/status)
-  std::string listen;                    ///< serve --listen endpoint
-  std::string connect;                   ///< agent/status --connect
-  std::string state_dir = "dash_fleet";  ///< serve --state-dir
-  std::string name;                      ///< agent --name
-  std::string chaos;                     ///< serve/agent --chaos
-  std::uint64_t agents = 0;              ///< serve --agents (local)
-  std::uint64_t lease_ms = 10000;        ///< serve --lease-ms
-  std::uint64_t stop_after = 0;          ///< serve --stop-after
   // serve-bench
   std::string readers = "1,2,4,8";       ///< serve-bench --readers
   std::uint64_t publish_every = 1;       ///< serve-bench --publish-every
   std::uint64_t distance_every = 16;     ///< serve-bench --distance-every
   bool verify = false;                   ///< serve-bench --verify
   // hunt
+  std::string name;                      ///< hunt --name
+  std::string state_dir = "dash_hunt";   ///< hunt --state-dir
   std::string strategy = "evolve";       ///< hunt --strategy
   std::string fitness = "delta";         ///< hunt --fitness
   std::string trace_dir;                 ///< hunt --trace-dir
   std::uint64_t budget = 200;            ///< hunt --budget
   std::uint64_t top = 3;                 ///< hunt --top
-  std::uint64_t fleet = 0;               ///< hunt --fleet
   std::uint64_t instances = 2;           ///< hunt --instances
   std::uint64_t stretch_every = 0;       ///< hunt --stretch-every
   // list-cells
@@ -143,24 +104,16 @@ int usage(std::FILE* to) {
   std::fprintf(
       to,
       "usage: dash_lab "
-      "<run|merge|list-cells|serve|agent|status|serve-bench|record|"
-      "replay|fuzz|hunt> [options]\n"
+      "<run|merge|list-cells|serve-bench|record|replay|fuzz|hunt> "
+      "[options]\n"
       "\n"
       "subcommands:\n"
-      "  run         execute the grid in this process: all of it, or\n"
-      "              one shard (--shard I/N --out FILE) for merge\n"
+      "  run         execute the grid in this process on --threads N\n"
+      "              workers: all of it, or one shard (--shard I/N\n"
+      "              --out FILE) for merge, the path across machines\n"
       "  merge       reassemble shard record files (--inputs a,b,...)\n"
       "              into the single BENCH_*.json document\n"
       "  list-cells  print the grid's deterministic cell enumeration\n"
-      "  serve       coordinate the grid as a fleet: lease cells to\n"
-      "              agents one at a time (work stealing), reassign on\n"
-      "              death/silence, merge byte-identically; --agents N\n"
-      "              spawns local agent processes (the multi-process\n"
-      "              way to run a grid), --resume restarts from the\n"
-      "              state dir's manifest\n"
-      "  agent       attach to a coordinator (--connect) and claim\n"
-      "              cells until it says shutdown\n"
-      "  status      print a serving coordinator's live progress\n"
       "  serve-bench measure the concurrent serving engine: N reader\n"
       "              threads answer queries from pinned epoch\n"
       "              snapshots while a churn+heal scenario mutates the\n"
@@ -221,59 +174,6 @@ std::vector<std::string> split_commas(const std::string& s) {
     if (!item.empty()) out.push_back(item);
   }
   return out;
-}
-
-/// Absolute path of the running binary (/proc/self/exe when
-/// available, argv0 otherwise).
-std::string current_executable(const char* argv0) {
-  std::error_code ec;
-  const auto self = std::filesystem::read_symlink("/proc/self/exe", ec);
-  if (!ec) return self.string();
-  return argv0 != nullptr ? std::string(argv0) : std::string();
-}
-
-/// fork + exec `exe` with `args` (argv[0] is exe itself); returns the
-/// child pid, throws std::runtime_error when fork fails.
-pid_t spawn_process(const std::string& exe,
-                    const std::vector<std::string>& args) {
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    throw std::runtime_error(std::string("fork failed: ") +
-                             std::strerror(errno));
-  }
-  if (pid == 0) {
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 2);
-    argv.push_back(const_cast<char*>(exe.c_str()));
-    for (const std::string& a : args) {
-      argv.push_back(const_cast<char*>(a.c_str()));
-    }
-    argv.push_back(nullptr);
-    ::execv(exe.c_str(), argv.data());
-    // Only reached when exec failed; report on the inherited stderr
-    // and die without running atexit handlers twice.
-    std::string msg = "dash_lab: exec of '" + exe +
-                      "' failed: " + std::strerror(errno) + "\n";
-    [[maybe_unused]] const auto n =
-        ::write(STDERR_FILENO, msg.data(), msg.size());
-    ::_exit(127);
-  }
-  return pid;
-}
-
-/// waitpid `pid`: empty when it exited 0, else how it ended ("exit 2",
-/// "killed by signal 9", "wait failed").
-std::string reap_process(pid_t pid) {
-  int st = 0;
-  if (::waitpid(pid, &st, 0) < 0) return "wait failed";
-  if (WIFEXITED(st)) {
-    const int code = WEXITSTATUS(st);
-    return code == 0 ? std::string() : "exit " + std::to_string(code);
-  }
-  if (WIFSIGNALED(st)) {
-    return "killed by signal " + std::to_string(WTERMSIG(st));
-  }
-  return "wait failed";
 }
 
 /// Write the merged document to --json, or stdout without it.
@@ -497,140 +397,6 @@ int cmd_merge(const LabOptions& opt) {
   return 0;
 }
 
-// ---- fleet verbs -----------------------------------------------------------
-
-int cmd_serve(const LabOptions& opt, const char* argv0) {
-  const ExperimentSpec spec = load_spec(opt);
-  if (!opt.chaos.empty()) {
-    if (opt.agents == 0) {
-      throw std::invalid_argument(
-          "serve --chaos needs --agents (it arms the first local agent)");
-    }
-    dash::fleet::parse_chaos(opt.chaos);  // validate before spawning
-  }
-  dash::fleet::CoordinatorOptions copt;
-  copt.listen = opt.listen;
-  copt.state_dir = opt.state_dir;
-  copt.resume = opt.resume;
-  copt.rows = !opt.rows.empty();
-  copt.lease_ms = static_cast<std::size_t>(opt.lease_ms);
-  copt.stop_after = static_cast<std::size_t>(opt.stop_after);
-  if (opt.quiet) copt.progress = [](const std::string&) {};
-  dash::fleet::Coordinator coordinator(spec, copt);
-  const std::string endpoint = coordinator.endpoint().spec();
-  if (!opt.quiet) {
-    std::fprintf(stderr, "fleet: listening at %s\n", endpoint.c_str());
-  }
-
-  // Local agents: fork + exec of this binary. Any chaos plan arms
-  // agent 0 *only*: agents inheriting the same plan would all die at
-  // the reassigned cell, forever.
-  std::vector<pid_t> pids;
-  if (opt.agents > 0) {
-    std::size_t agent_threads = static_cast<std::size_t>(opt.threads);
-    if (agent_threads == 0) {
-      agent_threads = std::max<std::size_t>(
-          1, std::thread::hardware_concurrency() /
-                 static_cast<std::size_t>(opt.agents));
-    }
-    const std::string exe = current_executable(argv0);
-    for (std::uint64_t i = 0; i < opt.agents; ++i) {
-      std::vector<std::string> args{"agent", "--connect", endpoint,
-                                    "--name",
-                                    "agent-" + std::to_string(i)};
-      if (opt.spec_path.empty()) {
-        args.push_back("--grid");
-        args.push_back(opt.grid);
-      } else {
-        args.push_back("--spec");
-        args.push_back(opt.spec_path);
-      }
-      args.push_back("--threads");
-      args.push_back(std::to_string(agent_threads));
-      if (opt.quiet) args.push_back("--quiet");
-      if (i == 0 && !opt.chaos.empty()) {
-        args.push_back("--chaos");
-        args.push_back(opt.chaos);
-      }
-      pids.push_back(spawn_process(exe, args));
-    }
-  }
-
-  const dash::fleet::FleetReport report = coordinator.run();
-
-  // Reap local agents; their fates are informational (a chaos-killed
-  // agent is the point of the exercise) -- grid completion is what
-  // this process's exit code stands for.
-  for (std::size_t i = 0; i < pids.size(); ++i) {
-    const std::string fate = reap_process(pids[i]);
-    if (!opt.quiet && !fate.empty()) {
-      std::fprintf(stderr, "fleet: agent-%zu %s\n", i, fate.c_str());
-    }
-  }
-
-  if (!opt.quiet) {
-    std::fprintf(stderr, "%s\n",
-                 dash::fleet::render_status(report).c_str());
-  }
-  if (!report.complete) {
-    std::fprintf(stderr,
-                 "fleet: checkpoint at %zu/%zu cells in %s; rerun with "
-                 "--resume to finish\n",
-                 report.done, report.cells, opt.state_dir.c_str());
-    return 3;
-  }
-  if (!opt.rows.empty()) {
-    std::ofstream rows_out(opt.rows, std::ios::trunc);
-    if (!rows_out) {
-      throw std::runtime_error("cannot open --rows path '" + opt.rows +
-                               "'");
-    }
-    rows_out << report.rows_csv;
-    if (!opt.quiet) {
-      std::fprintf(stderr, "merged rows written to %s\n",
-                   opt.rows.c_str());
-    }
-  }
-  emit_document(opt, report.document);
-  return 0;
-}
-
-int cmd_agent(const LabOptions& opt) {
-  if (opt.connect.empty()) {
-    throw std::invalid_argument("agent needs --connect <endpoint>");
-  }
-  const ExperimentSpec spec = load_spec(opt);
-  dash::fleet::AgentOptions aopt;
-  aopt.connect = opt.connect;
-  aopt.name = opt.name;
-  aopt.threads = static_cast<std::size_t>(opt.threads);
-  if (!opt.chaos.empty()) aopt.chaos = dash::fleet::parse_chaos(opt.chaos);
-  if (opt.quiet) aopt.progress = [](const std::string&) {};
-  const dash::fleet::AgentReport report = dash::fleet::run_agent(spec, aopt);
-  if (!opt.quiet) {
-    std::fprintf(stderr, "agent: %zu cells done (%s)\n", report.cells_done,
-                 report.shutdown_reason.c_str());
-  }
-  return 0;
-}
-
-int cmd_status(const LabOptions& opt) {
-  if (opt.connect.empty()) {
-    throw std::invalid_argument("status needs --connect <endpoint>");
-  }
-  dash::fleet::Channel ch = dash::fleet::connect_channel(
-      dash::fleet::Endpoint::parse(opt.connect));
-  if (!ch.send(dash::fleet::make_status())) {
-    throw std::runtime_error("coordinator closed the connection");
-  }
-  const auto reply = ch.recv();
-  if (!reply || reply->type != dash::fleet::MessageType::kReport) {
-    throw std::runtime_error("no status report from the coordinator");
-  }
-  std::printf("%s\n", reply->text.c_str());
-  return 0;
-}
-
 // ---- replay verbs ----------------------------------------------------------
 
 int cmd_record(const LabOptions& opt) {
@@ -736,7 +502,6 @@ int cmd_hunt(const LabOptions& opt) {
   cfg.budget = static_cast<std::size_t>(opt.budget);
   cfg.top_k = static_cast<std::size_t>(opt.top);
   cfg.threads = static_cast<std::size_t>(opt.threads);
-  cfg.fleet_agents = static_cast<std::size_t>(opt.fleet);
   cfg.state_dir = opt.state_dir;
   cfg.resume = opt.resume;
   cfg.trace_dir = opt.trace_dir;
@@ -821,11 +586,9 @@ int main(int argc, char** argv) {
       cmd == "run" || cmd == "merge" || cmd == "list-cells";
   const bool trace_cmd =
       cmd == "record" || cmd == "replay" || cmd == "fuzz";
-  const bool fleet_cmd =
-      cmd == "serve" || cmd == "agent" || cmd == "status";
   const bool bench_cmd = cmd == "serve-bench";
   const bool hunt_cmd = cmd == "hunt";
-  if (!grid_cmd && !trace_cmd && !fleet_cmd && !bench_cmd && !hunt_cmd) {
+  if (!grid_cmd && !trace_cmd && !bench_cmd && !hunt_cmd) {
     std::fprintf(stderr, "dash_lab: unknown subcommand '%s'\n\n",
                  cmd.c_str());
     return usage(stderr);
@@ -835,7 +598,7 @@ int main(int argc, char** argv) {
   dash::util::Options opt("dash_lab " + cmd +
                           " -- experiment grids, sharded execution, "
                           "byte-stable merges and trace replay");
-  if (grid_cmd || cmd == "serve" || cmd == "agent") {
+  if (grid_cmd) {
     opt.add_string("spec", &lab.spec_path, "experiment spec file");
     opt.add_string("grid", &lab.grid,
                    "one-line spec, e.g. 'n=64|128 healer=dash|sdash "
@@ -848,8 +611,8 @@ int main(int argc, char** argv) {
     opt.add_flag("resume", &lab.resume,
                  "skip cells already recorded in the --out file");
     opt.add_uint("threads", &lab.threads,
-                 "suite worker threads (0 = hardware concurrency, "
-                 "1 = sequential)");
+                 "worker threads shared by the cells and their "
+                 "instances (0 = hardware concurrency, 1 = sequential)");
     opt.add_string("rows", &lab.rows,
                    "stream per-round rows here (canonical CSV; --resume "
                    "keeps the recorded cells' rows)");
@@ -861,48 +624,6 @@ int main(int argc, char** argv) {
                    "comma-separated per-shard rows files");
     opt.add_string("rows", &lab.rows,
                    "write the merged rows CSV here (with --rows-inputs)");
-  }
-  if (cmd == "serve") {
-    opt.add_string("listen", &lab.listen,
-                   "endpoint to serve at: unix:<path> or tcp:[host:]port "
-                   "(port 0 = ephemeral; default "
-                   "unix:<state-dir>/fleet.sock)");
-    opt.add_string("state-dir", &lab.state_dir,
-                   "spool + resume-manifest directory");
-    opt.add_uint("agents", &lab.agents,
-                 "spawn N local agent processes (0 = external agents "
-                 "connect on their own)");
-    opt.add_uint("lease-ms", &lab.lease_ms,
-                 "reassign an agent's cell after this long without a "
-                 "frame from it");
-    opt.add_uint("stop-after", &lab.stop_after,
-                 "checkpoint and exit (code 3) after N newly committed "
-                 "cells (restart-resume testing)");
-    opt.add_flag("resume", &lab.resume,
-                 "skip cells already in the state dir's manifest");
-    opt.add_uint("threads", &lab.threads,
-                 "suite threads per spawned agent (0 = hardware "
-                 "concurrency split between them)");
-    opt.add_string("rows", &lab.rows,
-                   "collect per-round rows and write the canonical CSV "
-                   "here");
-    opt.add_string("chaos", &lab.chaos,
-                   "arm kill:<cell> / torn:<cell> on the first spawned "
-                   "agent (requires --agents)");
-  }
-  if (cmd == "agent" || cmd == "status") {
-    opt.add_string("connect", &lab.connect,
-                   "coordinator endpoint (unix:<path> or tcp:host:port)");
-  }
-  if (cmd == "agent") {
-    opt.add_string("name", &lab.name,
-                   "display name in coordinator logs (default "
-                   "agent-<pid>)");
-    opt.add_uint("threads", &lab.threads,
-                 "suite threads per cell (0 = hardware, 1 = sequential)");
-    opt.add_string("chaos", &lab.chaos,
-                   "die at kill:<cell> / torn:<cell> (fault-injection "
-                   "tests)");
   }
   if (trace_cmd) {
     opt.add_string("trace", &lab.trace, "the trace file (required)");
@@ -968,7 +689,6 @@ int main(int argc, char** argv) {
     opt.add_string("json", &lab.json, "write the report as JSON here");
   }
   if (cmd == "hunt") {
-    lab.state_dir = "dash_hunt";
     lab.threads = 0;
     opt.add_string("name", &lab.name,
                    "hunt name, used in artifact filenames (default hunt)");
@@ -995,11 +715,9 @@ int main(int argc, char** argv) {
                  "stretch sampling cadence (0 = auto when the fitness "
                  "needs it)");
     opt.add_uint("threads", &lab.threads,
-                 "suite threads for scoring (0 = hardware, 1 = "
-                 "sequential; same results either way)");
-    opt.add_uint("fleet", &lab.fleet,
-                 "score generations across N in-process fleet agents "
-                 "instead of the thread pool (same results)");
+                 "worker threads scoring a generation's cells and "
+                 "their instances (0 = hardware, 1 = sequential; same "
+                 "results either way)");
     opt.add_string("state-dir", &lab.state_dir,
                    "spool + artifact directory; --resume reuses its "
                    "scores");
@@ -1010,7 +728,7 @@ int main(int argc, char** argv) {
     opt.add_string("json", &lab.json,
                    "also write the HUNT_*.json leaderboard here");
   }
-  if (cmd == "run" || cmd == "merge" || cmd == "serve") {
+  if (cmd == "run" || cmd == "merge") {
     opt.add_string("json", &lab.json,
                    "write the merged BENCH_*.json here (default: stdout "
                    "for whole-grid runs)");
@@ -1032,10 +750,7 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "list-cells") return cmd_list_cells(lab);
     if (cmd == "merge") return cmd_merge(lab);
-    if (cmd == "serve") return cmd_serve(lab, argv[0]);
     if (cmd == "serve-bench") return cmd_serve_bench(lab);
-    if (cmd == "agent") return cmd_agent(lab);
-    if (cmd == "status") return cmd_status(lab);
     if (cmd == "record") return cmd_record(lab);
     if (cmd == "replay") return cmd_replay(lab);
     if (cmd == "fuzz") return cmd_fuzz(lab);
