@@ -57,19 +57,6 @@ void BM_BfsDistances(benchmark::State& state) {
 }
 BENCHMARK(BM_BfsDistances)->Arg(1024)->Arg(8192);
 
-void BM_BfsDistancesLegacy(benchmark::State& state) {
-  // The historical signature: same engine underneath, plus the
-  // per-call materialization of the full distance vector.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(2);
-  const Graph g = dash::graph::barabasi_albert(n, 2, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dash::graph::bfs_distances(g, 0));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_BfsDistancesLegacy)->Arg(1024)->Arg(8192);
-
 void BM_StretchSample(benchmark::State& state) {
   // One full stretch sample (max+average in a single APSP pass) on a
   // static BA graph with 10% of the nodes deleted and path-healed:
@@ -203,16 +190,27 @@ void BM_ObserverPipelineOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_ObserverPipelineOverhead)->Arg(256);
 
+/// Asks graph::is_connected of the live graph after every round: the
+/// per-round BFS scan the engine's tracker replaces.
+class BfsConnectivityObserver final : public dash::api::Observer {
+ public:
+  std::string name() const override { return "bfs-connectivity"; }
+  void on_round_end(const dash::api::Network& net,
+                    const dash::api::RoundEvent&) override {
+    benchmark::DoNotOptimize(dash::graph::is_connected(net.graph()));
+  }
+};
+
 void BM_ConnectivityPerRound(benchmark::State& state) {
   // End-to-end comparison: a 10k-node churn scenario with an
   // InvariantObserver asking connectivity EVERY round (battery
-  // amortized out of the measurement), answered by the incremental
-  // DynamicConnectivity tracker (mode 0) vs the per-round BFS scan
-  // (mode 1). The whole engine loop is timed -- graph mutation, heal,
-  // id propagation, churn bookkeeping -- and the tracker still wins
-  // >= 5x because the per-round scans dominate everything else. The
-  // Metrics are identical between the modes (the property suite pins
-  // that down).
+  // amortized out of the measurement), answered by the engine's
+  // incremental DynamicConnectivity tracker (arm 0), plus a per-round
+  // BFS scan asked by an observer (arm 1). The whole engine loop is
+  // timed -- graph mutation, heal, id propagation, churn bookkeeping --
+  // and the tracker arm still wins >= 5x because the per-round scans
+  // dominate everything else. Both ask the same question, and the
+  // property suite pins down that the answers agree.
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool use_tracker = state.range(1) == 0;
   const auto scenario = dash::api::Scenario().churn(0.3, 0.7, 2000);
@@ -222,13 +220,13 @@ void BM_ConnectivityPerRound(benchmark::State& state) {
     Graph g = dash::graph::barabasi_albert(n, 2, rng);
     dash::api::Network net(std::move(g), dash::core::make_strategy("dash"),
                            rng);
-    net.set_connectivity_mode(use_tracker
-                                  ? dash::api::ConnectivityMode::kTracker
-                                  : dash::api::ConnectivityMode::kBfs);
     dash::api::InvariantOptions inv_opts;
     inv_opts.battery_every = 0;  // isolate the connectivity cost
     net.add_observer(
         std::make_unique<dash::api::InvariantObserver>(inv_opts));
+    if (!use_tracker) {
+      net.add_observer(std::make_unique<BfsConnectivityObserver>());
+    }
     state.ResumeTiming();
     const auto metrics = net.play(scenario, 9);
     benchmark::DoNotOptimize(metrics.stayed_connected);

@@ -1,10 +1,11 @@
 # hunt_smoke.cmake -- end-to-end adversary-search check over the
-# dash_lab CLI, run as a ctest (and by the CI hunt-smoke job). Asserts
-# the hunt subsystem's user-facing contract: a tiny-budget evolutionary
-# hunt beats the random baseline at the same budget and seed, the
-# winning schedule is emitted as a trace that replays bit-identically
-# standalone, and that trace round-trips through a `dash_lab run` grid
-# cell reproducing the scored run's bytes.
+# dash_lab CLI, run as a ctest. Asserts the hunt subsystem's
+# user-facing contract: a tiny-budget evolutionary hunt beats the
+# random baseline at the same budget and seed, the winning schedule is
+# emitted as a trace that replays bit-identically standalone, that
+# trace round-trips through a `dash_lab run` grid cell reproducing the
+# scored run's bytes, and `--resume` refuses a spool damaged before its
+# last line but recovers from a torn final line.
 #
 #   cmake -DDASH_LAB=<path> -DWORK_DIR=<scratch dir> -P hunt_smoke.cmake
 if(NOT DASH_LAB OR NOT WORK_DIR)
@@ -81,6 +82,40 @@ run_lab(cells_out list-cells
         --json)
 if(NOT cells_out MATCHES "\"cells\":\\[{\"index\":0,")
   message(FATAL_ERROR "list-cells --json output malformed:\n${cells_out}")
+endif()
+
+# 5. Resume from a damaged spool. A torn line before the last one is
+#    corruption: the hunt exits 2 naming the line, and leaves the
+#    spool alone. A torn final line (an interrupted write) is dropped
+#    and recomputed: the leaderboard comes out byte-identical.
+set(spool_path ${WORK_DIR}/evolve/spool.tsv)
+file(READ ${spool_path} spool)
+file(READ ${WORK_DIR}/evolve/HUNT_smoke.json evolve_board)
+string(LENGTH "${spool}" spool_len)
+math(EXPR body_len "${spool_len} - 1")  # drop the trailing newline
+string(SUBSTRING "${spool}" 0 ${body_len} body)
+string(FIND "${body}" "\n" last_nl REVERSE)
+math(EXPR torn_len "${last_nl} - 7")  # inside the next-to-last record
+string(SUBSTRING "${body}" 0 ${torn_len} torn_head)
+math(EXPR last_start "${last_nl} + 1")
+string(SUBSTRING "${body}" ${last_start} -1 last_line)
+file(WRITE ${spool_path} "${torn_head}\n${last_line}\n")
+execute_process(COMMAND ${DASH_LAB} hunt --name smoke --strategy evolve:8
+                        ${TARGET} --state-dir ${WORK_DIR}/evolve --resume
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "bad record on line [0-9]+")
+  message(FATAL_ERROR "resume over a torn middle spool line: expected "
+                      "exit 2 naming the line, got ${rc}:\n${err}")
+endif()
+math(EXPR tail_len "${spool_len} - 40")
+string(SUBSTRING "${spool}" 0 ${tail_len} torn_tail)
+file(WRITE ${spool_path} "${torn_tail}")
+run_lab(resume_out hunt --name smoke --strategy evolve:8 ${TARGET}
+        --state-dir ${WORK_DIR}/evolve --resume)
+file(READ ${WORK_DIR}/evolve/HUNT_smoke.json resumed_board)
+if(NOT resumed_board STREQUAL evolve_board)
+  message(FATAL_ERROR "resume over a torn final spool line changed the "
+                      "leaderboard")
 endif()
 
 message(STATUS "hunt smoke OK (evolve ${evolve_fit} > random ${random_fit})")

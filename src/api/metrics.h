@@ -29,9 +29,7 @@ struct Metrics {
   std::size_t surrogate_heals = 0;      ///< SDASH star-rule activations
   double max_stretch = 0.0;  ///< max over sampled rounds (StretchObserver)
   /// Component structure at snapshot time, answered by the engine's
-  /// incremental connectivity tracker (or a BFS scan in kBfs mode --
-  /// the values are identical by construction). 0 when no node is
-  /// alive.
+  /// incremental connectivity tracker. 0 when no node is alive.
   std::size_t components = 0;
   std::size_t largest_component = 0;
   /// True while no connectivity check ever failed. Per-round checks are

@@ -19,8 +19,8 @@ using graph::NodeId;
 
 namespace {
 
-/// DASH_VERIFY_CONNECTIVITY=1 flips every owning engine into kVerify:
-/// each tracker answer is cross-checked against the BFS scan.
+/// DASH_VERIFY_CONNECTIVITY=1 flips every engine into kVerify: each
+/// tracker answer is cross-checked against the BFS scan.
 bool env_verify_connectivity() {
   static const bool on = [] {
     const char* v = std::getenv("DASH_VERIFY_CONNECTIVITY");
@@ -29,21 +29,26 @@ bool env_verify_connectivity() {
   return on;
 }
 
+ConnectivityMode default_mode() {
+  return env_verify_connectivity() ? ConnectivityMode::kVerify
+                                   : ConnectivityMode::kTracker;
+}
+
+HealingState seeded_state(const Graph& g, std::uint64_t seed) {
+  dash::util::Rng rng(seed);
+  return HealingState(g, rng);
+}
+
 }  // namespace
 
 bool RoundEvent::connected() const {
   if (!connected_.has_value()) {
-    if (tracker_ != nullptr) {
-      const bool fast = tracker_->connected();
-      if (verify_) {
-        DASH_CHECK_MSG(fast == graph::is_connected(*graph_),
-                       "DynamicConnectivity disagrees with the BFS scan");
-      }
-      connected_ = fast;
-    } else {
-      // Events detached from an engine (unit-test fixtures) default to
-      // connected; engine-emitted events carry their graph.
-      connected_ = graph_ == nullptr || graph::is_connected(*graph_);
+    // Events detached from an engine (unit-test fixtures) default to
+    // connected; engine-emitted events carry the engine's tracker.
+    connected_ = tracker_ == nullptr || tracker_->connected();
+    if (verify_) {
+      DASH_CHECK_MSG(*connected_ == graph::is_connected(*graph_),
+                     "DynamicConnectivity disagrees with the BFS scan");
     }
   }
   return *connected_;
@@ -51,51 +56,35 @@ bool RoundEvent::connected() const {
 
 Network::Network(Graph g, std::unique_ptr<core::HealingStrategy> healer,
                  dash::util::Rng& rng)
-    : owned_g_(std::move(g)),
-      owned_healer_(std::move(healer)),
-      g_(&*owned_g_),
-      healer_(owned_healer_.get()) {
+    : g_(std::move(g)),
+      healer_(std::move(healer)),
+      state_(g_, rng),
+      initial_size_(g_.num_alive()),
+      tracker_(g_),
+      conn_mode_(default_mode()) {
   DASH_CHECK_MSG(healer_ != nullptr, "Network needs a healing strategy");
-  owned_state_.emplace(*g_, rng);
-  state_ = &*owned_state_;
-  initial_size_ = g_->num_alive();
-  init_tracker();
 }
 
 Network::Network(Graph g, const std::string& healer_spec,
                  std::uint64_t seed)
-    : owned_g_(std::move(g)),
-      owned_healer_(core::make_strategy(healer_spec)),
-      g_(&*owned_g_),
-      healer_(owned_healer_.get()) {
-  dash::util::Rng rng(seed);
-  owned_state_.emplace(*g_, rng);
-  state_ = &*owned_state_;
-  initial_size_ = g_->num_alive();
-  init_tracker();
-}
+    : g_(std::move(g)),
+      healer_(core::make_strategy(healer_spec)),
+      state_(seeded_state(g_, seed)),
+      initial_size_(g_.num_alive()),
+      tracker_(g_),
+      conn_mode_(default_mode()) {}
 
 Network::Network(Graph g, std::unique_ptr<core::HealingStrategy> healer,
                  HealingState state)
-    : owned_g_(std::move(g)),
-      owned_state_(std::move(state)),
-      owned_healer_(std::move(healer)),
-      g_(&*owned_g_),
-      state_(&*owned_state_),
-      healer_(owned_healer_.get()) {
+    : g_(std::move(g)),
+      healer_(std::move(healer)),
+      state_(std::move(state)),
+      initial_size_(g_.num_alive()),
+      tracker_(g_),
+      conn_mode_(default_mode()) {
   DASH_CHECK_MSG(healer_ != nullptr, "Network needs a healing strategy");
-  DASH_CHECK_MSG(state_->num_nodes() == g_->num_nodes(),
+  DASH_CHECK_MSG(state_.num_nodes() == g_.num_nodes(),
                  "checkpointed healing state does not match the graph");
-  initial_size_ = g_->num_alive();
-  init_tracker();
-}
-
-Network::Network(Graph& g, HealingState& state,
-                 core::HealingStrategy& healer)
-    : g_(&g), state_(&state), healer_(&healer) {
-  initial_size_ = g_->num_alive();
-  // Borrowed graphs may be mutated externally between events, which
-  // would desync an incremental tracker: stay on the BFS path.
 }
 
 Network::~Network() = default;
@@ -110,24 +99,11 @@ ServeHandle& Network::serve(const ServeOptions& opts) {
   return *serve_;
 }
 
-void Network::init_tracker() {
-  tracker_.emplace(*g_);
-  conn_mode_ = env_verify_connectivity() ? ConnectivityMode::kVerify
-                                         : ConnectivityMode::kTracker;
-}
-
 void Network::set_connectivity_mode(ConnectivityMode mode) {
-  DASH_CHECK_MSG(mode == ConnectivityMode::kBfs || tracker_.has_value(),
-                 "tracker modes need an owning engine");
-  // The env debug flag outranks programmatic tracker requests, so a
+  // The env debug flag outranks programmatic requests, so a
   // DASH_VERIFY_CONNECTIVITY=1 run cross-checks even suites that
-  // configure their own modes (answers are identical either way; only
-  // an explicit kBfs stays plain -- it is the reference side of the
-  // differential).
-  if (mode == ConnectivityMode::kTracker && env_verify_connectivity()) {
-    mode = ConnectivityMode::kVerify;
-  }
-  conn_mode_ = mode;
+  // configure their own modes (answers are identical either way).
+  conn_mode_ = env_verify_connectivity() ? ConnectivityMode::kVerify : mode;
 }
 
 void Network::attach(Observer* obs) {
@@ -165,9 +141,8 @@ void Network::finish_round(RoundEvent& ev) {
   // cached this early would be another round's answer leaking through.
   DASH_CHECK_MSG(!ev.connectivity_checked(),
                  "stale RoundEvent::connected cache leaked across rounds");
-  ev.graph_ = g_;
-  ev.tracker_ =
-      conn_mode_ != ConnectivityMode::kBfs ? &*tracker_ : nullptr;
+  ev.graph_ = &g_;
+  ev.tracker_ = &tracker_;
   ev.verify_ = conn_mode_ == ConnectivityMode::kVerify;
   if (force_connectivity_checks_) (void)ev.connected();
   if (ev.ctx != nullptr) {
@@ -183,26 +158,23 @@ void Network::finish_round(RoundEvent& ev) {
 }
 
 HealAction Network::remove(NodeId v) {
-  DASH_CHECK_MSG(g_->alive(v), "removing a dead node");
+  DASH_CHECK_MSG(g_.alive(v), "removing a dead node");
   notify_round_begin(engine_.deletions + 1);
 
   const core::DeletionContext& ctx = deletion_ctx_;
-  state_->begin_deletion(*g_, v, deletion_ctx_);
-  g_->delete_node(v, removed_neighbors_);
+  state_.begin_deletion(g_, v, deletion_ctx_);
+  g_.delete_node(v, removed_neighbors_);
   DASH_CHECK(removed_neighbors_ == ctx.neighbors_g);
 
-  HealAction action = healer_->heal(*g_, *state_, ctx);
+  HealAction action = healer_->heal(g_, state_, ctx);
 
-  if (tracker_.has_value()) {
-    for (const auto& [a, b] : action.new_graph_edges) {
-      tracker_->edge_added(a, b);
-    }
-    const bool may_split =
-        ctx.neighbors_g.size() >= 2 &&
-        (!healer_->reconnects_survivors() ||
-         !survivors_reconnected(ctx.neighbors_g));
-    tracker_->node_removed(v, ctx.neighbors_g, may_split);
+  for (const auto& [a, b] : action.new_graph_edges) {
+    tracker_.edge_added(a, b);
   }
+  const bool may_split = ctx.neighbors_g.size() >= 2 &&
+                         (!healer_->reconnects_survivors() ||
+                          !survivors_reconnected(ctx.neighbors_g));
+  tracker_.node_removed(v, ctx.neighbors_g, may_split);
 
   ++engine_.deletions;
   engine_.edges_added += action.new_graph_edges.size();
@@ -224,7 +196,7 @@ std::vector<HealAction> Network::remove_batch(
   // Checked before begin_batch_deletion, which indexes per-id arrays by
   // every member.
   for (NodeId v : batch) {
-    DASH_CHECK_MSG(g_->alive(v), "batch member is not an alive node");
+    DASH_CHECK_MSG(g_.alive(v), "batch member is not an alive node");
   }
   std::vector<NodeId> distinct = batch;
   std::sort(distinct.begin(), distinct.end());
@@ -236,34 +208,31 @@ std::vector<HealAction> Network::remove_batch(
   notify_round_begin(engine_.deletions + batch.size());
 
   const core::BatchDeletionContext ctx =
-      core::begin_batch_deletion(*state_, *g_, batch);
-  core::delete_batch(*g_, batch);
+      core::begin_batch_deletion(state_, g_, batch);
+  core::delete_batch(g_, batch);
 
-  const auto actions = core::dash_heal_batch(*g_, *state_, ctx);
+  const auto actions = core::dash_heal_batch(g_, state_, ctx);
 
-  if (tracker_.has_value()) {
-    for (const auto& action : actions) {
-      for (const auto& [a, b] : action.new_graph_edges) {
-        tracker_->edge_added(a, b);
-      }
+  for (const auto& action : actions) {
+    for (const auto& [a, b] : action.new_graph_edges) {
+      tracker_.edge_added(a, b);
     }
-    // Seeds for the lazy re-scan: every remnant of the touched
-    // components holds a surviving neighbor of some cluster.
-    std::vector<NodeId> survivors;
-    for (const auto& cluster : ctx.clusters) {
-      survivors.insert(survivors.end(), cluster.survivor_neighbors.begin(),
-                       cluster.survivor_neighbors.end());
-    }
-    std::sort(survivors.begin(), survivors.end());
-    survivors.erase(std::unique(survivors.begin(), survivors.end()),
-                    survivors.end());
-    // Batch rounds get the same per-cluster certificate single
-    // deletions do: when every survivor still shares one healing-forest
-    // component, the round cannot have split and the tracker skips the
-    // lazy re-scan entirely.
-    tracker_->batch_removed(batch, survivors,
-                            !survivors_reconnected(survivors));
   }
+  // Seeds for the lazy re-scan: every remnant of the touched
+  // components holds a surviving neighbor of some cluster.
+  std::vector<NodeId> survivors;
+  for (const auto& cluster : ctx.clusters) {
+    survivors.insert(survivors.end(), cluster.survivor_neighbors.begin(),
+                     cluster.survivor_neighbors.end());
+  }
+  std::sort(survivors.begin(), survivors.end());
+  survivors.erase(std::unique(survivors.begin(), survivors.end()),
+                  survivors.end());
+  // Batch rounds get the same per-cluster certificate single deletions
+  // do: when every survivor still shares one healing-forest component,
+  // the round cannot have split and the tracker skips the lazy re-scan
+  // entirely.
+  tracker_.batch_removed(batch, survivors, !survivors_reconnected(survivors));
 
   engine_.deletions += batch.size();
   std::size_t round_edges = 0;
@@ -284,13 +253,11 @@ std::vector<HealAction> Network::remove_batch(
 }
 
 NodeId Network::join(const std::vector<NodeId>& attach_to) {
-  const NodeId joined = state_->join_node(*g_, attach_to);
-  if (tracker_.has_value()) {
-    tracker_->node_added(joined);
-    for (NodeId t : attach_to) tracker_->edge_added(joined, t);
-  }
+  const NodeId joined = state_.join_node(g_, attach_to);
+  tracker_.node_added(joined);
+  for (NodeId t : attach_to) tracker_.edge_added(joined, t);
   ++engine_.joins;
-  if (attach_to.empty() && g_->num_alive() > 1) {
+  if (attach_to.empty() && g_.num_alive() > 1) {
     // An unattached newcomer is its own component.
     last_connected_ = false;
     engine_.stayed_connected = false;
@@ -306,11 +273,11 @@ Metrics Network::run(attack::AttackStrategy& attacker,
   // the otherwise-lazy per-round connectivity scan for this run.
   const bool saved_force = force_connectivity_checks_;
   force_connectivity_checks_ |= opts.stop_when_disconnected;
-  while (g_->num_alive() > 1 && engine_.deletions < opts.max_deletions) {
+  while (g_.num_alive() > 1 && engine_.deletions < opts.max_deletions) {
     if (opts.stop_condition && opts.stop_condition(*this)) break;
-    const NodeId victim = attacker.select(*g_, *state_);
+    const NodeId victim = attacker.select(g_, state_);
     if (victim == graph::kInvalidNode) break;  // attack finished early
-    DASH_CHECK_MSG(g_->alive(victim), "attacker chose a dead node");
+    DASH_CHECK_MSG(g_.alive(victim), "attacker chose a dead node");
     remove(victim);
     if (!last_connected_ && opts.stop_when_disconnected) break;
   }
@@ -328,34 +295,27 @@ bool Network::survivors_reconnected(
   // of E invariants the InvariantObserver battery verifies (its
   // analysis::HealingForestWalk); kVerify cross-checks the conclusion
   // against the scan.
-  const std::uint64_t id = state_->component_id(survivors.front());
+  const std::uint64_t id = state_.component_id(survivors.front());
   for (std::size_t i = 1; i < survivors.size(); ++i) {
-    if (state_->component_id(survivors[i]) != id) return false;
+    if (state_.component_id(survivors[i]) != id) return false;
   }
   return true;
 }
 
 bool Network::current_connected() const {
-  if (conn_mode_ == ConnectivityMode::kBfs) {
-    return graph::is_connected(*g_);
-  }
-  const bool fast = tracker_->connected();
+  const bool fast = tracker_.connected();
   if (conn_mode_ == ConnectivityMode::kVerify) {
-    DASH_CHECK_MSG(fast == graph::is_connected(*g_),
+    DASH_CHECK_MSG(fast == graph::is_connected(g_),
                    "DynamicConnectivity disagrees with the BFS scan");
   }
   return fast;
 }
 
 std::pair<std::size_t, std::size_t> Network::component_snapshot() const {
-  if (conn_mode_ == ConnectivityMode::kBfs) {
-    const graph::Components comps = graph::connected_components(*g_);
-    return {comps.count(), comps.largest()};
-  }
   const std::pair<std::size_t, std::size_t> fast{
-      tracker_->component_count(), tracker_->largest_component()};
+      tracker_.component_count(), tracker_.largest_component()};
   if (conn_mode_ == ConnectivityMode::kVerify) {
-    const graph::Components comps = graph::connected_components(*g_);
+    const graph::Components comps = graph::connected_components(g_);
     DASH_CHECK_MSG(fast.first == comps.count() &&
                        fast.second == comps.largest(),
                    "DynamicConnectivity component structure disagrees "
@@ -374,10 +334,10 @@ std::size_t Network::largest_component() const {
 
 Metrics Network::metrics() const {
   Metrics m = engine_;
-  m.max_delta = state_->max_delta_ever();
-  m.max_id_changes = state_->max_id_changes();
-  m.max_messages = state_->max_messages();
-  m.max_messages_sent = state_->max_messages_sent();
+  m.max_delta = state_.max_delta_ever();
+  m.max_id_changes = state_.max_id_changes();
+  m.max_messages = state_.max_messages();
+  m.max_messages_sent = state_.max_messages_sent();
   const auto [components, largest] = component_snapshot();
   m.components = components;
   m.largest_component = largest;
@@ -393,7 +353,7 @@ Metrics Network::finish() {
   // callers who care about transient disconnection (NoHeal studies)
   // must ask per round, via stop_when_disconnected or an observer that
   // reads RoundEvent::connected().
-  if (engine_.stayed_connected && g_->num_alive() > 1 &&
+  if (engine_.stayed_connected && g_.num_alive() > 1 &&
       !current_connected()) {
     engine_.stayed_connected = false;
     last_connected_ = false;

@@ -1,7 +1,8 @@
 // network.h -- the self-healing network engine: one object that owns
-// the graph, the healing state, and the healing strategy, exposes the
-// paper's protocol as events (remove / remove_batch / join / run /
-// play), and feeds a pluggable Observer pipeline.
+// the graph, the healing state, the healing strategy and the
+// incremental connectivity tracker, exposes the paper's protocol as
+// events (remove / remove_batch / join / run / play), and feeds a
+// pluggable Observer pipeline.
 //
 // Every workload in this repository -- figure benches, the sweep CLI,
 // the examples, the schedule-level tests -- drives this engine, almost
@@ -18,7 +19,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,17 +41,13 @@ struct ServeOptions;
 
 /// How the engine answers connectivity and component queries
 /// (RoundEvent::connected(), component_count(), largest_component(),
-/// the Metrics component fields, and the finish() check).
+/// the Metrics component fields, and the finish() check). Both modes
+/// answer from the engine's graph::DynamicConnectivity tracker.
 enum class ConnectivityMode {
-  /// Incremental graph::DynamicConnectivity tracker (the default for
-  /// owning engines): O(alpha) per certified round, one re-scan of the
-  /// affected component per uncertified round.
+  /// Tracker answers (the default): O(alpha) per certified round, one
+  /// re-scan of the affected component per uncertified round.
   kTracker,
-  /// Full BFS scan per ask -- the pre-tracker cost model. Forced for
-  /// borrowed engines (external code may mutate the graph behind the
-  /// engine's back) and kept as the differential-testing reference.
-  kBfs,
-  /// Tracker answers with every answer cross-checked against the BFS
+  /// Tracker answers with every answer cross-checked against a BFS
   /// scan (DASH_CHECK on divergence). The debug verify flag; also
   /// switched on by setting DASH_VERIFY_CONNECTIVITY=1 in the
   /// environment.
@@ -71,32 +67,25 @@ struct RunOptions {
 
 class Network {
  public:
-  /// Owning constructor: takes the initial network, the healing
-  /// strategy, and the RNG stream used to draw the healing state's
-  /// initial ids (the caller's stream, so graph generation and id
-  /// assignment share one seed exactly as the experiments require).
+  /// Takes the initial network, the healing strategy, and the RNG
+  /// stream used to draw the healing state's initial ids (the caller's
+  /// stream, so graph generation and id assignment share one seed
+  /// exactly as the experiments require).
   Network(graph::Graph g, std::unique_ptr<core::HealingStrategy> healer,
           dash::util::Rng& rng);
 
-  /// Owning constructor from a healer spec string ("dash", "capped:2",
-  /// ... -- anything in core::healer_registry()) and a bare seed.
+  /// From a healer spec string ("dash", "capped:2", ... -- anything in
+  /// core::healer_registry()) and a bare seed.
   Network(graph::Graph g, const std::string& healer_spec,
           std::uint64_t seed);
 
-  /// Owning constructor resuming from a checkpointed healing state
+  /// Resumes from a checkpointed healing state
   /// (core::HealingState::save / graph::write_edge_list): no RNG is
   /// consumed -- the state carries its id assignment -- so re-executing
   /// a recorded event sequence reproduces the original run exactly.
   /// The replay subsystem (replay/play.h) is built on this.
   Network(graph::Graph g, std::unique_ptr<core::HealingStrategy> healer,
           core::HealingState state);
-
-  /// Borrowed constructor: operate on externally owned graph/state/
-  /// healer, for callers that need to inspect or keep mutating those
-  /// objects after the run. New code should prefer the owning
-  /// constructors.
-  Network(graph::Graph& g, core::HealingState& state,
-          core::HealingStrategy& healer);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -180,8 +169,8 @@ class Network {
 
   // ---- introspection ------------------------------------------------
 
-  const graph::Graph& graph() const { return *g_; }
-  const core::HealingState& state() const { return *state_; }
+  const graph::Graph& graph() const { return g_; }
+  const core::HealingState& state() const { return state_; }
   const core::HealingStrategy& healer() const { return *healer_; }
   /// Alive-node count when the engine was constructed (the `n` of the
   /// paper's bounds).
@@ -194,27 +183,24 @@ class Network {
 
   // ---- connectivity / component structure ----------------------------
 
-  /// Switch how connectivity/component queries are answered. Tracker
-  /// modes (kTracker, kVerify) require an owning engine: borrowed
-  /// graphs can be mutated externally, which would silently desync the
-  /// incremental tracker, so borrowed engines are pinned to kBfs.
+  /// Switch between plain and cross-checked tracker answers.
+  /// DASH_VERIFY_CONNECTIVITY=1 keeps every engine in kVerify.
   void set_connectivity_mode(ConnectivityMode mode);
   ConnectivityMode connectivity_mode() const { return conn_mode_; }
 
   /// Number of components among alive nodes (0 when none are alive).
-  /// O(alpha) amortized in tracker mode, one BFS labelling in kBfs.
+  /// O(alpha) amortized.
   std::size_t component_count() const;
   /// Size of the largest component (0 when no nodes are alive).
   std::size_t largest_component() const;
-  /// (component count, largest size) in one ask -- in kBfs mode a
-  /// single labelling serves both, so per-round samplers should prefer
-  /// this over two separate calls.
+  /// (component count, largest size) in one ask; in kVerify one BFS
+  /// labelling checks both.
   std::pair<std::size_t, std::size_t> component_snapshot() const;
 
-  /// The engine's tracker, for instrumentation (rebuild counters);
-  /// null for borrowed engines.
+  /// The engine's tracker, for instrumentation (rebuild counters).
+  /// Never null.
   const graph::DynamicConnectivity* connectivity_tracker() const {
-    return tracker_ ? &*tracker_ : nullptr;
+    return &tracker_;
   }
 
   /// Engine-maintained metrics refreshed from the healing state, with
@@ -225,23 +211,20 @@ class Network {
   void attach(Observer* obs);
   void notify_round_begin(std::size_t round);
   void finish_round(RoundEvent& ev);
-  void init_tracker();
   /// The healing-forest certificate for one deletion: every survivor
   /// carries the same post-heal component id, i.e. one G'-tree
   /// reconnects them all without the deleted node.
   bool survivors_reconnected(const std::vector<graph::NodeId>& survivors)
       const;
-  /// Current connectivity via the active mode (tracker / scan / both).
+  /// Current connectivity from the tracker (cross-checked in kVerify).
   bool current_connected() const;
 
-  std::optional<graph::Graph> owned_g_;
-  std::optional<core::HealingState> owned_state_;
-  std::unique_ptr<core::HealingStrategy> owned_healer_;
+  // Declaration order is construction order: the healing state and
+  // the tracker are built from g_.
+  graph::Graph g_;
+  std::unique_ptr<core::HealingStrategy> healer_;
+  core::HealingState state_;
   std::vector<std::unique_ptr<Observer>> owned_observers_;
-
-  graph::Graph* g_ = nullptr;
-  core::HealingState* state_ = nullptr;
-  core::HealingStrategy* healer_ = nullptr;
   std::vector<Observer*> observers_;
 
   Metrics engine_;  ///< incrementally maintained fields only
@@ -251,11 +234,10 @@ class Network {
   /// the connectivity check even if no observer asks.
   bool force_connectivity_checks_ = false;
   /// Incremental component tracker, kept in sync with every engine
-  /// mutation for owning engines regardless of mode (so modes can be
-  /// switched mid-run); absent for borrowed engines. Mutable: queries
-  /// flush its lazy re-scan without changing observable state.
-  mutable std::optional<graph::DynamicConnectivity> tracker_;
-  ConnectivityMode conn_mode_ = ConnectivityMode::kBfs;
+  /// mutation. Mutable: queries flush its lazy re-scan without changing
+  /// observable state.
+  mutable graph::DynamicConnectivity tracker_;
+  ConnectivityMode conn_mode_;
   /// The concurrent read path (api/serve.h); null until serve().
   std::unique_ptr<ServeHandle> serve_;
 

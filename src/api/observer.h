@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,12 +48,12 @@ struct RoundEvent {
   std::size_t edges_added = 0;
 
   /// Post-heal connectivity of the network. Computed lazily on the
-  /// first call and cached for the rest of the round's pipeline. For
-  /// engines in tracker mode the answer comes from the incremental
-  /// graph::DynamicConnectivity (O(alpha) on certified rounds); in BFS
-  /// mode -- and for events detached from an engine -- it is the full
-  /// O(n+m) scan. Rounds where nothing asks pay nothing either way.
-  /// The engine folds any computed value into Metrics::stayed_connected
+  /// first call and cached for the rest of the round's pipeline. The
+  /// answer comes from the engine's incremental
+  /// graph::DynamicConnectivity (O(alpha) on certified rounds), checked
+  /// against a full BFS scan in kVerify; events detached from an
+  /// engine answer true. Rounds where nothing asks pay nothing. The
+  /// engine folds any computed value into Metrics::stayed_connected
   /// after the observers ran.
   bool connected() const;
   /// True once some pipeline stage paid for the connectivity check.
@@ -61,7 +62,7 @@ struct RoundEvent {
  private:
   friend class Network;
   const graph::Graph* graph_ = nullptr;
-  /// Null for detached events and engines in BFS mode.
+  /// Null for detached events.
   graph::DynamicConnectivity* tracker_ = nullptr;
   /// kVerify engines cross-check every tracker answer against the scan.
   bool verify_ = false;
@@ -71,11 +72,12 @@ struct RoundEvent {
   mutable std::optional<bool> connected_;
 };
 
-/// One organic arrival (Network::join). Holds the attach list by value
-/// so observers may copy or store the event beyond the callback.
+/// One organic arrival (Network::join). `attached_to` views the join
+/// caller's list and is valid for the callback only -- copy it to
+/// keep it.
 struct JoinEvent {
   graph::NodeId joined = graph::kInvalidNode;
-  std::vector<graph::NodeId> attached_to;
+  std::span<const graph::NodeId> attached_to;
 };
 
 class Observer {

@@ -81,11 +81,10 @@ class InvariantObserver final : public Observer {
 };
 
 /// Samples the component structure (count + largest component) after
-/// every round and join through the engine's component queries --
-/// incremental-tracker-backed for owning engines, one BFS labelling
-/// per ask in kBfs mode, identical values either way. Tracks the
-/// extremes over the run: peak fragmentation and the smallest
-/// largest-component seen (both including the initial state).
+/// every round and join through the engine's tracker-backed component
+/// queries (O(alpha) amortized per ask). Tracks the extremes over the
+/// run: peak fragmentation and the smallest largest-component seen
+/// (both including the initial state).
 class ComponentObserver final : public Observer {
  public:
   std::string name() const override { return "components"; }

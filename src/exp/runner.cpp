@@ -21,7 +21,6 @@ namespace {
 
 api::ConnectivityMode parse_mode(const std::string& mode) {
   if (mode == "tracker") return api::ConnectivityMode::kTracker;
-  if (mode == "bfs") return api::ConnectivityMode::kBfs;
   if (mode == "verify") return api::ConnectivityMode::kVerify;
   throw std::invalid_argument("unknown connectivity mode '" + mode + "'");
 }

@@ -266,11 +266,9 @@ void ExperimentSpec::validate() const {
     reject_separator_chars("scenario", scenario);
     api::Scenario::parse(scenario);  // throws, listing registered phases
   }
-  if (connectivity != "tracker" && connectivity != "bfs" &&
-      connectivity != "verify") {
+  if (connectivity != "tracker" && connectivity != "verify") {
     throw std::invalid_argument("unknown connectivity mode '" +
-                                connectivity +
-                                "' (tracker, bfs, or verify)");
+                                connectivity + "' (tracker or verify)");
   }
   if (labels != "display" && labels != "spec") {
     throw std::invalid_argument("unknown labels mode '" + labels +

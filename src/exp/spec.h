@@ -92,8 +92,8 @@ struct ExperimentSpec {
   bool stretch_estimate = false;
   std::size_t stretch_landmarks = 16;  ///< estimate mode: 1..64
   std::size_t stretch_pairs = 256;     ///< estimate mode: pairs/sample
-  /// Connectivity mode every cell's engines run under:
-  /// tracker | bfs | verify.
+  /// Connectivity mode every cell's engines run under: tracker, or
+  /// verify (tracker answers cross-checked against a BFS scan).
   std::string connectivity = "tracker";
   /// "display" labels cells with the healer's display name (figure
   /// style); "spec" with the raw registry spec (sweep_cli style).

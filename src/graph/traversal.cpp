@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "util/check.h"
-
 namespace dash::graph {
 
 void TraversalScratch::begin(std::size_t n) {
@@ -263,38 +261,16 @@ std::uint32_t bfs_distance(const FlatView& view, NodeId src, NodeId dst,
   return found;
 }
 
-std::uint32_t eccentricity(const FlatView& view, NodeId src,
-                           TraversalScratch& scratch) {
-  bfs_distances(view, src, scratch);
-  // BFS discovery order is nondecreasing in distance: the last node
-  // visited carries the eccentricity.
-  return scratch.distance(scratch.visited().back());
-}
-
-// ---- legacy wrappers -------------------------------------------------
+// ---- on the graph's cached view --------------------------------------
 
 namespace {
-/// One warm scratch per thread serves every legacy-signature call, so
-/// the historical API rides the zero-alloc engine too.
+/// One warm scratch per thread serves every Graph-taking call, so they
+/// ride the zero-alloc engine too.
 TraversalScratch& local_scratch() {
   thread_local TraversalScratch scratch;
   return scratch;
 }
 }  // namespace
-
-std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId src) {
-  DASH_CHECK(g.alive(src));
-  TraversalScratch& scratch = local_scratch();
-  bfs_distances(g.flat_view(), src, scratch);
-  std::vector<std::uint32_t> dist(g.num_nodes(), kUnreachable);
-  for (NodeId v : scratch.visited()) dist[v] = scratch.distance(v);
-  return dist;
-}
-
-std::uint32_t bfs_distance(const Graph& g, NodeId src, NodeId dst) {
-  DASH_CHECK(g.alive(src) && g.alive(dst));
-  return bfs_distance(g.flat_view(), src, dst, local_scratch());
-}
 
 bool is_connected(const Graph& g) {
   return is_connected(g.flat_view(), local_scratch());
@@ -304,23 +280,6 @@ Components connected_components(const Graph& g) {
   Components out;
   connected_components(g.flat_view(), local_scratch(), out);
   return out;
-}
-
-std::uint32_t eccentricity(const Graph& g, NodeId src) {
-  DASH_CHECK(g.alive(src));
-  return eccentricity(g.flat_view(), src, local_scratch());
-}
-
-std::uint32_t diameter(const Graph& g) {
-  const FlatView& view = g.flat_view();
-  if (view.num_alive() <= 1) return 0;
-  TraversalScratch& scratch = local_scratch();
-  if (!is_connected(view, scratch)) return kUnreachable;
-  std::uint32_t diam = 0;
-  for (NodeId v : view.alive_set()) {
-    diam = std::max(diam, eccentricity(view, v, scratch));
-  }
-  return diam;
 }
 
 std::vector<std::uint32_t> all_pairs_distances(const Graph& g) {

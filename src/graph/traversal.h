@@ -1,20 +1,15 @@
 // traversal.h -- BFS-based queries over the alive subgraph: distances,
-// connectivity, components, eccentricity. These back the stretch metric
-// (Fig. 10) and every connectivity invariant check.
+// connectivity, components. These back the stretch metric (Fig. 10)
+// and every connectivity invariant check.
 //
-// Two tiers:
-//
-//   * Flat engine: the scratch-taking overloads run on a FlatView (CSR
-//     snapshot, see graph/flat_view.h) with a caller-owned
-//     TraversalScratch -- zero allocation per traversal, epoch-stamped
-//     distance buffers, an index-based array frontier. This is the hot
-//     path every repeated-traversal consumer (stretch sampling, the
-//     invariant battery, per-round connectivity in kBfs mode) runs on.
-//
-//   * Legacy signatures: kept as thin wrappers that fetch the graph's
-//     cached flat view and a thread-local scratch, materializing the
-//     same values (bit-identical) the historical per-call-allocating
-//     implementations returned.
+// Every query runs on a FlatView (CSR snapshot, see graph/flat_view.h)
+// with a caller-owned TraversalScratch -- zero allocation per
+// traversal, epoch-stamped distance buffers, an index-based array
+// frontier. This is the hot path every repeated-traversal consumer
+// (stretch sampling, the invariant battery, kVerify's cross-checks,
+// snapshot reads) runs on. is_connected, connected_components and
+// all_pairs_distances also take a Graph: they read its cached flat
+// view with a thread-local scratch.
 #pragma once
 
 #include <cstdint>
@@ -116,32 +111,13 @@ struct Components {
 void connected_components(const FlatView& view, TraversalScratch& scratch,
                           Components& out);
 
-/// Eccentricity of `src` (max BFS distance to any reachable alive node).
-std::uint32_t eccentricity(const FlatView& view, NodeId src,
-                           TraversalScratch& scratch);
-
-// ---- legacy signatures (thin wrappers over the flat engine) ----------
-
-/// Single-source BFS distances over alive nodes. Entries for dead or
-/// unreachable nodes are kUnreachable. `src` must be alive.
-std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId src);
-
-/// Shortest-path distance between two alive nodes (kUnreachable if
-/// disconnected): the bidirectional flat-engine query above.
-std::uint32_t bfs_distance(const Graph& g, NodeId src, NodeId dst);
+// ---- on the graph's cached view --------------------------------------
 
 /// True if all alive nodes form a single connected component.
 /// Vacuously true for 0 or 1 alive nodes.
 bool is_connected(const Graph& g);
 
 Components connected_components(const Graph& g);
-
-/// Eccentricity of `src` (max BFS distance to any reachable alive node).
-std::uint32_t eccentricity(const Graph& g, NodeId src);
-
-/// Diameter of the alive subgraph (max eccentricity); kUnreachable if
-/// the graph is disconnected. O(n * m) -- intended for test-sized graphs.
-std::uint32_t diameter(const Graph& g);
 
 /// All-pairs shortest-path matrix (row-major over node ids, dead rows
 /// filled with kUnreachable). O(n * m) time, O(n^2) space; used by the

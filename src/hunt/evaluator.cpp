@@ -5,12 +5,14 @@
 #include <charconv>
 #include <filesystem>
 #include <stdexcept>
+#include <string_view>
 
 #include "api/sink.h"
 #include "exp/runner.h"
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/hash.h"
+#include "util/json.h"
 #include "util/registry.h"
 
 namespace dash::hunt {
@@ -44,6 +46,32 @@ std::string spool_path(const std::string& state_dir) {
 }
 
 constexpr char kGroupSep = '\x1f';  // never appears in JSON output
+
+/// One spool record: the spec, a tab, the fitness bits as hex16, a
+/// tab, then `healers` BENCH groups joined by kGroupSep, each one that
+/// api::bench_group_runs reads back. False for anything else, e.g. a
+/// line torn by an interrupted write.
+bool parse_spool_line(const std::string& line, std::size_t healers,
+                      std::string& spec, double& fitness,
+                      std::vector<std::string>& groups) {
+  const std::size_t tab = line.find('\t');
+  if (tab == 0 || tab == std::string::npos) return false;
+  try {
+    util::JsonReader r(std::string_view(line).substr(tab + 1));
+    fitness = std::bit_cast<double>(r.hex16());
+    r.expect("\t");
+    for (std::size_t i = 0; i < healers; ++i) {
+      if (i > 0) r.expect(std::string_view(&kGroupSep, 1));
+      groups.emplace_back(r.object());
+      api::bench_group_runs(groups.back());
+    }
+    r.end();
+  } catch (const util::JsonError&) {
+    return false;
+  }
+  spec = line.substr(0, tab);
+  return true;
+}
 
 }  // namespace
 
@@ -271,31 +299,22 @@ void Evaluator::load_spool() {
         "hunt spool " + path +
         " was written by a different hunt config; refusing to resume");
   }
-  while (std::getline(in, line)) {
-    // Resume contract (like shard files): a malformed *final* line --
-    // an interrupted write -- is dropped silently.
-    const std::size_t tab1 = line.find('\t');
-    const std::size_t tab2 =
-        tab1 == std::string::npos ? tab1 : line.find('\t', tab1 + 1);
-    if (tab2 == std::string::npos) continue;
-    const std::string spec = line.substr(0, tab1);
-    const std::string bits = line.substr(tab1 + 1, tab2 - tab1 - 1);
-    if (bits.size() != 16) continue;
-    std::uint64_t raw = 0;
-    const auto [ptr, ec] =
-        std::from_chars(bits.data(), bits.data() + bits.size(), raw, 16);
-    if (ec != std::errc() || ptr != bits.data() + bits.size()) continue;
+  std::vector<std::string> lines;
+  while (std::getline(in, line)) lines.push_back(std::move(line));
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    std::string spec;
     Score score;
-    score.fitness = std::bit_cast<double>(raw);
-    std::size_t begin = tab2 + 1;
-    while (begin <= line.size()) {
-      const std::size_t sep = line.find(kGroupSep, begin);
-      score.groups.push_back(line.substr(begin, sep - begin));
-      if (sep == std::string::npos) break;
-      begin = sep + 1;
+    if (parse_spool_line(lines[i], cfg_.healers.size(), spec, score.fitness,
+                         score.groups)) {
+      computed_[std::move(spec)] = std::move(score);
+    } else if (i + 1 < lines.size()) {
+      // Resume contract (as for shard files): only the final line may
+      // be torn by an interrupted write, and it is dropped; a bad
+      // record before it is corruption.
+      throw std::invalid_argument("corrupt hunt spool '" + path +
+                                  "': bad record on line " +
+                                  std::to_string(i + 2));
     }
-    if (score.groups.size() != cfg_.healers.size()) continue;
-    computed_[spec] = std::move(score);
   }
   in.close();
   // Rewrite with only the lines that survived, so appends never land

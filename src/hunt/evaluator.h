@@ -21,7 +21,9 @@
 // its group bytes, stamped with a hash of the evaluation identity
 // (family, n, healers, instances, seed, ...). --resume reloads it as a
 // warm cache: the strategy replays the same trajectory, skipping the
-// replays it already paid for.
+// replays it already paid for. A torn final record (an interrupted
+// write) is dropped and recomputed; a malformed record before it
+// throws std::invalid_argument naming the file and the line.
 #pragma once
 
 #include <cstddef>

@@ -6,21 +6,22 @@
 // shapes -- a targeted strike (by rank, degree, or observer-conditioned
 // predicate via the attack registry), a batch strike, a churn burst, a
 // join burst, a churn ramp, or a weighted mix of single moves -- and
-// the genome's canonical text form *is* a scenario spec:
+// the genome renders to a canonical scenario spec:
 //
-//   hunt::AttackGenome g = hunt::AttackGenome::parse(
-//       "strike:maxdeltax12;churn:0.3,0.1x50;batch:8,hubsx3");
-//   g.spec();          // the same string (canonical fixed point)
-//   g.to_scenario();   // an api::Scenario ready for Network::play
+//   hunt::Move strike;  // kStrike unless told otherwise
+//   strike.attack = "maxdelta";
+//   strike.count = 12;
+//   const hunt::AttackGenome g({strike});
+//   g.spec();          // "strike:maxdeltax12"
+//   g.to_scenario();   // api::Scenario::parse(g.spec()), ready for
+//                      // Network::play
 //
-// Moves parse through a util::Registry keyed by the move name, so
-// genomes serialize, hash, and round-trip exactly like scenario specs,
-// and an unknown move's error lists the registered alphabet. The
-// genome grammar is strictly narrower than the scenario grammar: every
-// move must carry an explicit count, parameter ranges are clamped by
-// GenomeLimits (evaluation cost stays bounded no matter what the
-// mutator breeds), and open-ended phases (targeted, until, repeat,
-// trace) are not part of the alphabet.
+// Genomes are built and edited only as typed values (hunt/mutation.h);
+// their text is written, never read back, except by the one phase
+// grammar, api::Scenario::parse. Every move carries an explicit count,
+// the mutation kit clamps parameters to GenomeLimits (evaluation cost
+// stays bounded no matter what it breeds), and open-ended phases
+// (targeted, until, repeat, trace) are not part of the alphabet.
 #pragma once
 
 #include <cstddef>
@@ -30,12 +31,11 @@
 #include <vector>
 
 #include "api/scenario.h"
-#include "util/registry.h"
 
 namespace dash::hunt {
 
-/// Hard caps the strict parser and the mutation kit both honour; they
-/// bound the cost of evaluating any genome the search can express.
+/// Hard caps the mutation kit honours; they bound the cost of
+/// evaluating any genome the search can breed.
 struct GenomeLimits {
   std::size_t max_moves = 12;    ///< moves per genome
   std::size_t max_count = 2000;  ///< events/deletions/draws per move
@@ -70,22 +70,13 @@ struct Move {
   double leave_rate_end = 0.0;
   /// kChurn / kJoin / kRamp: peers each arrival wires to.
   std::size_t attach = 2;
-  /// kMix: (weight, canonical single-move spec) arms; arms are
-  /// non-mix moves, so nesting stops at depth one.
-  std::vector<std::pair<std::uint64_t, std::string>> mix_arms;
+  /// kMix: (weight, arm) pairs; arms are non-mix moves, so nesting
+  /// stops at depth one.
+  std::vector<std::pair<std::uint64_t, Move>> mix_arms;
 
   std::string spec() const;
   bool operator==(const Move&) const = default;
 };
-
-/// The registry serving move-name lookups for AttackGenome::parse:
-/// strike, batch, churn, join, ramp, mix (strict forms; every entry
-/// requires an explicit count). Downstream code may register more.
-util::Registry<Move>& move_registry();
-
-/// Parse one move token through move_registry(); throws
-/// std::invalid_argument with the full alphabet on unknown names.
-Move parse_move(const std::string& spec);
 
 class AttackGenome {
  public:
@@ -93,14 +84,8 @@ class AttackGenome {
   explicit AttackGenome(std::vector<Move> moves)
       : moves_(std::move(moves)) {}
 
-  /// Strict parse of a ';'-joined move list. Throws
-  /// std::invalid_argument for empty specs, unknown moves, missing
-  /// counts, out-of-range parameters, or more than
-  /// genome_limits().max_moves moves.
-  static AttackGenome parse(const std::string& spec);
-
-  /// Canonical text form; parse(spec()) round-trips, and the string is
-  /// a valid canonical api::Scenario spec.
+  /// Canonical text form: the moves' specs joined by ';', a valid
+  /// canonical api::Scenario spec.
   std::string spec() const;
 
   /// FNV-1a over spec(): the candidate's identity in caches, spools,

@@ -55,9 +55,7 @@ void perturb_mix_arm(Move& m, util::Rng& rng) {
     arm.first = std::min(stepped, genome_limits().max_weight);
     return;
   }
-  Move inner = parse_move(arm.second);  // arms are canonical by parse
-  perturb_move(inner, rng);
-  arm.second = inner.spec();
+  perturb_move(arm.second, rng);
 }
 
 void perturb_move(Move& m, util::Rng& rng) {
@@ -215,8 +213,8 @@ Move random_move(util::Rng& rng, bool allow_mix) {
     case Move::Kind::kMix: {
       const std::size_t arms = 2;
       for (std::size_t i = 0; i < arms; ++i) {
-        const Move inner = random_move(rng, /*allow_mix=*/false);
-        m.mix_arms.emplace_back(1 + rng.below(3), inner.spec());
+        Move inner = random_move(rng, /*allow_mix=*/false);
+        m.mix_arms.emplace_back(1 + rng.below(3), std::move(inner));
       }
       m.count = 2 + static_cast<std::size_t>(rng.below(14));
       break;

@@ -4,10 +4,11 @@
 // granularities:
 //
 //   * Genome operators -- random_move / random_genome / mutate_genome /
-//     crossover -- edit hunt::AttackGenome values. Every operator keeps
-//     the result inside the strict genome grammar (GenomeLimits
-//     clamps), so a mutant always re-parses from its own spec. The
-//     greedy and evolutionary search strategies are built on these.
+//     crossover -- edit hunt::AttackGenome values as typed moves, mix
+//     arms included. Every operator keeps the result within
+//     GenomeLimits, and every result renders to a canonical
+//     api::Scenario spec. The greedy and evolutionary search
+//     strategies are built on these.
 //
 //   * Scenario-aware trace operators -- reorder_trace_phases /
 //     perturb_trace_churn -- edit recorded replay::Trace event streams

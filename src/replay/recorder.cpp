@@ -149,7 +149,7 @@ void RecorderSink::on_join(const api::Network& net,
   TraceEvent e;
   e.kind = EventKind::kJoin;
   e.joined = ev.joined;
-  e.nodes = ev.attached_to;
+  e.nodes.assign(ev.attached_to.begin(), ev.attached_to.end());
   record(std::move(e), net);
 }
 

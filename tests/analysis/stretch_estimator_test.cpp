@@ -33,7 +33,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// time-0 denominator.
 double exact_stretch(const StretchTracker& tracker, const Graph& healed,
                      NodeId u, NodeId v) {
-  const std::uint32_t dt = graph::bfs_distance(healed, u, v);
+  graph::TraversalScratch scratch;
+  const std::uint32_t dt =
+      graph::bfs_distance(healed.flat_view(), u, v, scratch);
   if (dt == graph::kUnreachable) return kInf;
   return static_cast<double>(dt) /
          static_cast<double>(tracker.original_distance(u, v));
@@ -76,7 +78,9 @@ void run_containment_check(std::size_t n, std::size_t landmarks,
       EXPECT_GE(b.upper, truth - 1e-12)
           << "pair (" << b.u << "," << b.v << ")";
       // Distance bounds bracket the true distances too.
-      const std::uint32_t dt = graph::bfs_distance(healed, b.u, b.v);
+      graph::TraversalScratch scratch;
+      const std::uint32_t dt =
+          graph::bfs_distance(healed.flat_view(), b.u, b.v, scratch);
       EXPECT_LE(b.healed_lower, dt);
       EXPECT_GE(b.healed_upper, dt);
       const std::uint32_t d0 = tracker.original_distance(b.u, b.v);

@@ -101,9 +101,11 @@ TEST(Stretch, StatsMatchPerPairBfsFold) {
   double max = 0.0;
   double sum = 0.0;
   std::size_t pairs = 0;
+  graph::TraversalScratch scratch;
   for (std::size_t i = 0; i < alive.size(); ++i) {
     for (std::size_t j = i + 1; j < alive.size(); ++j) {
-      const std::uint32_t dt = graph::bfs_distance(g, alive[i], alive[j]);
+      const std::uint32_t dt =
+          graph::bfs_distance(g.flat_view(), alive[i], alive[j], scratch);
       ASSERT_NE(dt, graph::kUnreachable);
       const double ratio =
           static_cast<double>(dt) /

@@ -1,10 +1,11 @@
 // network_test.cpp -- the api::Network engine: event API (remove /
-// remove_batch / join), the run loop, metrics, and the borrowed mode
-// the deprecated shims use.
+// remove_batch / join), the run loop, metrics, and the incremental
+// connectivity tracker it owns.
 #include "api/network.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 
 #include "api/api.h"
@@ -98,21 +99,6 @@ TEST(Network, SpecConstructorUsesRegistry) {
   Network net(std::move(g), "sdash:4", 6);
   EXPECT_EQ(net.healer().name(), "SDASH(slack=4)");
   EXPECT_THROW(Network(Graph(4), "bogus", 1), std::invalid_argument);
-}
-
-TEST(Network, BorrowedModeMutatesCallerObjects) {
-  Rng rng(7);
-  Graph g = graph::barabasi_albert(32, 2, rng);
-  core::HealingState st(g, rng);
-  auto healer = core::make_strategy("dash");
-  Network net(g, st, *healer);
-  auto atk = attack::make_attack("neighborofmax", 7);
-  RunOptions opts;
-  opts.max_deletions = 6;
-  const Metrics m = net.run(*atk, opts);
-  EXPECT_EQ(m.deletions, 6u);
-  EXPECT_EQ(g.num_alive(), 26u);           // caller's graph mutated
-  EXPECT_EQ(st.max_delta_ever(), m.max_delta);  // caller's state mutated
 }
 
 TEST(Network, RemoveBatchHealsSimultaneousDeletions) {
@@ -212,23 +198,10 @@ TEST(Network, OwningEnginesDefaultToTrackerMode) {
   auto net = make_net(32, 13);
   // DASH_VERIFY_CONNECTIVITY=1 upgrades the default to kVerify; both
   // are tracker-backed.
-  EXPECT_NE(net.connectivity_mode(), ConnectivityMode::kBfs);
+  if (std::getenv("DASH_VERIFY_CONNECTIVITY") == nullptr) {
+    EXPECT_EQ(net.connectivity_mode(), ConnectivityMode::kTracker);
+  }
   EXPECT_NE(net.connectivity_tracker(), nullptr);
-}
-
-TEST(Network, BorrowedEnginesPinnedToBfs) {
-  Rng rng(14);
-  Graph g = graph::barabasi_albert(32, 2, rng);
-  core::HealingState st(g, rng);
-  auto healer = core::make_strategy("dash");
-  Network net(g, st, *healer);
-  EXPECT_EQ(net.connectivity_mode(), ConnectivityMode::kBfs);
-  EXPECT_EQ(net.connectivity_tracker(), nullptr);
-  EXPECT_DEATH(net.set_connectivity_mode(ConnectivityMode::kTracker),
-               "owning");
-  // The BFS fallback still serves component queries.
-  EXPECT_EQ(net.component_count(), 1u);
-  EXPECT_EQ(net.largest_component(), 32u);
 }
 
 TEST(Network, ComponentAccessorsMatchScan) {

@@ -131,6 +131,17 @@ TEST(ExperimentSpec, ValidateResolvesNamesThroughRegistries) {
   EXPECT_THROW(
       parse("n=16 healer=dash scenario=paper-churn connectivity=psychic"),
       std::invalid_argument);
+  // The engine has no BFS mode: `bfs` is unknown, and the error lists
+  // the two modes there are.
+  try {
+    parse("n=16 healer=dash scenario=paper-churn connectivity=bfs");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'bfs'"), std::string::npos) << what;
+    EXPECT_NE(what.find("tracker"), std::string::npos) << what;
+    EXPECT_NE(what.find("verify"), std::string::npos) << what;
+  }
   EXPECT_THROW(parse("n=16 healer=dash scenario=paper-churn labels=emoji"),
                std::invalid_argument);
 }

@@ -191,7 +191,7 @@ TEST(SnapshotStore, RecycledSnapshotsPatchForwardNotRebuild) {
     const NodeId u = alive[static_cast<std::size_t>(rng.below(alive.size()))];
     const NodeId v = alive[static_cast<std::size_t>(rng.below(alive.size()))];
     const auto via_snapshot = pin->distance(u, v, scratch);
-    const std::uint32_t direct = bfs_distance(g, u, v);
+    const std::uint32_t direct = bfs_distance(g.flat_view(), u, v, scratch);
     if (direct == kUnreachable) {
       EXPECT_FALSE(via_snapshot.has_value());
     } else {

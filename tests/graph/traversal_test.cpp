@@ -2,15 +2,49 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/generators.h"
 #include "util/rng.h"
 
 namespace dash::graph {
 namespace {
 
+/// Single-source distances on the graph's flat view, one entry per id
+/// (kUnreachable for dead or unreachable nodes).
+std::vector<std::uint32_t> distances(const Graph& g, NodeId src) {
+  TraversalScratch scratch;
+  bfs_distances(g.flat_view(), src, scratch);
+  std::vector<std::uint32_t> dist(g.num_nodes(), kUnreachable);
+  for (NodeId v : scratch.visited()) dist[v] = scratch.distance(v);
+  return dist;
+}
+
+std::uint32_t distance(const Graph& g, NodeId src, NodeId dst) {
+  TraversalScratch scratch;
+  return bfs_distance(g.flat_view(), src, dst, scratch);
+}
+
+/// Max BFS distance from `src`: the last node a BFS visits is a
+/// farthest one.
+std::uint32_t eccentricity(const Graph& g, NodeId src) {
+  TraversalScratch scratch;
+  bfs_distances(g.flat_view(), src, scratch);
+  return scratch.distance(scratch.visited().back());
+}
+
+/// Max eccentricity; kUnreachable when the graph is disconnected.
+std::uint32_t diameter(const Graph& g) {
+  if (!is_connected(g)) return kUnreachable;
+  std::uint32_t diam = 0;
+  for (NodeId v : g.alive_nodes()) diam = std::max(diam, eccentricity(g, v));
+  return diam;
+}
+
 TEST(Bfs, DistancesOnPath) {
   const Graph g = path_graph(5);
-  const auto dist = bfs_distances(g, 0);
+  const auto dist = distances(g, 0);
   for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(dist[v], v);
 }
 
@@ -18,25 +52,25 @@ TEST(Bfs, UnreachableAndDeadNodes) {
   Graph g(4);
   g.add_edge(0, 1);
   g.add_edge(2, 3);
-  const auto dist = bfs_distances(g, 0);
+  const auto dist = distances(g, 0);
   EXPECT_EQ(dist[1], 1u);
   EXPECT_EQ(dist[2], kUnreachable);
   g.delete_node(1);
-  const auto dist2 = bfs_distances(g, 0);
+  const auto dist2 = distances(g, 0);
   EXPECT_EQ(dist2[1], kUnreachable);
 }
 
 TEST(Bfs, PairDistanceEarlyExit) {
   const Graph g = cycle_graph(10);
-  EXPECT_EQ(bfs_distance(g, 0, 5), 5u);
-  EXPECT_EQ(bfs_distance(g, 0, 9), 1u);
-  EXPECT_EQ(bfs_distance(g, 3, 3), 0u);
+  EXPECT_EQ(distance(g, 0, 5), 5u);
+  EXPECT_EQ(distance(g, 0, 9), 1u);
+  EXPECT_EQ(distance(g, 3, 3), 0u);
 }
 
 TEST(Bfs, PairDistanceDisconnected) {
   Graph g(3);
   g.add_edge(0, 1);
-  EXPECT_EQ(bfs_distance(g, 0, 2), kUnreachable);
+  EXPECT_EQ(distance(g, 0, 2), kUnreachable);
 }
 
 TEST(Connectivity, DetectsDisconnect) {
@@ -100,7 +134,7 @@ TEST(AllPairs, MatchesSingleSource) {
   const Graph g = barabasi_albert(40, 2, rng);
   const auto mat = all_pairs_distances(g);
   for (NodeId v = 0; v < g.num_nodes(); v += 7) {
-    const auto dist = bfs_distances(g, v);
+    const auto dist = distances(g, v);
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       EXPECT_EQ(mat[v * g.num_nodes() + u], dist[u]);
     }

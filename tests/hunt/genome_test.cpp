@@ -1,15 +1,16 @@
-// genome_test.cpp -- hunt::AttackGenome: the strict candidate grammar
-// (parse -> canonical spec fixed points, scenario compatibility,
-// rejection of everything outside GenomeLimits) and the shared
-// mutation kit (closure under the grammar, seed determinism, and the
-// scenario-aware trace operators it lends to replay::fuzz_trace).
+// genome_test.cpp -- hunt::AttackGenome: typed moves render to
+// canonical scenario specs (api::Scenario::parse(spec()).spec() ==
+// spec() for one hand-built genome per move kind and for everything
+// the mutation kit yields), every bred genome stays within
+// GenomeLimits, and the shared mutation kit is seed-deterministic and
+// lends its scenario-aware trace operators to replay::fuzz_trace.
 #include "hunt/genome.h"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "api/scenario.h"
 #include "exp/spec.h"
@@ -21,95 +22,176 @@
 namespace dash::hunt {
 namespace {
 
-// ---- parse / canonicalize --------------------------------------------
+Move move_of(Move::Kind kind, std::size_t count) {
+  Move m;
+  m.kind = kind;
+  m.count = count;
+  return m;
+}
+
+Move strike(const std::string& attack, std::size_t count) {
+  Move m = move_of(Move::Kind::kStrike, count);
+  m.attack = attack;
+  return m;
+}
+
+Move batch(std::size_t size, const std::string& mode, std::size_t count) {
+  Move m = move_of(Move::Kind::kBatch, count);
+  m.batch_size = size;
+  m.batch_mode = mode;
+  return m;
+}
+
+Move churn(double join, double leave, std::size_t attach,
+           std::size_t count) {
+  Move m = move_of(Move::Kind::kChurn, count);
+  m.join_rate = join;
+  m.leave_rate = leave;
+  m.attach = attach;
+  return m;
+}
+
+Move join(std::size_t attach, std::size_t count) {
+  Move m = move_of(Move::Kind::kJoin, count);
+  m.attach = attach;
+  return m;
+}
+
+Move ramp(double j0, double l0, double j1, double l1, std::size_t attach,
+          std::size_t count) {
+  Move m = churn(j0, l0, attach, count);
+  m.kind = Move::Kind::kRamp;
+  m.join_rate_end = j1;
+  m.leave_rate_end = l1;
+  return m;
+}
+
+Move mix(std::vector<std::pair<std::uint64_t, Move>> arms,
+         std::size_t count) {
+  Move m = move_of(Move::Kind::kMix, count);
+  m.mix_arms = std::move(arms);
+  return m;
+}
+
+void expect_move_within_limits(const Move& m, bool arm) {
+  const GenomeLimits& limits = genome_limits();
+  EXPECT_GE(m.count, 1u) << m.spec();
+  EXPECT_LE(m.count, limits.max_count) << m.spec();
+  switch (m.kind) {
+    case Move::Kind::kStrike:
+      EXPECT_FALSE(m.attack.empty()) << m.spec();
+      break;
+    case Move::Kind::kBatch:
+      EXPECT_GE(m.batch_size, 1u) << m.spec();
+      EXPECT_LE(m.batch_size, limits.max_batch) << m.spec();
+      EXPECT_TRUE(m.batch_mode == "hubs" || m.batch_mode == "random")
+          << m.spec();
+      break;
+    case Move::Kind::kRamp:
+      EXPECT_GE(m.join_rate_end, 0.0) << m.spec();
+      EXPECT_LE(m.join_rate_end, 1.0) << m.spec();
+      EXPECT_GE(m.leave_rate_end, 0.0) << m.spec();
+      EXPECT_LE(m.leave_rate_end, 1.0) << m.spec();
+      [[fallthrough]];
+    case Move::Kind::kChurn:
+      EXPECT_GE(m.join_rate, 0.0) << m.spec();
+      EXPECT_LE(m.join_rate, 1.0) << m.spec();
+      EXPECT_GE(m.leave_rate, 0.0) << m.spec();
+      EXPECT_LE(m.leave_rate, 1.0) << m.spec();
+      [[fallthrough]];
+    case Move::Kind::kJoin:
+      EXPECT_GE(m.attach, 1u) << m.spec();
+      EXPECT_LE(m.attach, limits.max_attach) << m.spec();
+      break;
+    case Move::Kind::kMix:
+      // Arms are single non-mix moves: nesting stops at depth one.
+      EXPECT_FALSE(arm) << m.spec();
+      EXPECT_GE(m.mix_arms.size(), 1u) << m.spec();
+      EXPECT_LE(m.mix_arms.size(), 4u) << m.spec();
+      for (const auto& [weight, inner] : m.mix_arms) {
+        EXPECT_GE(weight, 1u) << m.spec();
+        EXPECT_LE(weight, limits.max_weight) << m.spec();
+        expect_move_within_limits(inner, /*arm=*/true);
+      }
+      break;
+  }
+}
+
+/// The contract every genome the hunt scores must meet: within
+/// GenomeLimits, and its text a fixed point of the scenario grammar.
+void expect_valid(const AttackGenome& g) {
+  EXPECT_GE(g.size(), 1u);
+  EXPECT_LE(g.size(), genome_limits().max_moves);
+  for (const Move& m : g.moves()) expect_move_within_limits(m, false);
+  EXPECT_EQ(api::Scenario::parse(g.spec()).spec(), g.spec());
+}
+
+// ---- rendering ----------------------------------------------------------
 
 TEST(GenomeParse, CanonicalSpecIsAFixedPoint) {
+  const AttackGenome g({
+      strike("maxdelta", 12),
+      churn(0.3, 0.1, 2, 50),
+      batch(8, "hubs", 3),
+      join(4, 15),
+      ramp(0, 0.5, 1, 0, 2, 10),
+      mix({{2, strike("rank:2", 1)}, {1, join(2, 3)}}, 5),
+  });
   const std::string spec =
       "strike:maxdeltax12;churn:0.3,0.1x50;batch:8,hubsx3;join:4x15;"
       "ramp:0,0.5,1,0x10;mix:2{strike:rank:2x1},1{join:2x3}x5";
-  const AttackGenome g = AttackGenome::parse(spec);
   EXPECT_EQ(g.size(), 6u);
   EXPECT_EQ(g.spec(), spec);
-  EXPECT_EQ(AttackGenome::parse(g.spec()).spec(), spec);
+  expect_valid(g);
 }
 
 TEST(GenomeParse, NonDefaultAttachIsPreserved) {
-  EXPECT_EQ(AttackGenome::parse("churn:0.5,0.5,3x7").spec(),
-            "churn:0.5,0.5,3x7");
-  EXPECT_EQ(AttackGenome::parse("churn:0.5,0.5,2x7").spec(),
-            "churn:0.5,0.5x7");
-  EXPECT_EQ(AttackGenome::parse("ramp:0,0,1,1,4x9").spec(),
-            "ramp:0,0,1,1,4x9");
+  EXPECT_EQ(churn(0.5, 0.5, 3, 7).spec(), "churn:0.5,0.5,3x7");
+  EXPECT_EQ(churn(0.5, 0.5, 2, 7).spec(), "churn:0.5,0.5x7");
+  EXPECT_EQ(ramp(0, 0, 1, 1, 4, 9).spec(), "ramp:0,0,1,1,4x9");
+  EXPECT_EQ(ramp(0, 0, 1, 1, 2, 9).spec(), "ramp:0,0,1,1x9");
+  expect_valid(AttackGenome({churn(0.5, 0.5, 3, 7), ramp(0, 0, 1, 1, 4, 9)}));
 }
 
 TEST(GenomeParse, SpecIsValidScenarioSyntax) {
-  // Every genome spec must load through the scenario layer unchanged:
-  // that is what makes hunted candidates grid-cell citizens.
-  const std::string specs[] = {
-      "strike:maxnodex3",
-      "batch:4,randomx2;join:2x5",
-      "churn:1,1x4;ramp:0,0.25,1,0.75x6",
-      "mix:3{strike:adaptivex1},1{churn:0.5,0.5x2}x4",
+  // One hand-built genome per move kind: each loads through the
+  // scenario layer unchanged, which is what makes hunted candidates
+  // grid-cell citizens.
+  const AttackGenome genomes[] = {
+      AttackGenome({strike("maxnode", 3)}),
+      AttackGenome({batch(4, "random", 2)}),
+      AttackGenome({churn(1, 1, 1, 4)}),
+      AttackGenome({join(2, 5)}),
+      AttackGenome({ramp(0, 0.25, 1, 0.75, 3, 6)}),
+      AttackGenome({mix({{3, strike("adaptive", 1)},
+                         {1, churn(0.5, 0.5, 2, 2)},
+                         {9, batch(64, "hubs", 2000)},
+                         {2, ramp(0.05, 0, 0, 0.95, 8, 1)}},
+                        4)}),
   };
-  for (const std::string& s : specs) {
-    const AttackGenome g = AttackGenome::parse(s);
-    EXPECT_EQ(api::Scenario::parse(g.spec()).spec(), g.spec()) << s;
+  for (const AttackGenome& g : genomes) {
+    SCOPED_TRACE(g.spec());
+    expect_valid(g);
   }
 }
 
 TEST(GenomeParse, HashIsStableAndDiscriminates) {
-  const AttackGenome a = AttackGenome::parse("strike:maxnodex3");
-  EXPECT_EQ(a.hash(), AttackGenome::parse("strike:maxnodex3").hash());
-  EXPECT_NE(a.hash(), AttackGenome::parse("strike:maxnodex4").hash());
+  const AttackGenome a({strike("maxnode", 3)});
+  EXPECT_EQ(a.hash(), AttackGenome({strike("maxnode", 3)}).hash());
+  EXPECT_NE(a.hash(), AttackGenome({strike("maxnode", 4)}).hash());
   EXPECT_EQ(a.hash_hex().size(), 16u);
-}
-
-TEST(GenomeParse, RejectsOutsideTheStrictGrammar) {
-  // The genome grammar is narrower than the scenario grammar: every
-  // move needs an explicit x<count>, even where the scenario layer
-  // would default it.
-  EXPECT_THROW(AttackGenome::parse(""), std::invalid_argument);
-  EXPECT_THROW(AttackGenome::parse("strike:maxnodex3;;join:2x1"),
-               std::invalid_argument);
-  EXPECT_THROW(AttackGenome::parse("shake:3x1"), std::invalid_argument);
-  EXPECT_THROW(AttackGenome::parse("strike:maxnode"),
-               std::invalid_argument);
-  EXPECT_THROW(AttackGenome::parse("join:2"), std::invalid_argument);
-  EXPECT_THROW(AttackGenome::parse("strike:maxnodex0"),
-               std::invalid_argument);
-  EXPECT_THROW(AttackGenome::parse("strike:maxnodex9999"),
-               std::invalid_argument);
-  EXPECT_THROW(AttackGenome::parse("strike:nosuchx3"),
-               std::invalid_argument);
-  EXPECT_THROW(AttackGenome::parse("churn:0.3x5"), std::invalid_argument);
-  EXPECT_THROW(AttackGenome::parse("churn:2,0x5"), std::invalid_argument);
-  EXPECT_THROW(AttackGenome::parse("join:0x5"), std::invalid_argument);
-  EXPECT_THROW(AttackGenome::parse("batch:4x3"), std::invalid_argument);
-  EXPECT_THROW(AttackGenome::parse("mix:0{join:2x1}x2"),
-               std::invalid_argument);
-  EXPECT_THROW(AttackGenome::parse("mix:1{mix:1{join:2x1}x2}x2"),
-               std::invalid_argument);
-}
-
-TEST(GenomeParse, RejectsTooManyMoves) {
-  std::string spec = "strike:maxnodex1";
-  for (std::size_t i = 0; i < genome_limits().max_moves; ++i) {
-    spec += ";strike:maxnodex1";
-  }
-  EXPECT_THROW(AttackGenome::parse(spec), std::invalid_argument);
 }
 
 // ---- mutation kit -----------------------------------------------------
 
 TEST(MutationKit, OperatorsStayInsideTheGrammar) {
   util::Rng rng(42);
+  for (int i = 0; i < 50; ++i) expect_valid(random_genome(rng));
   AttackGenome g = random_genome(rng);
   for (int i = 0; i < 200; ++i) {
     mutate_genome(g, rng);
-    ASSERT_GE(g.size(), 1u);
-    ASSERT_LE(g.size(), genome_limits().max_moves);
-    // Every mutant re-parses from its own canonical text.
-    ASSERT_EQ(AttackGenome::parse(g.spec()).spec(), g.spec());
+    SCOPED_TRACE("edit " + std::to_string(i));
+    expect_valid(g);
   }
 }
 
@@ -122,7 +204,7 @@ TEST(MutationKit, MutationIsSeedDeterministic) {
   for (int i = 0; i < 50; ++i) {
     mutate_genome(ga, a);
     mutate_genome(gb, b);
-    ASSERT_EQ(ga.spec(), gb.spec()) << "diverged at edit " << i;
+    ASSERT_TRUE(ga == gb) << "diverged at edit " << i;
   }
 }
 
@@ -131,10 +213,8 @@ TEST(MutationKit, CrossoverSplicesValidGenomes) {
   const AttackGenome a = random_genome(rng);
   const AttackGenome b = random_genome(rng);
   for (int i = 0; i < 50; ++i) {
-    const AttackGenome child = crossover(a, b, rng);
-    ASSERT_GE(child.size(), 1u);
-    ASSERT_LE(child.size(), genome_limits().max_moves);
-    ASSERT_EQ(AttackGenome::parse(child.spec()).spec(), child.spec());
+    SCOPED_TRACE("child " + std::to_string(i));
+    expect_valid(crossover(a, b, rng));
   }
 }
 

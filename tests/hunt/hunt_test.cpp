@@ -1,8 +1,9 @@
 // hunt_test.cpp -- the adversary search engine end to end: registry
 // parsing, hard budget accounting, backend-independent determinism
-// (sequential vs ThreadPool), spool resume, emitted traces that replay
-// bit-identically and round-trip through a grid cell, and the
-// comparison against the paper's hand-derived LevelAttack baseline.
+// (sequential vs ThreadPool), spool resume and damaged spools, a
+// trajectory golden, emitted traces that replay bit-identically and
+// round-trip through a grid cell, and the comparison against the
+// paper's hand-derived LevelAttack baseline.
 #include "hunt/hunt.h"
 
 #include <gtest/gtest.h>
@@ -12,12 +13,14 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "exp/runner.h"
 #include "exp/spec.h"
 #include "hunt/strategy.h"
 #include "replay/play.h"
 #include "replay/trace.h"
+#include "util/hash.h"
 
 namespace dash::hunt {
 namespace {
@@ -142,6 +145,108 @@ TEST(Hunt, SpoolFromDifferentConfigIsRejected) {
   other.n = 32;  // different evaluation identity
   EXPECT_THROW(run_hunt(other), std::invalid_argument);
   fs::remove_all(dir);
+}
+
+/// The spool's lines without their newlines.
+std::vector<std::string> spool_lines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::istringstream in(slurp(path));
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+void write_lines(const std::string& path,
+                 const std::vector<std::string>& lines) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  for (const std::string& line : lines) out << line << "\n";
+}
+
+TEST(Hunt, DamagedSpoolRecordBeforeTheLastLineIsANamedError) {
+  // Only the final line may be torn by an interrupted write. A damaged
+  // record before it is corruption: resuming fails up front, naming
+  // the file and the line, before any of its bytes can reach the
+  // leaderboard.
+  const std::string dir = scratch("damaged");
+  run_hunt(tiny(dir));
+  const std::string path = dir + "/spool.tsv";
+  const std::vector<std::string> pristine = spool_lines(path);
+  ASSERT_GE(pristine.size(), 4u);  // header + records
+
+  std::vector<std::string> torn = pristine;
+  torn[2].resize(torn[2].size() - 7);  // inside the group JSON
+  std::vector<std::string> garbage = pristine;
+  garbage[2] = garbage[2].substr(0, garbage[2].rfind('\t') + 1) +
+               "{\"runs\":[]}";
+  for (const auto& lines : {torn, garbage}) {
+    write_lines(path, lines);
+    auto again = tiny(dir);
+    again.resume = true;
+    try {
+      run_hunt(again);
+      ADD_FAILURE() << "resumed from a damaged spool";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  fs::remove_all(dir);
+}
+
+TEST(Hunt, TornFinalSpoolLineIsDroppedAndRecomputed) {
+  const std::string dir = scratch("torn_tail");
+  const HuntResult first = run_hunt(tiny(dir));
+  const std::string leaderboard_bytes = slurp(first.leaderboard_path);
+  const std::string path = dir + "/spool.tsv";
+  std::string spool = slurp(path);
+  spool.resize(spool.size() - 40);  // a kill mid-write of the last record
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << spool;
+
+  auto again = tiny(dir);
+  again.resume = true;
+  const HuntResult second = run_hunt(again);
+  EXPECT_EQ(second.leaderboard_json, first.leaderboard_json);
+  EXPECT_EQ(slurp(second.leaderboard_path), leaderboard_bytes);
+  fs::remove_all(dir);
+}
+
+// ---- trajectory golden ------------------------------------------------
+
+TEST(Hunt, TrajectoryMatchesRecordedHashes) {
+  // Fixed small hunts against two healers, with mix moves, hashed byte
+  // for byte: the spool holds every candidate in request order with
+  // its score and group bytes, so any change to genome rendering, the
+  // mutation kit's draws or the scoring moves a hash. A refactor of
+  // the hunt must keep these constants; a change that means to move
+  // the trajectory re-records them and says so.
+  struct Golden {
+    const char* strategy;
+    const char* spool;
+    const char* leaderboard;
+  };
+  const Golden goldens[] = {
+      {"evolve:6", "729663f4f6463e6a", "42e9cf1443aa15e5"},
+      {"greedy:4", "004966f31985d3d2", "b441d442f20a730a"},
+  };
+  for (const Golden& golden : goldens) {
+    const std::string dir = scratch("golden");
+    auto cfg = tiny(dir);
+    cfg.healers = {"capped:2", "dash"};
+    cfg.budget = 120;
+    cfg.strategy = golden.strategy;
+    const HuntResult result = run_hunt(cfg);
+    EXPECT_EQ(result.evaluations, 120u);
+    const std::string spool = slurp(dir + "/spool.tsv");
+    EXPECT_NE(spool.find("mix:"), std::string::npos)
+        << golden.strategy << " bred no mix move";
+    EXPECT_EQ(util::hex16(util::fnv1a64(spool)), golden.spool)
+        << golden.strategy;
+    EXPECT_EQ(util::hex16(util::fnv1a64(result.leaderboard_json)),
+              golden.leaderboard)
+        << golden.strategy;
+    fs::remove_all(dir);
+  }
 }
 
 // ---- emitted traces ---------------------------------------------------

@@ -1,11 +1,13 @@
 // connectivity_property_test.cpp -- the tracker-vs-BFS differential
-// property at the engine level: for EVERY scenario phase type (strike /
-// batch / churn / targeted / until / repeat / floor) the engine must
-// report identical stayed_connected, component structure, Metrics and
-// per-round rows whether the incremental DynamicConnectivity tracker or
-// the per-round BFS answers -- under both sequential and parallel
-// run_suite execution, and for healers that keep the network connected
-// (dash, graph) as well as one that lets it shatter (none).
+// property at the engine level. BFS is the reference, and it lives
+// here: for EVERY scenario phase type (strike / batch / churn /
+// targeted / until / repeat / floor) a test observer labels the graph's
+// components from scratch after every round and join, and the engine's
+// tracker-backed answers -- component_snapshot(), RoundEvent::connected()
+// and the final Metrics -- must match it, under both sequential and
+// pooled run_suite execution (which must also agree with each other),
+// for healers that keep the network connected (dash, graph) as well as
+// one that lets it shatter (none).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -15,6 +17,7 @@
 
 #include "api/api.h"
 #include "graph/generators.h"
+#include "graph/traversal.h"
 #include "util/thread_pool.h"
 
 namespace dash::api {
@@ -60,9 +63,41 @@ void expect_rows_eq(const std::vector<RoundRow>& a,
   }
 }
 
+/// Labels the components of the live graph by BFS after every round
+/// and join, and checks the engine's answers against the labelling.
+class BfsReference final : public Observer {
+ public:
+  std::string name() const override { return "bfs-reference"; }
+  void on_round_end(const Network& net, const RoundEvent& ev) override {
+    const bool connected = check(net);
+    EXPECT_EQ(ev.connected(), connected) << "round " << ev.round;
+  }
+  void on_join(const Network& net, const JoinEvent&) override {
+    check(net);
+  }
+  std::size_t checks() const { return checks_; }
+  bool stayed_connected() const { return stayed_connected_; }
+
+ private:
+  bool check(const Network& net) {
+    const graph::Components comps = graph::connected_components(net.graph());
+    const auto [count, largest] = net.component_snapshot();
+    EXPECT_EQ(count, comps.count()) << "after " << net.rounds() << " rounds";
+    EXPECT_EQ(largest, comps.largest())
+        << "after " << net.rounds() << " rounds";
+    ++checks_;
+    const bool connected = comps.count() <= 1;
+    stayed_connected_ = stayed_connected_ && connected;
+    return connected;
+  }
+
+  std::size_t checks_ = 0;
+  bool stayed_connected_ = true;
+};
+
 /// Per-instance component extremes gathered through the inspect hook;
 /// the ComponentObserver queries the engine EVERY round, so matching
-/// extremes mean every per-round answer agreed between the modes.
+/// extremes mean every per-round answer agreed between the runs.
 struct RunResult {
   std::vector<Metrics> metrics;
   std::vector<RoundRow> rows;
@@ -91,13 +126,22 @@ RunResult run_config(const std::string& spec, const std::string& healer,
     net.set_connectivity_mode(mode);
     net.add_observer(std::make_unique<ComponentObserver>());
     net.add_observer(std::make_unique<InvariantObserver>());
+    net.add_observer(std::make_unique<BfsReference>());
   };
-  cfg.inspect = [&out](std::size_t i, const Network& net, const Metrics&) {
+  cfg.inspect = [&out](std::size_t i, const Network& net, const Metrics& m) {
     const auto* comps = dynamic_cast<const ComponentObserver*>(
         net.find_observer("components"));
     ASSERT_NE(comps, nullptr);
     out.max_components[i] = comps->max_components_seen();
     out.min_largest[i] = comps->min_largest_seen();
+    const auto* bfs =
+        dynamic_cast<const BfsReference*>(net.find_observer("bfs-reference"));
+    ASSERT_NE(bfs, nullptr);
+    EXPECT_GT(bfs->checks(), 0u);
+    EXPECT_EQ(m.stayed_connected, bfs->stayed_connected());
+    const graph::Components truth = graph::connected_components(net.graph());
+    EXPECT_EQ(m.components, truth.count());
+    EXPECT_EQ(m.largest_component, truth.largest());
   };
 
   if (parallel) {
@@ -114,32 +158,26 @@ class ConnectivityProperty
     : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ConnectivityProperty, TrackerMatchesBfsSequentialAndParallel) {
+  // BfsReference checks every per-round answer inside both runs; the
+  // pooled run must then reproduce the sequential one exactly.
   const std::string spec = GetParam();
   for (const char* healer : {"dash", "graph", "none"}) {
-    const std::string what = spec + " / " + healer;
-    const RunResult baseline =
-        run_config(spec, healer, ConnectivityMode::kBfs, /*parallel=*/false);
-    ASSERT_EQ(baseline.metrics.size(), kInstances) << what;
-
-    const RunResult variants[] = {
-        run_config(spec, healer, ConnectivityMode::kTracker, false),
-        run_config(spec, healer, ConnectivityMode::kTracker, true),
-        run_config(spec, healer, ConnectivityMode::kBfs, true),
-    };
-    const char* names[] = {"tracker/seq", "tracker/par", "bfs/par"};
-    for (std::size_t v = 0; v < 3; ++v) {
-      const std::string label = what + " vs " + names[v];
-      ASSERT_EQ(variants[v].metrics.size(), kInstances) << label;
-      for (std::size_t i = 0; i < kInstances; ++i) {
-        expect_metrics_eq(baseline.metrics[i], variants[v].metrics[i],
-                          label + " instance " + std::to_string(i));
-        EXPECT_EQ(baseline.max_components[i], variants[v].max_components[i])
-            << label << " instance " << i;
-        EXPECT_EQ(baseline.min_largest[i], variants[v].min_largest[i])
-            << label << " instance " << i;
-      }
-      expect_rows_eq(baseline.rows, variants[v].rows, label);
+    const std::string what = spec + " / " + healer + " seq vs pooled";
+    const RunResult seq =
+        run_config(spec, healer, ConnectivityMode::kTracker, false);
+    const RunResult pooled =
+        run_config(spec, healer, ConnectivityMode::kTracker, true);
+    ASSERT_EQ(seq.metrics.size(), kInstances) << what;
+    ASSERT_EQ(pooled.metrics.size(), kInstances) << what;
+    for (std::size_t i = 0; i < kInstances; ++i) {
+      expect_metrics_eq(seq.metrics[i], pooled.metrics[i],
+                        what + " instance " + std::to_string(i));
+      EXPECT_EQ(seq.max_components[i], pooled.max_components[i])
+          << what << " instance " << i;
+      EXPECT_EQ(seq.min_largest[i], pooled.min_largest[i])
+          << what << " instance " << i;
     }
+    expect_rows_eq(seq.rows, pooled.rows, what);
   }
 }
 
@@ -175,27 +213,36 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(ConnectivityPropertyExtras, StopWhenDisconnectedAgreesAcrossModes) {
-  // run() + stop_when_disconnected forces a per-round ask; the round at
-  // which an unhealed network dies must not depend on the mode.
-  auto run_mode = [](ConnectivityMode mode) {
+  // run() + stop_when_disconnected forces a per-round ask; in either
+  // mode an unhealed network must stop at the first round this test's
+  // own BFS sees disconnected.
+  class FirstDisconnect final : public Observer {
+   public:
+    std::string name() const override { return "first-disconnect"; }
+    void on_round_end(const Network& net, const RoundEvent& ev) override {
+      if (round == 0 && !graph::is_connected(net.graph())) round = ev.round;
+    }
+    std::size_t round = 0;
+  };
+  for (const ConnectivityMode mode :
+       {ConnectivityMode::kTracker, ConnectivityMode::kVerify}) {
     dash::util::Rng rng(99);
     graph::Graph g = graph::barabasi_albert(64, 2, rng);
     Network net(std::move(g), "none", 7);
     net.set_connectivity_mode(mode);
+    FirstDisconnect probe;
+    net.add_observer(&probe);
     auto attacker = attack::make_attack("maxnode", 3);
     RunOptions opts;
     opts.stop_when_disconnected = true;
-    return net.run(*attacker, opts);
-  };
-  const Metrics bfs = run_mode(ConnectivityMode::kBfs);
-  const Metrics tracker = run_mode(ConnectivityMode::kTracker);
-  const Metrics verify = run_mode(ConnectivityMode::kVerify);
-  EXPECT_FALSE(bfs.stayed_connected);
-  EXPECT_EQ(bfs.deletions, tracker.deletions);
-  EXPECT_EQ(bfs.stayed_connected, tracker.stayed_connected);
-  EXPECT_EQ(bfs.components, tracker.components);
-  EXPECT_EQ(bfs.largest_component, tracker.largest_component);
-  EXPECT_EQ(bfs.deletions, verify.deletions);
+    const Metrics m = net.run(*attacker, opts);
+    EXPECT_FALSE(m.stayed_connected);
+    ASSERT_NE(probe.round, 0u);
+    EXPECT_EQ(m.deletions, probe.round);
+    const graph::Components truth = graph::connected_components(net.graph());
+    EXPECT_EQ(m.components, truth.count());
+    EXPECT_EQ(m.largest_component, truth.largest());
+  }
 }
 
 TEST(ConnectivityPropertyExtras, AmortizedBatterySeesSameViolations) {

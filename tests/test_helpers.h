@@ -122,7 +122,7 @@ class StateEventRecorder final : public api::Observer {
   void on_join(const api::Network& net, const api::JoinEvent& ev) override {
     StateEvent e;
     e.kind = StateEvent::kJoin;
-    e.nodes = ev.attached_to;
+    e.nodes.assign(ev.attached_to.begin(), ev.attached_to.end());
     e.joined = ev.joined;
     e.state = save_bytes(net.state());
     out_.push_back(std::move(e));

@@ -129,7 +129,7 @@ int usage(std::FILE* to) {
       "              repro traces (exit 1 when any healer violated)\n"
       "  hunt        search for worst-case attack schedules against a\n"
       "              healer (or healer list): random / greedy / evolve\n"
-      "              over the genome grammar, scored by real runs;\n"
+      "              over typed attack moves, scored by real runs;\n"
       "              emits a HUNT_*.json leaderboard and the best-k\n"
       "              schedules as replayable traces\n"
       "\n"
