@@ -15,7 +15,6 @@
 #include "graph/traversal.h"
 #include "graph/union_find.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -60,10 +59,8 @@ BENCHMARK(BM_BfsDistances)->Arg(1024)->Arg(8192);
 void BM_StretchSample(benchmark::State& state) {
   // One full stretch sample (max+average in a single APSP pass) on a
   // static BA graph with 10% of the nodes deleted and path-healed:
-  // the per-sample cost Fig. 10 pays every sampled round. range(1) is
-  // the worker count (0 = sequential path).
+  // the per-sample cost Fig. 10 pays every sampled round.
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto workers = static_cast<std::size_t>(state.range(1));
   Rng rng(11);
   Graph g = dash::graph::barabasi_albert(n, 2, rng);
   const dash::analysis::StretchTracker tracker(g);
@@ -75,23 +72,16 @@ void BM_StretchSample(benchmark::State& state) {
       g.add_edge(survivors[j - 1], survivors[j]);
     }
   }
-  std::optional<dash::util::ThreadPool> pool;
-  if (workers > 0) pool.emplace(workers);
   double sample = 0.0;
   for (auto _ : state) {
-    const auto stats =
-        pool ? tracker.stretch_stats(g, *pool) : tracker.stretch_stats(g);
-    sample = stats.max;
+    sample = tracker.stretch_stats(g).max;
     benchmark::DoNotOptimize(sample);
   }
   state.SetItemsProcessed(state.iterations() * g.num_alive());
-  state.SetLabel(workers == 0 ? "seq" : std::to_string(workers) + "w");
 }
 BENCHMARK(BM_StretchSample)
-    ->Args({1024, 0})
-    ->Args({1024, 4})
-    ->Args({4096, 0})
-    ->Args({4096, 4})
+    ->Arg(1024)
+    ->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_UnionFind(benchmark::State& state) {

@@ -1,12 +1,10 @@
 #include "analysis/stretch.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <limits>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace dash::analysis {
 
@@ -22,8 +20,7 @@ constexpr std::size_t kWave = 64;  ///< sources per bit-parallel wave
 
 StretchTracker::StretchTracker(const Graph& original)
     : n_(original.num_nodes()),
-      original_(graph::all_pairs_distances(original)),
-      ws_(1) {
+      original_(graph::all_pairs_distances(original)) {
   DASH_CHECK_MSG(graph::is_connected(original),
                  "stretch baseline must be connected");
   for (const std::uint32_t d : original_) {
@@ -42,8 +39,8 @@ StretchTracker::StretchTracker(const Graph& original)
 void StretchTracker::wave_partials(const FlatView& view,
                                    const std::vector<NodeId>& alive,
                                    std::size_t idx0, std::size_t count,
-                                   SampleWorkspace& ws,
                                    SourcePartial* out) const {
+  SampleWorkspace& ws = ws_;
   const std::size_t stride = diameter0_ + 1;
   ws.reached.assign(n_, 0);
   ws.frontier.assign(n_, 0);
@@ -128,23 +125,6 @@ void StretchTracker::wave_partials(const FlatView& view,
   }
 }
 
-StretchStats StretchTracker::reduce(
-    const std::vector<SourcePartial>& partials,
-    std::size_t alive_count) const {
-  StretchStats out;
-  double total = 0.0;
-  for (const SourcePartial& p : partials) {
-    if (p.disconnected) return {kInf, kInf};
-    out.max = std::max(out.max, p.max);
-    total += p.sum;
-  }
-  const double pairs =
-      static_cast<double>(alive_count) *
-      static_cast<double>(alive_count - 1) / 2.0;
-  out.average = total / pairs;
-  return out;
-}
-
 void StretchTracker::list_alive(const FlatView& view) const {
   alive_.clear();
   for (const NodeId v : view.alive_set()) alive_.push_back(v);
@@ -161,10 +141,10 @@ StretchStats StretchTracker::stretch_stats(const Graph& healed) const {
   SourcePartial wave[kWave];
   for (std::size_t idx0 = 0; idx0 < alive.size(); idx0 += kWave) {
     const std::size_t count = std::min(kWave, alive.size() - idx0);
-    wave_partials(view, alive, idx0, count, ws_[0], wave);
+    wave_partials(view, alive, idx0, count, wave);
     for (std::size_t i = 0; i < count; ++i) {
       if (wave[i].disconnected) return {kInf, kInf};
-      // Same fold as reduce(): max then sum, ascending source order.
+      // Max then sum, ascending source order.
       out.max = std::max(out.max, wave[i].max);
       total += wave[i].sum;
     }
@@ -173,44 +153,6 @@ StretchStats StretchTracker::stretch_stats(const Graph& healed) const {
                        static_cast<double>(alive.size() - 1) / 2.0;
   out.average = total / pairs;
   return out;
-}
-
-StretchStats StretchTracker::stretch_stats(
-    const Graph& healed, dash::util::ThreadPool& pool) const {
-  DASH_CHECK(healed.num_nodes() == n_);
-  const FlatView& view = healed.flat_view();  // ensure before fan-out
-  if (view.num_alive() < 2) return {};
-  const std::size_t waves = (view.num_alive() + kWave - 1) / kWave;
-  const std::size_t blocks = std::min(pool.size(), waves);
-  if (blocks <= 1) return stretch_stats(healed);
-  list_alive(view);  // before fan-out: the workers share it read-only
-  const std::vector<NodeId>& alive = alive_;
-
-  // One workspace per block, persisted across samples ([0] stays the
-  // sequential path's). Workers own disjoint partial slots, so the
-  // only shared write is the bail-out flag.
-  if (ws_.size() < blocks + 1) ws_.resize(blocks + 1);
-  std::vector<SourcePartial> partials(alive.size());
-  std::atomic<bool> disconnected{false};
-  pool.parallel_for(blocks, [&](std::size_t b) {
-    const std::size_t begin = b * waves / blocks;
-    const std::size_t end = (b + 1) * waves / blocks;
-    for (std::size_t w = begin; w < end; ++w) {
-      if (disconnected.load(std::memory_order_relaxed)) return;
-      const std::size_t idx0 = w * kWave;
-      const std::size_t count = std::min(kWave, alive.size() - idx0);
-      wave_partials(view, alive, idx0, count, ws_[b + 1],
-                    partials.data() + idx0);
-      for (std::size_t i = 0; i < count; ++i) {
-        if (partials[idx0 + i].disconnected) {
-          disconnected.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-    }
-  });
-  if (disconnected.load()) return {kInf, kInf};
-  return reduce(partials, alive.size());
 }
 
 }  // namespace dash::analysis

@@ -7,12 +7,9 @@
 //
 // Sampling runs on the flat traversal engine (graph/flat_view.h): one
 // CSR snapshot shared by the whole sample, sources advanced 64 at a
-// time as bit-parallel BFS waves over reusable per-worker workspaces,
-// and a single pass that yields max and average together -- callers
-// that report both no longer pay APSP twice. The ThreadPool overload
-// partitions the waves across workers and reduces in source order, so
-// its results are bit-identical to the sequential pass regardless of
-// worker count.
+// time as bit-parallel BFS waves over one reusable workspace, and a
+// single pass that yields max and average together -- callers that
+// report both no longer pay APSP twice.
 #pragma once
 
 #include <cstdint>
@@ -20,10 +17,6 @@
 
 #include "graph/graph.h"
 #include "graph/traversal.h"
-
-namespace dash::util {
-class ThreadPool;
-}
 
 namespace dash::analysis {
 
@@ -47,13 +40,6 @@ class StretchTracker {
   /// source order.
   StretchStats stretch_stats(const graph::Graph& healed) const;
 
-  /// Same sample with the waves partitioned across `pool`'s workers
-  /// (contiguous wave blocks, one workspace per block). The reduction
-  /// is deterministic -- per-source partials folded in source order --
-  /// so the result is bit-identical to the sequential overload.
-  StretchStats stretch_stats(const graph::Graph& healed,
-                             dash::util::ThreadPool& pool) const;
-
   std::uint32_t original_distance(graph::NodeId u, graph::NodeId v) const {
     return original_[u * n_ + v];
   }
@@ -68,7 +54,7 @@ class StretchTracker {
     bool disconnected = false;
   };
 
-  /// Per-worker state for one 64-source wave of the bit-parallel APSP
+  /// State for one 64-source wave of the bit-parallel APSP
   /// (see stretch.cpp): per-node reach/frontier masks plus per-source
   /// accumulators indexed by the pair's original distance (bounded by
   /// the time-0 diameter). The hot loops do pure word ops and integer
@@ -88,14 +74,12 @@ class StretchTracker {
     std::vector<std::uint32_t> max_d;  ///< [source][base] distance maxes
   };
 
-  /// Run one wave: sources alive[idx0 .. idx0+count), count <= 64,
-  /// writing out[0..count) partials.
+  /// Run one wave in ws_: sources alive[idx0 .. idx0+count) with
+  /// count <= 64, writing out[0..count) partials.
   void wave_partials(const graph::FlatView& view,
                      const std::vector<graph::NodeId>& alive,
                      std::size_t idx0, std::size_t count,
-                     SampleWorkspace& ws, SourcePartial* out) const;
-  StretchStats reduce(const std::vector<SourcePartial>& partials,
-                      std::size_t alive_count) const;
+                     SourcePartial* out) const;
   /// Decode the view's alive set into alive_: every wave level sweeps
   /// the ids and every wave indexes its sources by rank, so a sample
   /// pays for the decode once.
@@ -104,11 +88,10 @@ class StretchTracker {
   std::size_t n_;
   std::vector<std::uint32_t> original_;  ///< row-major APSP matrix
   std::uint32_t diameter0_ = 0;          ///< max finite original distance
-  /// Reusable per-worker workspaces: [0] serves the sequential path,
-  /// the rest the pool workers (one per block). Mutable workspace only
-  /// -- samples are const reads of the tracker; concurrent samples on
-  /// one tracker need external synchronization.
-  mutable std::vector<SampleWorkspace> ws_;
+  /// Reusable wave workspace. Mutable workspace only -- samples are
+  /// const reads of the tracker; concurrent samples on one tracker need
+  /// external synchronization.
+  mutable SampleWorkspace ws_;
   /// The current sample's alive ids, ascending (see list_alive()).
   mutable std::vector<graph::NodeId> alive_;
 };

@@ -119,8 +119,7 @@ void StretchObserver::on_round_end(const Network& net,
     last_average_ = last_estimate_.avg_upper;
   } else {
     const analysis::StretchStats stats =
-        pool_ != nullptr ? tracker_->stretch_stats(net.graph(), *pool_)
-                         : tracker_->stretch_stats(net.graph());
+        tracker_->stretch_stats(net.graph());
     last_sample_ = stats.max;
     last_average_ = stats.average;
   }

@@ -26,10 +26,6 @@
 #include "api/network.h"
 #include "api/observer.h"
 
-namespace dash::util {
-class ThreadPool;
-}
-
 namespace dash::api {
 
 struct InvariantOptions {
@@ -139,23 +135,13 @@ struct StretchObserverOptions {
 /// the pre-join maximum.
 class StretchObserver final : public Observer {
  public:
-  /// `pool`, when given, fans every sample's BFS waves across its
-  /// workers (bit-identical values; see StretchTracker). Sharing the
-  /// suite's own pool is safe -- parallel_for has the caller help, so
-  /// a sample fired from a pool worker cannot deadlock -- but extra
-  /// wall-clock wins only materialize when workers are otherwise idle;
-  /// fully loaded suites should leave this null. Estimate-mode samples
-  /// are single-threaded (one wave) and ignore the pool.
-  explicit StretchObserver(StretchObserverOptions opts,
-                           dash::util::ThreadPool* pool = nullptr)
+  explicit StretchObserver(StretchObserverOptions opts)
       : opts_(opts),
-        sample_every_(opts.sample_every == 0 ? 1 : opts.sample_every),
-        pool_(pool) {}
+        sample_every_(opts.sample_every == 0 ? 1 : opts.sample_every) {}
 
-  explicit StretchObserver(std::size_t sample_every = 1,
-                           dash::util::ThreadPool* pool = nullptr)
+  explicit StretchObserver(std::size_t sample_every = 1)
       : StretchObserver(
-            StretchObserverOptions{.sample_every = sample_every}, pool) {}
+            StretchObserverOptions{.sample_every = sample_every}) {}
 
   std::string name() const override { return "stretch"; }
   void on_attach(const Network& net) override;
@@ -183,7 +169,6 @@ class StretchObserver final : public Observer {
  private:
   StretchObserverOptions opts_;
   std::size_t sample_every_;
-  dash::util::ThreadPool* pool_;
   std::optional<analysis::StretchTracker> tracker_;
   std::optional<analysis::StretchEstimator> estimator_;
   analysis::StretchEstimate last_estimate_;

@@ -10,10 +10,10 @@
 #include <thread>
 #include <utility>
 
-#include "api/async_sink.h"
 #include "api/network.h"
 #include "api/scenario.h"
 #include "api/serve.h"
+#include "api/sink.h"
 #include "graph/generators.h"
 #include "util/csv.h"
 #include "util/json.h"
@@ -73,14 +73,12 @@ ServeBenchRound run_one(const ServeBenchConfig& cfg, std::size_t readers,
   sopts.publish_every = cfg.publish_every;
   ServeHandle& serve = net.serve(sopts);
 
-  // The async observer pipeline rides along whenever row streaming is
-  // configured -- registered on *every* round (identical observer set
-  // keeps the mutation stream comparable), writing to the real file
-  // only when asked.
+  // Row streaming rides along whenever it is configured -- registered
+  // on *every* round (identical observer set keeps the mutation stream
+  // comparable), writing to the real file only when asked.
   std::ofstream rows_file;
   std::ostringstream rows_void;
   std::unique_ptr<CsvStreamSink> csv;
-  std::unique_ptr<AsyncSink> async;
   if (!cfg.rows_path.empty()) {
     std::ostream* dst = &rows_void;
     if (stream_rows_to_file) {
@@ -91,8 +89,7 @@ ServeBenchRound run_one(const ServeBenchConfig& cfg, std::size_t readers,
       dst = &rows_file;
     }
     csv = std::make_unique<CsvStreamSink>(*dst);
-    async = std::make_unique<AsyncSink>(*csv, 4096);
-    net.add_observer(std::make_unique<SinkObserver>(*async));
+    net.add_observer(std::make_unique<SinkObserver>(*csv));
   }
 
   const Scenario scenario = Scenario::parse(cfg.scenario);
@@ -160,7 +157,7 @@ ServeBenchRound run_one(const ServeBenchConfig& cfg, std::size_t readers,
   const auto t1 = Clock::now();
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : threads) t.join();
-  if (async) async->flush();
+  if (csv) csv->flush();
 
   ServeBenchRound round;
   round.readers = readers;
@@ -197,6 +194,14 @@ std::size_t ServeBenchReport::total_torn() const {
 }
 
 ServeBenchReport run_serve_bench(const ServeBenchConfig& cfg) {
+  if (cfg.attach == 0) {
+    throw std::invalid_argument("graph family 'ba' needs ba_edges >= 1");
+  }
+  if (cfg.n <= cfg.attach) {
+    throw std::invalid_argument(
+        "graph family 'ba' needs n >= " + std::to_string(cfg.attach + 1) +
+        " (ba_edges + 1), got n=" + std::to_string(cfg.n));
+  }
   ServeBenchReport report;
   for (std::size_t i = 0; i < cfg.reader_counts.size(); ++i) {
     const bool last = i + 1 == cfg.reader_counts.size();

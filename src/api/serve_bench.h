@@ -1,8 +1,8 @@
 // serve_bench.h -- the mixed read/write workload harness behind
-// bench/serve_churn and `dash_lab serve-bench`: one mutation thread
-// plays a churn+heal scenario through api::Network::serve() while N
-// reader threads hammer the pinned-snapshot read path, reporting read
-// throughput and p50/p99/p999 latency per reader count.
+// `dash_lab serve-bench`: one mutation thread plays a churn+heal
+// scenario through api::Network::serve() while N reader threads hammer
+// the pinned-snapshot read path, reporting read throughput and
+// p50/p99/p999 latency per reader count.
 //
 // Every read takes a fresh pin; most are O(1) connected() lookups,
 // every `distance_every`-th runs a BFS distance on the same pin and --
@@ -37,8 +37,8 @@ struct ServeBenchConfig {
   std::size_t publish_every = 1;    ///< snapshot cadence (events)
   std::size_t distance_every = 16;  ///< every k-th read BFSes + cross-checks
   bool verify = false;              ///< cross-check *every* read
-  /// Stream per-round rows through AsyncSink(CsvStreamSink) to this
-  /// path during the last round (empty = no row streaming).
+  /// Stream per-round rows through a CsvStreamSink to this path during
+  /// the last round (empty = no row streaming).
   std::string rows_path;
 };
 
@@ -73,7 +73,8 @@ struct ServeBenchReport {
 };
 
 /// Run the full grid of reader counts. Throws on bad config (unknown
-/// healer, malformed scenario).
+/// healer, malformed scenario; std::invalid_argument for a BA graph of
+/// attach == 0 or n <= attach, before anything is built).
 ServeBenchReport run_serve_bench(const ServeBenchConfig& cfg);
 
 /// Human table (one row per reader count) / machine JSON document.

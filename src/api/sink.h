@@ -44,8 +44,7 @@ struct RoundRow {
   std::size_t instance = 0;  ///< suite instance index; 0 for single runs
   /// Per-instance emission index (0, 1, 2, ... in the order the
   /// instance produced its rows). (instance, seq) is a total order:
-  /// sorting rows from an interleaved-mode suite by it reproduces the
-  /// deterministic buffered ordering exactly.
+  /// exp's rows files carry it as a column and merge shards by it.
   std::size_t seq = 0;
   std::size_t round = 0;     ///< cumulative deletions after the event
   std::size_t deletions_in_round = 1;  ///< 0 for join rows

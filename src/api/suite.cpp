@@ -1,6 +1,5 @@
 #include "api/suite.h"
 
-#include <mutex>
 #include <utility>
 
 #include "api/observers.h"
@@ -9,27 +8,6 @@
 namespace dash::api {
 
 namespace {
-
-/// Interleaved-mode fanout: serializes concurrent on_row calls from
-/// the worker threads onto the caller's (not necessarily thread-safe)
-/// sinks. Rows pass through as produced -- bounded memory, arrival
-/// order up to the scheduler; (instance, seq) restores determinism.
-class LockedFanoutSink final : public MetricSink {
- public:
-  explicit LockedFanoutSink(const std::vector<MetricSink*>& sinks)
-      : sinks_(sinks) {}
-
-  std::string name() const override { return "locked-fanout"; }
-
-  void on_row(const RoundRow& row) override {
-    std::lock_guard lock(mu_);
-    for (MetricSink* sink : sinks_) sink->on_row(row);
-  }
-
- private:
-  std::mutex mu_;
-  const std::vector<MetricSink*>& sinks_;
-};
 
 std::vector<Metrics> run_suite_impl(const SuiteConfig& cfg,
                                     dash::util::ThreadPool* pool) {
@@ -42,13 +20,9 @@ std::vector<Metrics> run_suite_impl(const SuiteConfig& cfg,
 
   std::vector<Metrics> results(cfg.instances);
   const bool want_rows = cfg.record_rows && !cfg.sinks.empty();
-  const bool interleave = want_rows && cfg.interleaved_rows;
-  // Buffered mode: per-instance row buffers -- workers write privately,
-  // the emission loop below replays them in index order. Interleaved
-  // mode: rows stream through one locked fanout as they are produced.
-  std::vector<MemorySink> buffers(
-      want_rows && !interleave ? cfg.instances : 0);
-  LockedFanoutSink fanout(cfg.sinks);
+  // Per-instance row buffers: workers write privately, the emission
+  // loop below replays them in index order.
+  std::vector<MemorySink> buffers(want_rows ? cfg.instances : 0);
   const bool keep_engines = static_cast<bool>(cfg.inspect);
   std::vector<std::unique_ptr<Network>> engines(
       keep_engines ? cfg.instances : 0);
@@ -69,10 +43,8 @@ std::vector<Metrics> run_suite_impl(const SuiteConfig& cfg,
       // visible producer: wire its samples into the rows.
       const auto* stretch = dynamic_cast<const StretchObserver*>(
           net->find_observer("stretch"));
-      MetricSink& target =
-          interleave ? static_cast<MetricSink&>(fanout) : buffers[i];
       net->add_observer(
-          std::make_unique<SinkObserver>(target, stretch, i));
+          std::make_unique<SinkObserver>(buffers[i], stretch, i));
     }
     results[i] = net->play(cfg.scenario, rng);
     if (keep_engines) engines[i] = std::move(net);
@@ -84,13 +56,13 @@ std::vector<Metrics> run_suite_impl(const SuiteConfig& cfg,
     for (std::size_t i = 0; i < cfg.instances; ++i) run_one(i);
   }
 
-  // Deterministic output: instance order, rows (buffered mode) before
-  // the run summary. Sinks are NOT flushed here -- a sink may span
+  // Deterministic output: instance order, rows before the run
+  // summary. Sinks are NOT flushed here -- a sink may span
   // several suites (one JSON group per sweep cell); whoever owns the
   // sink flushes it when all production is done.
   for (std::size_t i = 0; i < cfg.instances; ++i) {
     for (MetricSink* sink : cfg.sinks) {
-      if (want_rows && !interleave) {
+      if (want_rows) {
         for (const RoundRow& row : buffers[i].rows()) sink->on_row(row);
       }
       sink->on_run(i, results[i]);

@@ -47,15 +47,6 @@ struct SuiteConfig {
   /// connectivity tracker (O(alpha) amortized); summary-only sinks
   /// should still leave this off.
   bool record_rows = false;
-  /// Opt-in bounded-memory row delivery for million-event runs: with
-  /// record_rows set, rows stream to the sinks *while instances run*
-  /// (serialized by a lock) instead of buffering per instance until the
-  /// barrier. Rows carry their instance id and per-instance seq, and a
-  /// stable sort by (RoundRow::instance, RoundRow::seq) reproduces the
-  /// buffered deterministic order exactly; the arrival interleaving
-  /// itself depends on thread scheduling. Run snapshots (on_run) are
-  /// still delivered post-barrier in instance order.
-  bool interleaved_rows = false;
   /// Post-run inspection hook, called sequentially in instance order
   /// after every instance completed; the engine (graph + healing
   /// state) is kept alive until then. For measurements that need more
@@ -78,8 +69,7 @@ std::vector<Metrics> run_suite(const SuiteConfig& cfg);
 /// Same, fanned out across a caller-owned pool (borrowed for the call
 /// only -- share one pool across as many suites as you like; the suite
 /// never stores it). Results and sink bytes are identical to the
-/// sequential overload regardless of worker count (except the row
-/// *arrival order* under interleaved_rows, as documented above).
+/// sequential overload regardless of worker count.
 std::vector<Metrics> run_suite(const SuiteConfig& cfg,
                                dash::util::ThreadPool& pool);
 

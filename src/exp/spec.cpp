@@ -256,7 +256,8 @@ void ExperimentSpec::validate() const {
   }
   for (const auto& family : families) {
     reject_separator_chars("family", family);
-    make_family(family, 8, ba_edges);  // throws for unknown families
+    // Throws for unknown families and for sizes the family cannot build.
+    for (const std::size_t n : sizes) make_family(family, n, ba_edges);
   }
   for (const auto& healer : healers) {
     reject_separator_chars("healer", healer);
@@ -360,29 +361,47 @@ std::vector<Cell> ExperimentSpec::enumerate() const {
 
 std::function<graph::Graph(util::Rng&)> make_family(
     const std::string& family, std::size_t n, std::size_t ba_edges) {
+  // The generators DASH_CHECK their preconditions when a worker builds
+  // the graph; reject those sizes here, by name, before any cell runs.
+  const auto need = [&](std::size_t min, const char* why) {
+    if (n < min) {
+      throw std::invalid_argument(
+          "graph family '" + family + "' needs n >= " +
+          std::to_string(min) + why + ", got n=" + std::to_string(n));
+    }
+  };
   if (family == "ba") {
+    if (ba_edges == 0) {
+      throw std::invalid_argument("graph family 'ba' needs ba_edges >= 1");
+    }
+    need(ba_edges + 1, " (ba_edges + 1)");
     return [n, ba_edges](util::Rng& rng) {
       return graph::barabasi_albert(n, ba_edges, rng);
     };
   }
   if (family == "tree") {
+    need(1, "");
     return [n](util::Rng& rng) { return graph::random_tree(n, rng); };
   }
   if (family == "gnp") {
+    need(7, " (edge probability 6/n + 0.02 <= 1)");
     return [n](util::Rng& rng) {
       return graph::connected_gnp(
           n, 6.0 / static_cast<double>(n) + 0.02, rng);
     };
   }
   if (family == "ws") {
+    need(5, " (2k < n with k = 2)");
     return [n](util::Rng& rng) {
       return graph::watts_strogatz(n, 2, 0.2, rng);
     };
   }
   if (family == "cycle") {
+    need(3, "");
     return [n](util::Rng&) { return graph::cycle_graph(n); };
   }
   if (family == "line") {
+    need(1, "");
     return [n](util::Rng&) { return graph::path_graph(n); };
   }
   throw std::invalid_argument("unknown graph family '" + family +

@@ -108,7 +108,8 @@ struct ExperimentSpec {
 
   /// Semantic validation beyond syntax: healer specs resolve through
   /// core::healer_registry(), scenarios through Scenario::parse,
-  /// families through the family table, and every count is positive.
+  /// families through the family table (make_family, at every size),
+  /// and every count is positive.
   /// Throws std::invalid_argument with the offending entry named.
   void validate() const;
 
@@ -134,7 +135,10 @@ struct ExperimentSpec {
 
 /// The graph-family factory the grid vocabulary names: the make_graph
 /// callable for one (family, n) cell. Known families: ba, tree, gnp,
-/// ws, cycle, line; unknown names throw, listing them.
+/// ws, cycle, line; unknown names throw, listing them. A size below
+/// the family's smallest buildable n (ba_edges + 1 for ba, 7 for gnp,
+/// 5 for ws, 3 for cycle, 1 for tree and line) throws
+/// std::invalid_argument naming the family and that minimum.
 std::function<graph::Graph(util::Rng&)> make_family(
     const std::string& family, std::size_t n, std::size_t ba_edges);
 

@@ -1,6 +1,9 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
 
 namespace dash::util {
 

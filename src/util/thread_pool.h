@@ -1,7 +1,7 @@
 // thread_pool.h -- fixed-size worker pool used to run independent
 // experiment cells, and the instances within each cell, in parallel
 // (each instance owns a forked RNG stream, so results are identical
-// regardless of worker count).
+// regardless of worker count). parallel_for is its one entry point.
 #pragma once
 
 #include <condition_variable>
@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -34,20 +33,6 @@ class ThreadPool {
     return queue_.size();
   }
 
-  /// Enqueue a task; the returned future rethrows any task exception.
-  template <typename F>
-  std::future<std::invoke_result_t<F>> submit(F&& fn) {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
-    {
-      std::lock_guard lock(mu_);
-      queue_.push_back({[task] { (*task)(); }, 0});
-    }
-    cv_.notify_one();
-    return fut;
-  }
-
   /// Run fn(i) for i in [0, count) across the pool and wait for all.
   /// Exceptions from tasks are rethrown (the first one encountered).
   /// The calling thread participates in the work, so the call is safe
@@ -58,11 +43,11 @@ class ThreadPool {
 
  private:
   /// Queued work unit. `tag` groups the helper runners of one
-  /// parallel_for call (0 = plain submit) so the call can erase its
-  /// still-pending helpers once every index is done -- a nested
-  /// parallel_for whose caller-runner drained the whole range would
-  /// otherwise leave its helpers parked in the queue (as no-op
-  /// closures pinning the copied fn) until the outer tasks finish.
+  /// parallel_for call so the call can erase its still-pending helpers
+  /// once every index is done -- a nested parallel_for whose
+  /// caller-runner drained the whole range would otherwise leave its
+  /// helpers parked in the queue (as no-op closures pinning the copied
+  /// fn) until the outer tasks finish.
   struct Task {
     std::function<void()> fn;
     std::uint64_t tag;

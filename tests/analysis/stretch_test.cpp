@@ -10,7 +10,6 @@
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace dash::analysis {
 namespace {
@@ -121,35 +120,15 @@ TEST(Stretch, StatsMatchPerPairBfsFold) {
   EXPECT_GT(stats.max, 1.0);
 }
 
-TEST(Stretch, StatsParallelBitIdenticalToSequential) {
-  dash::util::Rng rng(23);
-  Graph g = graph::barabasi_albert(200, 2, rng);
-  const StretchTracker tracker(g);
-  for (int i = 0; i < 20; ++i) {
-    const auto alive = g.alive_nodes();
-    const auto survivors = g.delete_node(
-        alive[static_cast<std::size_t>(rng.below(alive.size()))]);
-    for (std::size_t j = 1; j < survivors.size(); ++j) {
-      g.add_edge(survivors[j - 1], survivors[j]);
-    }
-  }
-  const StretchStats seq = tracker.stretch_stats(g);
-  for (std::size_t workers : {2, 3, 8}) {
-    dash::util::ThreadPool pool(workers);
-    const StretchStats par = tracker.stretch_stats(g, pool);
-    EXPECT_EQ(seq.max, par.max) << workers << " workers";
-    EXPECT_EQ(seq.average, par.average) << workers << " workers";
-  }
-}
-
-TEST(Stretch, StatsParallelDisconnectedIsInfinite) {
-  Graph g = graph::path_graph(130);  // two waves' worth of sources
+TEST(Stretch, MultiWaveDisconnectedIsInfinite) {
+  // 129 alive sources span three 64-source waves; the cut at node 64
+  // separates the first wave's sources from every later one.
+  Graph g = graph::path_graph(130);
   const StretchTracker tracker(g);
   g.delete_node(64);
-  dash::util::ThreadPool pool(2);
-  const StretchStats par = tracker.stretch_stats(g, pool);
-  EXPECT_TRUE(std::isinf(par.max));
-  EXPECT_TRUE(std::isinf(par.average));
+  const StretchStats stats = tracker.stretch_stats(g);
+  EXPECT_TRUE(std::isinf(stats.max));
+  EXPECT_TRUE(std::isinf(stats.average));
 }
 
 TEST(Stretch, FewAliveNodesStatsZero) {
@@ -157,13 +136,9 @@ TEST(Stretch, FewAliveNodesStatsZero) {
   const StretchTracker tracker(g);
   g.delete_node(0);
   g.delete_node(1);
-  dash::util::ThreadPool pool(2);
-  const StretchStats seq = tracker.stretch_stats(g);
-  const StretchStats par = tracker.stretch_stats(g, pool);
-  EXPECT_DOUBLE_EQ(seq.max, 0.0);
-  EXPECT_DOUBLE_EQ(seq.average, 0.0);
-  EXPECT_DOUBLE_EQ(par.max, 0.0);
-  EXPECT_DOUBLE_EQ(par.average, 0.0);
+  const StretchStats stats = tracker.stretch_stats(g);
+  EXPECT_DOUBLE_EQ(stats.max, 0.0);
+  EXPECT_DOUBLE_EQ(stats.average, 0.0);
 }
 
 TEST(Stretch, RequiresConnectedBaseline) {

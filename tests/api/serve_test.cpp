@@ -1,18 +1,18 @@
 // serve_test.cpp -- the concurrent serving engine (Network::serve):
 // epoch publication cadence, queries served from pinned snapshots
 // while play() mutates on another thread, the one-shot ServeReader
-// conveniences, and the AsyncSink half of the observer pipeline
-// (byte-identity vs the synchronous path, bounded-capacity stress,
-// flush barrier), and serve-bench's JSON document.
+// conveniences, and serve-bench's rows CSV (byte-identical to an
+// unserved run) and JSON document.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string_view>
 #include <thread>
 
-#include "api/async_sink.h"
 #include "api/network.h"
 #include "api/scenario.h"
 #include "api/serve.h"
@@ -179,88 +179,37 @@ TEST(Serve, NestedParallelForOverServeReads) {
   EXPECT_EQ(torn.load(), 0u);
 }
 
-// ---- AsyncSink -------------------------------------------------------------
+// ---- serve-bench -----------------------------------------------------------
 
-/// Drive the same scenario into a synchronous CsvStreamSink and an
-/// AsyncSink-wrapped one; outputs must be byte-identical.
-TEST(AsyncSink, OutputByteIdenticalToSynchronousPath) {
-  const Scenario s = Scenario::parse("churn:0.3,0.1x100");
+TEST(ServeBench, RowsMatchAnUnservedRun) {
+  // The rows CSV is written while readers pin snapshots on other
+  // threads; it must hold exactly the bytes a CsvStreamSink gets from
+  // the same network played without serve() or readers.
+  const std::string path = ::testing::TempDir() + "dash_serve_rows.csv";
+  ServeBenchConfig cfg;
+  cfg.n = 512;
+  cfg.scenario = "churn:0.3,0.1x400";
+  cfg.reader_counts = {2};
+  cfg.rows_path = path;
+  ASSERT_TRUE(run_serve_bench(cfg).ok());
 
-  std::ostringstream sync_out;
+  std::ostringstream want;
   {
-    Network net(make_ba(128), "dash", 9);
-    CsvStreamSink sink(sync_out);
+    Rng graph_rng(cfg.seed);
+    Network net(graph::barabasi_albert(cfg.n, cfg.attach, graph_rng),
+                cfg.healer, cfg.seed);
+    CsvStreamSink sink(want);
     net.add_observer(std::make_unique<SinkObserver>(sink));
-    Rng rng(6);
-    net.play(s, rng);
+    Rng play_rng(cfg.seed + 1);
+    net.play(Scenario::parse(cfg.scenario), play_rng);
     sink.flush();
   }
-
-  std::ostringstream async_out;
-  {
-    Network net(make_ba(128), "dash", 9);
-    CsvStreamSink inner(async_out);
-    AsyncSink sink(inner, 8);  // tiny ring: force producer blocking
-    net.add_observer(std::make_unique<SinkObserver>(sink));
-    Rng rng(6);
-    net.play(s, rng);
-    sink.flush();
-  }
-
-  EXPECT_EQ(sync_out.str(), async_out.str());
-  EXPECT_FALSE(async_out.str().empty());
-}
-
-TEST(AsyncSink, PreservesOrderUnderCapacityPressure) {
-  MemorySink memory;
-  {
-    AsyncSink sink(memory, 2);  // rounds to capacity 2
-    RoundRow row;
-    for (int i = 0; i < 5000; ++i) {
-      row.round = static_cast<std::size_t>(i);
-      sink.on_row(row);
-    }
-    sink.flush();
-    EXPECT_EQ(memory.rows().size(), 5000u);
-    EXPECT_GE(sink.high_water(), 1u);
-    EXPECT_LE(sink.high_water(), sink.capacity());
-  }
-  for (std::size_t i = 0; i < memory.rows().size(); ++i) {
-    EXPECT_EQ(memory.rows()[i].round, i);
-  }
-}
-
-TEST(AsyncSink, FlushIsABarrier) {
-  MemorySink memory;
-  AsyncSink sink(memory, 1024);
-  RoundRow row;
-  for (int i = 0; i < 100; ++i) {
-    row.round = static_cast<std::size_t>(i);
-    sink.on_row(row);
-  }
-  sink.flush();
-  // After flush() returns every queued event reached the inner sink.
-  EXPECT_EQ(memory.rows().size(), 100u);
-}
-
-TEST(AsyncSink, DestructorDrainsOutstandingEvents) {
-  MemorySink memory;
-  {
-    AsyncSink sink(memory, 256);
-    RoundRow row;
-    for (int i = 0; i < 200; ++i) {
-      row.round = static_cast<std::size_t>(i);
-      sink.on_row(row);
-    }
-    // No flush: the destructor must deliver everything.
-  }
-  EXPECT_EQ(memory.rows().size(), 200u);
-}
-
-TEST(AsyncSink, NameReflectsInnerSink) {
-  MemorySink memory;
-  AsyncSink sink(memory, 4);
-  EXPECT_EQ(sink.name(), "async:" + memory.name());
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream got;
+  got << in.rdbuf();
+  std::remove(path.c_str());
+  EXPECT_EQ(got.str(), want.str());
+  EXPECT_FALSE(want.str().empty());
 }
 
 TEST(ServeBench, JsonEscapesHealerAndScenario) {

@@ -7,10 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <sstream>
-#include <tuple>
 #include <vector>
 
 #include "api/api.h"
@@ -278,9 +276,9 @@ TEST(RunSuite, SinksReceiveRowsGroupedByInstanceInOrder) {
   EXPECT_EQ(csv.rows_written(), 12u);
 }
 
-// ---- interleaved (bounded-memory) row mode ----------------------------
+// ---- per-instance row sequence numbers --------------------------------
 
-SuiteConfig interleavable_suite() {
+SuiteConfig churn_suite() {
   SuiteConfig cfg;
   cfg.make_graph = [](Rng& rng) {
     return graph::barabasi_albert(28, 2, rng);
@@ -293,77 +291,9 @@ SuiteConfig interleavable_suite() {
   return cfg;
 }
 
-void expect_rows_equal(const std::vector<RoundRow>& a,
-                       const std::vector<RoundRow>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].instance, b[i].instance) << "row " << i;
-    EXPECT_EQ(a[i].seq, b[i].seq) << "row " << i;
-    EXPECT_EQ(a[i].round, b[i].round) << "row " << i;
-    EXPECT_EQ(a[i].deletions_in_round, b[i].deletions_in_round);
-    EXPECT_EQ(a[i].event_node, b[i].event_node) << "row " << i;
-    EXPECT_EQ(a[i].is_join, b[i].is_join) << "row " << i;
-    EXPECT_EQ(a[i].alive, b[i].alive) << "row " << i;
-    EXPECT_EQ(a[i].edges, b[i].edges) << "row " << i;
-    EXPECT_EQ(a[i].edges_added, b[i].edges_added) << "row " << i;
-    EXPECT_EQ(a[i].max_delta, b[i].max_delta) << "row " << i;
-    EXPECT_EQ(a[i].largest_component, b[i].largest_component);
-    EXPECT_EQ(a[i].stretch, b[i].stretch) << "row " << i;
-    EXPECT_EQ(a[i].stretch_sampled, b[i].stretch_sampled) << "row " << i;
-  }
-}
-
-TEST(RunSuite, InterleavedRowsSortBackToBufferedOrder) {
-  // Buffered reference: deterministic (instance, seq) order.
-  MemorySink buffered;
-  auto cfg = interleavable_suite();
-  cfg.sinks = {&buffered};
-  dash::util::ThreadPool pool(4);
-  run_suite(cfg, pool);
-
-  // Interleaved mode: rows stream during execution in scheduler order,
-  // but each carries (instance, seq); a stable sort restores the
-  // deterministic ordering field-for-field.
-  MemorySink interleaved;
-  cfg.sinks = {&interleaved};
-  cfg.interleaved_rows = true;
-  run_suite(cfg, pool);
-
-  std::vector<RoundRow> sorted = interleaved.rows();
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const RoundRow& a, const RoundRow& b) {
-                     return std::tie(a.instance, a.seq) <
-                            std::tie(b.instance, b.seq);
-                   });
-  expect_rows_equal(sorted, buffered.rows());
-
-  // Run snapshots still arrive post-barrier in instance order.
-  ASSERT_EQ(interleaved.runs().size(), buffered.runs().size());
-  for (std::size_t i = 0; i < interleaved.runs().size(); ++i) {
-    EXPECT_EQ(interleaved.runs()[i].first, i);
-    EXPECT_EQ(interleaved.runs()[i].second.deletions,
-              buffered.runs()[i].second.deletions);
-    EXPECT_EQ(interleaved.runs()[i].second.edges_added,
-              buffered.runs()[i].second.edges_added);
-  }
-}
-
-TEST(RunSuite, InterleavedSequentialMatchesBufferedExactly) {
-  // Without a pool, instances run in order, so even the arrival order
-  // of interleaved rows is the deterministic one.
-  MemorySink buffered, interleaved;
-  auto cfg = interleavable_suite();
-  cfg.sinks = {&buffered};
-  run_suite(cfg);
-  cfg.sinks = {&interleaved};
-  cfg.interleaved_rows = true;
-  run_suite(cfg);
-  expect_rows_equal(interleaved.rows(), buffered.rows());
-}
-
 TEST(RunSuite, SeqNumbersArePerInstanceAndContiguous) {
   MemorySink memory;
-  auto cfg = interleavable_suite();
+  auto cfg = churn_suite();
   cfg.sinks = {&memory};
   run_suite(cfg);
   std::vector<std::size_t> next(cfg.instances, 0);

@@ -7,6 +7,9 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -231,6 +234,65 @@ TEST(MakeFamily, UnknownFamilyErrorListsNames) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("ba"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("cycle"), std::string::npos);
+  }
+}
+
+/// Each family's smallest buildable n at ba_edges = 2 (ba: ba_edges + 1).
+const std::vector<std::pair<std::string, std::size_t>>& family_minimums() {
+  static const std::vector<std::pair<std::string, std::size_t>> mins = {
+      {"ba", 3}, {"tree", 1}, {"gnp", 7}, {"ws", 5}, {"cycle", 3},
+      {"line", 1}};
+  return mins;
+}
+
+TEST(MakeFamily, SmallestSizeBuildsAndValidates) {
+  for (const auto& [family, min] : family_minimums()) {
+    const auto make = make_family(family, min, 2);
+    for (std::uint64_t seed = 0; seed < 30; ++seed) {
+      util::Rng rng(seed);
+      EXPECT_EQ(make(rng).num_alive(), min) << family << " seed " << seed;
+    }
+    EXPECT_NO_THROW(ExperimentSpec::parse_line(
+        "family=" + family + " n=" + std::to_string(min) +
+        " healer=dash scenario=targeted:maxnode"))
+        << family;
+  }
+  util::Rng rng(1);
+  EXPECT_EQ(make_family("ba", 6, 5)(rng).num_alive(), 6u);
+}
+
+TEST(MakeFamily, SizeBelowTheMinimumIsANamedError) {
+  const auto expect_named = [](const std::string& family, std::size_t n,
+                               std::size_t ba_edges, std::size_t min) {
+    try {
+      make_family(family, n, ba_edges);
+      ADD_FAILURE() << family << " n=" << n << ": expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + family + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("n >= " + std::to_string(min)), std::string::npos)
+          << what;
+    }
+  };
+  for (const auto& [family, min] : family_minimums()) {
+    expect_named(family, min - 1, 2, min);
+  }
+  expect_named("ba", 5, 5, 6);
+  EXPECT_THROW(make_family("ba", 16, 0), std::invalid_argument);
+  // validate() checks every size of the grid, not only the first, and
+  // the grid error names the family.
+  for (const auto& [family, min] : family_minimums()) {
+    if (min == 1) continue;  // the parser rejects n=0 before validate()
+    try {
+      ExperimentSpec::parse_line("family=" + family + " n=64|" +
+                                 std::to_string(min - 1) +
+                                 " healer=dash scenario=targeted:maxnode");
+      ADD_FAILURE() << family << ": expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + family + "'"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

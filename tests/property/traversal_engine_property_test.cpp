@@ -2,8 +2,7 @@
 // property at the engine level: for EVERY scenario phase type (strike /
 // batch / churn / targeted / until / untilfrac / repeat / floor) the
 // zero-alloc scratch BFS, the FlatView component labelling, and the
-// single-pass stretch_stats (sequential AND ThreadPool-parallel) must
-// reproduce the legacy per-call-allocating implementations bit for bit
+// single-pass stretch_stats must reproduce the legacy per-call-allocating implementations bit for bit
 // -- max stretch exactly (same IEEE divisions), averages to rounding
 // (the fold order is documented), everything else structurally equal --
 // at every sampled round of a live healing run.
@@ -111,13 +110,10 @@ StretchStats ref_stretch(const StretchTracker& tracker, const Graph& g) {
 
 /// Rides a live engine run and, every few rounds, replays the round's
 /// graph through both engines: flat scratch traversals vs the legacy
-/// reference, and the wave-based stretch_stats (sequential + pooled)
-/// vs the legacy per-pair implementation.
+/// reference, and the wave-based stretch_stats vs the legacy per-pair
+/// implementation.
 class EngineDifferentialObserver final : public Observer {
  public:
-  explicit EngineDifferentialObserver(dash::util::ThreadPool& pool)
-      : pool_(pool) {}
-
   std::string name() const override { return "engine-diff"; }
 
   void on_attach(const Network& net) override {
@@ -159,13 +155,9 @@ class EngineDifferentialObserver final : public Observer {
     if (!stretch_active_) return;
     const StretchStats want = ref_stretch(*tracker_, g);
     const StretchStats seq = tracker_->stretch_stats(g);
-    const StretchStats par = tracker_->stretch_stats(g, pool_);
     // Max folds through the identical IEEE divisions: exact equality,
     // including the +inf disconnected case.
     ASSERT_EQ(seq.max, want.max) << what;
-    ASSERT_EQ(par.max, want.max) << what;
-    // Parallel must be bit-identical to sequential in both figures.
-    ASSERT_EQ(par.average, seq.average) << what;
     // The average's fold order changed (per-base integer sums); agree
     // with the legacy pair-ordered fold to rounding.
     if (std::isinf(want.average)) {
@@ -180,7 +172,6 @@ class EngineDifferentialObserver final : public Observer {
   std::size_t rounds_checked() const { return rounds_checked_; }
 
  private:
-  dash::util::ThreadPool& pool_;
   std::optional<StretchTracker> tracker_;
   bool stretch_active_ = true;
   std::size_t rounds_checked_ = 0;
@@ -191,10 +182,9 @@ class TraversalEngineProperty
 
 TEST_P(TraversalEngineProperty, FlatEngineMatchesLegacyEveryPhaseType) {
   const std::string spec = GetParam();
-  dash::util::ThreadPool pool(3);
   for (const char* healer : {"dash", "none"}) {
     // Sequential instances so the observer's assertions run on this
-    // thread; the pooled stretch path still fans its waves out.
+    // thread.
     std::size_t checked = 0;
     SuiteConfig cfg;
     cfg.instances = 2;
@@ -204,9 +194,8 @@ TEST_P(TraversalEngineProperty, FlatEngineMatchesLegacyEveryPhaseType) {
     };
     cfg.make_healer = healer_factory(healer);
     cfg.scenario = Scenario::parse(spec);
-    cfg.configure = [&pool](Network& net) {
-      net.add_observer(
-          std::make_unique<EngineDifferentialObserver>(pool));
+    cfg.configure = [](Network& net) {
+      net.add_observer(std::make_unique<EngineDifferentialObserver>());
     };
     cfg.inspect = [&checked](std::size_t, const Network& net,
                              const Metrics&) {

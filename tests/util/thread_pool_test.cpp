@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -12,15 +11,9 @@
 namespace dash::util {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  auto f = pool.submit([] { return 21 * 2; });
-  EXPECT_EQ(f.get(), 42);
-}
-
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
+  EXPECT_EQ(pool.size(), 4u);
   std::vector<std::atomic<int>> hits(100);
   pool.parallel_for(100, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -29,12 +22,6 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
 TEST(ThreadPool, ParallelForZeroTasks) {
   ThreadPool pool(2);
   pool.parallel_for(0, [](std::size_t) { FAIL(); });
-}
-
-TEST(ThreadPool, FuturePropagatesException) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
 }
 
 TEST(ThreadPool, ParallelForPropagatesException) {
@@ -119,8 +106,6 @@ TEST(ThreadPool, PoolUsableAfterParallelForException) {
   std::atomic<int> ran{0};
   pool.parallel_for(16, [&](std::size_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 16);
-  auto f = pool.submit([] { return 7; });
-  EXPECT_EQ(f.get(), 7);
 }
 
 TEST(ThreadPool, NestedParallelForPropagatesInnerException) {
@@ -141,22 +126,22 @@ TEST(ThreadPool, NestedParallelForPropagatesInnerException) {
 TEST(ThreadPool, NestedParallelForLeavesNoQueuedHelpers) {
   // Occupy every worker, then run parallel_for from this thread: the
   // caller-runner drains the whole range while the helpers sit in the
-  // queue. On return those helpers must have been erased -- a
-  // stretch-sampling suite issues thousands of nested calls, and
-  // leftover no-op closures would pile up for the outer run's lifetime.
+  // queue. On return those helpers must have been erased -- a grid run
+  // issues a nested call per cell, and leftover no-op closures would
+  // pile up for the outer run's lifetime.
   ThreadPool pool(2);
   std::atomic<bool> release{false};
   std::atomic<int> blocked{0};
-  std::vector<std::future<void>> gates;
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    gates.push_back(pool.submit([&] {
+  // size() + 1 blocking indices: one per worker plus the occupier's
+  // own caller-runner, so once all have started every worker is held.
+  const int gates = static_cast<int>(pool.size()) + 1;
+  std::thread occupier([&] {
+    pool.parallel_for(static_cast<std::size_t>(gates), [&](std::size_t) {
       blocked.fetch_add(1);
       while (!release.load()) std::this_thread::yield();
-    }));
-  }
-  while (blocked.load() < static_cast<int>(pool.size())) {
-    std::this_thread::yield();
-  }
+    });
+  });
+  while (blocked.load() < gates) std::this_thread::yield();
   std::atomic<int> ran{0};
   for (int call = 0; call < 50; ++call) {
     pool.parallel_for(8, [&](std::size_t) { ran.fetch_add(1); });
@@ -164,7 +149,7 @@ TEST(ThreadPool, NestedParallelForLeavesNoQueuedHelpers) {
   EXPECT_EQ(ran.load(), 50 * 8);
   EXPECT_EQ(pool.queue_depth(), 0u);
   release.store(true);
-  for (auto& g : gates) g.get();
+  occupier.join();
 }
 
 }  // namespace

@@ -685,7 +685,7 @@ int main(int argc, char** argv) {
     opt.add_flag("verify", &lab.verify,
                  "cross-check label vs BFS connectivity on every read");
     opt.add_string("rows", &lab.rows,
-                   "stream per-round rows (async pipeline) to this CSV");
+                   "stream the last round's per-round rows to this CSV");
     opt.add_string("json", &lab.json, "write the report as JSON here");
   }
   if (cmd == "hunt") {
