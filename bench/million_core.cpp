@@ -3,6 +3,9 @@
 // overlays interactive, with before/after pairs interleaved in the
 // same process so the medians share cache state and allocator history.
 //
+//   0. build: the set-up every instance pays before its first event --
+//      BA(n, 2) generation and api::Network construction (healing
+//      state, connectivity tracker), each the median of five builds.
 //   1. publish: a delta-patched snapshot publish (the serving path)
 //      vs. a from-scratch FlatView rebuild of the same graph -- the
 //      cost every publish used to pay.
@@ -98,6 +101,25 @@ void churn_step(Graph& g, std::vector<NodeId>& alive, Rng& rng) {
       g.add_edge(a, b);
     }
   }
+}
+
+void bench_build(std::size_t n, std::uint64_t seed, Ledger& ledger) {
+  constexpr int kBuilds = 5;
+  std::vector<double> ba_ms, network_ms;
+  for (int b = 0; b < kBuilds; ++b) {
+    Rng rng(seed);
+    Timer t_ba;
+    Graph g = dash::graph::barabasi_albert(n, 2, rng);
+    ba_ms.push_back(t_ba.millis());
+    Timer t_network;
+    const dash::api::Network net(std::move(g), "dash", seed);
+    network_ms.push_back(t_network.millis());
+  }
+  std::cout << "BA(" << n << ", 2) generation: median " << median_of(ba_ms)
+            << " ms; Network construction: median " << median_of(network_ms)
+            << " ms (of " << kBuilds << " builds each)\n";
+  ledger.emplace_back("build.ba_ms", median_of(ba_ms));
+  ledger.emplace_back("build.network_ms", median_of(network_ms));
 }
 
 void bench_publish(std::size_t n, std::size_t rounds, std::uint64_t seed,
@@ -386,8 +408,11 @@ int main(int argc, char** argv) {
   if (!opt.parse(argc, argv)) return opt.help_requested() ? 0 : 2;
 
   std::cout << "\n== million_core: BA(" << n << ", 2), seed " << seed
-            << " ==\n\n-- publish path: full rebuild vs delta patch --\n";
+            << " ==\n\n-- build: BA generation + Network construction --\n";
   Ledger ledger;
+  bench_build(n, seed, ledger);
+
+  std::cout << "\n-- publish path: full rebuild vs delta patch --\n";
   bench_publish(n, publish_rounds, seed, ledger);
 
   std::cout << "\n-- stretch sample: exact vs landmark bounds --\n";

@@ -64,7 +64,7 @@ std::string metrics_to_json(const Metrics& m) {
 }
 
 ServeBenchRound run_one(const ServeBenchConfig& cfg, std::size_t readers,
-                        bool stream_rows_to_file) {
+                        std::ostream& rows_out) {
   util::Rng graph_rng(cfg.seed);
   graph::Graph g = graph::barabasi_albert(cfg.n, cfg.attach, graph_rng);
   Network net(std::move(g), cfg.healer, cfg.seed);
@@ -75,20 +75,10 @@ ServeBenchRound run_one(const ServeBenchConfig& cfg, std::size_t readers,
 
   // Row streaming rides along whenever it is configured -- registered
   // on *every* round (identical observer set keeps the mutation stream
-  // comparable), writing to the real file only when asked.
-  std::ofstream rows_file;
-  std::ostringstream rows_void;
+  // comparable), into whichever stream the caller hands this round.
   std::unique_ptr<CsvStreamSink> csv;
   if (!cfg.rows_path.empty()) {
-    std::ostream* dst = &rows_void;
-    if (stream_rows_to_file) {
-      rows_file.open(cfg.rows_path, std::ios::trunc);
-      if (!rows_file) {
-        throw std::runtime_error("cannot write rows to " + cfg.rows_path);
-      }
-      dst = &rows_file;
-    }
-    csv = std::make_unique<CsvStreamSink>(*dst);
+    csv = std::make_unique<CsvStreamSink>(rows_out);
     net.add_observer(std::make_unique<SinkObserver>(*csv));
   }
 
@@ -202,10 +192,22 @@ ServeBenchReport run_serve_bench(const ServeBenchConfig& cfg) {
         "graph family 'ba' needs n >= " + std::to_string(cfg.attach + 1) +
         " (ba_edges + 1), got n=" + std::to_string(cfg.n));
   }
+  // The rows file is opened before any round runs, so a bad path
+  // fails fast; only the last round writes it, and the earlier rounds'
+  // rows go to a stream without a buffer, which drops them.
+  std::ofstream rows_file;
+  if (!cfg.rows_path.empty()) {
+    rows_file.open(cfg.rows_path, std::ios::trunc);
+    if (!rows_file) {
+      throw std::invalid_argument("cannot write rows to " + cfg.rows_path);
+    }
+  }
+  std::ostream discard(nullptr);
   ServeBenchReport report;
   for (std::size_t i = 0; i < cfg.reader_counts.size(); ++i) {
     const bool last = i + 1 == cfg.reader_counts.size();
-    report.rounds.push_back(run_one(cfg, cfg.reader_counts[i], last));
+    report.rounds.push_back(
+        run_one(cfg, cfg.reader_counts[i], last ? rows_file : discard));
     if (report.rounds.back().metrics_json !=
         report.rounds.front().metrics_json) {
       report.deterministic = false;

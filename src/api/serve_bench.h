@@ -38,7 +38,8 @@ struct ServeBenchConfig {
   std::size_t distance_every = 16;  ///< every k-th read BFSes + cross-checks
   bool verify = false;              ///< cross-check *every* read
   /// Stream per-round rows through a CsvStreamSink to this path during
-  /// the last round (empty = no row streaming).
+  /// the last round (empty = no row streaming). The file is opened
+  /// before the first round.
   std::string rows_path;
 };
 
@@ -73,8 +74,9 @@ struct ServeBenchReport {
 };
 
 /// Run the full grid of reader counts. Throws on bad config (unknown
-/// healer, malformed scenario; std::invalid_argument for a BA graph of
-/// attach == 0 or n <= attach, before anything is built).
+/// healer, malformed scenario; std::invalid_argument, before anything
+/// is built, for a BA graph of attach == 0 or n <= attach and for a
+/// rows_path that cannot be opened for writing).
 ServeBenchReport run_serve_bench(const ServeBenchConfig& cfg);
 
 /// Human table (one row per reader count) / machine JSON document.

@@ -44,6 +44,14 @@ void BlockSlab::grow_insert(NodeId v, std::uint32_t idx, NodeId x) {
   size_[v] = old_cap + 1;
 }
 
+std::uint32_t BlockSlab::sort_unique(NodeId v) {
+  NodeId* block = slab_.data() + offset_[v];
+  std::sort(block, block + size_[v]);
+  size_[v] = static_cast<std::uint32_t>(
+      std::unique(block, block + size_[v]) - block);
+  return size_[v];
+}
+
 void BlockSlab::release(NodeId v) {
   if (capacity_[v] != 0) {
     free_block(offset_[v], capacity_[v]);
@@ -53,19 +61,28 @@ void BlockSlab::release(NodeId v) {
   size_[v] = 0;
 }
 
-bool BlockSlab::reserve(NodeId v, std::size_t expected) {
-  if (expected <= capacity_[v]) return false;
-  const auto new_cap = static_cast<std::uint32_t>(
-      std::bit_ceil(std::max<std::size_t>(expected, 2)));
-  const std::uint32_t old_off = offset_[v];
-  const std::uint32_t old_cap = capacity_[v];
-  const std::uint32_t new_off = alloc_block(new_cap);  // may move slab_
-  std::copy(slab_.begin() + old_off, slab_.begin() + old_off + size_[v],
-            slab_.begin() + new_off);
-  if (old_cap != 0) free_block(old_off, old_cap);
-  offset_[v] = new_off;
-  capacity_[v] = new_cap;
-  return true;
+void BlockSlab::pack(std::span<const std::uint32_t> counts) {
+  const std::size_t n = counts.size();
+  offset_.resize(n);
+  size_.assign(n, 0);
+  capacity_.resize(n);
+  std::size_t total = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::uint32_t cap =
+        counts[v] == 0 ? 0 : std::bit_ceil(std::max(counts[v], 2u));
+    DASH_CHECK_MSG(total + cap <= 0xFFFFFFFFu, "neighbor slab overflow");
+    offset_[v] = static_cast<std::uint32_t>(total);
+    capacity_[v] = cap;
+    total += cap;
+  }
+  // Reserve the room doubling growth would have left, so the first
+  // block that outgrows its own extends the slab without moving it;
+  // capacity never touched is not resident.
+  slab_.clear();
+  if (total != 0) slab_.reserve(std::bit_ceil(total));
+  slab_.resize(total);
+  free_lists_.clear();
+  free_entries_ = 0;
 }
 
 bool BlockSlab::operator==(const BlockSlab& other) const {

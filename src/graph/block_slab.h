@@ -10,7 +10,8 @@
 // cache-warm). Once the slab and its free lists have reached a
 // workload's working size, churn only moves blocks between lists and
 // calls no allocator: a million lists are three flat descriptor arrays
-// and one slab, not a million vectors.
+// and one slab, not a million vectors. A bulk build (pack) lays every
+// block out at once, in id order, and leaves no free block.
 //
 // The slab imposes no order of its own: insert_at and erase_at shift a
 // block's tail inside the block. Graph inserts at the sorted position
@@ -43,8 +44,13 @@ class BlockSlab {
     capacity_.push_back(0);
   }
 
+  /// Lay every list out afresh: list v gets an empty block with room
+  /// for counts[v] entries (the capacity doubling would reach, none for
+  /// 0), all blocks back to back in id order and no free block left.
+  void pack(std::span<const std::uint32_t> counts);
+
   /// v's entries: a view into the slab, valid until the next call that
-  /// grows a block (insert_at, push_back, reserve).
+  /// grows a block (insert_at, push_back, pack).
   std::span<const NodeId> list(NodeId v) const {
     return {slab_.data() + offset_[v], size_[v]};
   }
@@ -70,11 +76,10 @@ class BlockSlab {
     std::copy(block + idx + 1, block + size_[v], block + idx);
     --size_[v];
   }
+  /// Sort v's entries ascending and drop repeats; returns the new size.
+  std::uint32_t sort_unique(NodeId v);
   /// Empty v's list and return its block to the free lists.
   void release(NodeId v);
-  /// Give v's block room for `expected` entries. Returns true when the
-  /// block moved.
-  bool reserve(NodeId v, std::size_t expected);
 
   /// Equal lists, entry for entry; the slab layout is not compared.
   bool operator==(const BlockSlab& other) const;

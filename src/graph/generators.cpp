@@ -10,28 +10,29 @@ namespace dash::graph {
 
 using dash::util::Rng;
 
+namespace {
+/// Append edge {a, b} to a flat endpoint list (two ids per edge), the
+/// shape Graph::from_edges builds from.
+void link(std::vector<NodeId>& endpoints, NodeId a, NodeId b) {
+  endpoints.push_back(a);
+  endpoints.push_back(b);
+}
+}  // namespace
+
 Graph barabasi_albert(std::size_t n, std::size_t edges_per_node, Rng& rng) {
   const std::size_t m = edges_per_node;
   DASH_CHECK_MSG(m >= 1, "BA needs at least one edge per node");
   DASH_CHECK_MSG(n > m, "BA needs n > edges_per_node");
 
-  Graph g(n);
-  // Every node attaches with m edges, so m is the floor (and the mode)
-  // of the final degree distribution: pre-sizing the adjacency vectors
-  // to it skips the first growth reallocations for every node.
-  for (NodeId v = 0; v < n; ++v) g.reserve_neighbors(v, m);
   // Endpoint list: every edge contributes both endpoints, so sampling a
-  // uniform element is sampling a node proportionally to its degree.
+  // uniform element is sampling a node proportionally to its degree --
+  // and the list is the graph's edge list, two ids per edge.
   std::vector<NodeId> endpoints;
   endpoints.reserve(2 * m * n);
 
   // Seed: star on nodes 0..m (node 0 the hub) -- connected, and gives the
   // first attaching node m+1 a full set of m+1 candidates.
-  for (NodeId leaf = 1; leaf <= m; ++leaf) {
-    g.add_edge(0, leaf);
-    endpoints.push_back(0);
-    endpoints.push_back(leaf);
-  }
+  for (NodeId leaf = 1; leaf <= m; ++leaf) link(endpoints, 0, leaf);
 
   std::vector<NodeId> targets;
   targets.reserve(m);
@@ -45,25 +46,21 @@ Graph barabasi_albert(std::size_t n, std::size_t edges_per_node, Rng& rng) {
         targets.push_back(cand);
       }
     }
-    for (NodeId t : targets) {
-      g.add_edge(v, t);
-      endpoints.push_back(v);
-      endpoints.push_back(t);
-    }
+    for (NodeId t : targets) link(endpoints, v, t);
   }
-  return g;
+  return Graph::from_edges(n, endpoints);
 }
 
 Graph erdos_renyi_gnp(std::size_t n, double p, Rng& rng) {
   DASH_CHECK(p >= 0.0 && p <= 1.0);
-  Graph g(n);
-  if (p <= 0.0 || n < 2) return g;
+  if (p <= 0.0 || n < 2) return Graph(n);
   if (p >= 1.0) return complete_graph(n);
   // Geometric skipping (Batagelj-Brandes): O(n + m) expected time.
   const double log1mp = std::log(1.0 - p);
   std::int64_t v = 1;
   std::int64_t w = -1;
   const auto nn = static_cast<std::int64_t>(n);
+  std::vector<NodeId> endpoints;
   while (v < nn) {
     const double r = rng.uniform01();
     w += 1 + static_cast<std::int64_t>(std::log(1.0 - r) / log1mp);
@@ -71,11 +68,9 @@ Graph erdos_renyi_gnp(std::size_t n, double p, Rng& rng) {
       w -= v;
       ++v;
     }
-    if (v < nn) {
-      g.add_edge(static_cast<NodeId>(v), static_cast<NodeId>(w));
-    }
+    if (v < nn) link(endpoints, static_cast<NodeId>(v), static_cast<NodeId>(w));
   }
-  return g;
+  return Graph::from_edges(n, endpoints);
 }
 
 Graph connected_gnp(std::size_t n, double p, Rng& rng,
@@ -89,12 +84,12 @@ Graph connected_gnp(std::size_t n, double p, Rng& rng,
 }
 
 Graph random_tree(std::size_t n, Rng& rng) {
-  Graph g(n);
+  std::vector<NodeId> endpoints;
+  endpoints.reserve(2 * n);
   for (NodeId v = 1; v < n; ++v) {
-    const auto parent = static_cast<NodeId>(rng.below(v));
-    g.add_edge(v, parent);
+    link(endpoints, v, static_cast<NodeId>(rng.below(v)));  // parent
   }
-  return g;
+  return Graph::from_edges(n, endpoints);
 }
 
 KaryTree complete_kary_tree(std::size_t arity, std::size_t depth) {
@@ -108,78 +103,81 @@ KaryTree complete_kary_tree(std::size_t arity, std::size_t depth) {
   }
 
   KaryTree t;
-  t.g = Graph(n);
   t.arity = arity;
   t.depth = depth;
   t.parent.assign(n, kInvalidNode);
   t.level.assign(n, 0);
   t.children.assign(n, {});
 
+  std::vector<NodeId> endpoints;
+  endpoints.reserve(2 * n);
   NodeId next = 1;
   for (NodeId v = 0; v < n && next < n; ++v) {
     for (std::size_t c = 0; c < arity && next < n; ++c) {
-      t.g.add_edge(v, next);
+      link(endpoints, v, next);
       t.parent[next] = v;
       t.level[next] = t.level[v] + 1;
       t.children[v].push_back(next);
       ++next;
     }
   }
+  t.g = Graph::from_edges(n, endpoints);
   return t;
 }
 
 Graph path_graph(std::size_t n) {
-  Graph g(n);
-  for (NodeId v = 1; v < n; ++v) g.add_edge(v - 1, v);
-  return g;
+  std::vector<NodeId> endpoints;
+  for (NodeId v = 1; v < n; ++v) link(endpoints, v - 1, v);
+  return Graph::from_edges(n, endpoints);
 }
 
 Graph cycle_graph(std::size_t n) {
   DASH_CHECK_MSG(n == 0 || n >= 3, "cycle needs >= 3 nodes");
-  Graph g = path_graph(n);
-  if (n >= 3) g.add_edge(static_cast<NodeId>(n - 1), 0);
-  return g;
+  std::vector<NodeId> endpoints;
+  for (NodeId v = 0; v < n; ++v) {
+    link(endpoints, v, static_cast<NodeId>((v + 1) % n));
+  }
+  return Graph::from_edges(n, endpoints);
 }
 
 Graph star_graph(std::size_t n) {
-  Graph g(n);
-  for (NodeId v = 1; v < n; ++v) g.add_edge(0, v);
-  return g;
+  std::vector<NodeId> endpoints;
+  for (NodeId v = 1; v < n; ++v) link(endpoints, 0, v);
+  return Graph::from_edges(n, endpoints);
 }
 
 Graph complete_graph(std::size_t n) {
-  Graph g(n);
-  for (NodeId a = 0; a < n; ++a) g.reserve_neighbors(a, n - 1);
+  std::vector<NodeId> endpoints;
   for (NodeId a = 0; a < n; ++a)
-    for (NodeId b = a + 1; b < n; ++b) g.add_edge(a, b);
-  return g;
+    for (NodeId b = a + 1; b < n; ++b) link(endpoints, a, b);
+  return Graph::from_edges(n, endpoints);
 }
 
 Graph grid_graph(std::size_t rows, std::size_t cols) {
-  Graph g(rows * cols);
   auto id = [cols](std::size_t r, std::size_t c) {
     return static_cast<NodeId>(r * cols + c);
   };
+  std::vector<NodeId> endpoints;
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
-      if (c + 1 < cols) g.add_edge(id(r, c), id(r, c + 1));
-      if (r + 1 < rows) g.add_edge(id(r, c), id(r + 1, c));
+      if (c + 1 < cols) link(endpoints, id(r, c), id(r, c + 1));
+      if (r + 1 < rows) link(endpoints, id(r, c), id(r + 1, c));
     }
   }
-  return g;
+  return Graph::from_edges(rows * cols, endpoints);
 }
 
 Graph watts_strogatz(std::size_t n, std::size_t k, double beta, Rng& rng) {
   DASH_CHECK_MSG(k >= 1 && 2 * k < n, "watts_strogatz needs 2k < n");
-  Graph g(n);
-  // Ring lattice degree is exactly 2k before rewiring.
-  for (NodeId v = 0; v < n; ++v) g.reserve_neighbors(v, 2 * k);
   // Ring lattice: each node connected to k neighbors on each side.
+  std::vector<NodeId> endpoints;
+  endpoints.reserve(2 * k * n);
   for (NodeId v = 0; v < n; ++v) {
     for (std::size_t j = 1; j <= k; ++j) {
-      g.add_edge(v, static_cast<NodeId>((v + j) % n));
+      link(endpoints, v, static_cast<NodeId>((v + j) % n));
     }
   }
+  Graph g = Graph::from_edges(n, endpoints);
   // Rewire each lattice edge (v, v+j) with probability beta.
   for (NodeId v = 0; v < n; ++v) {
     for (std::size_t j = 1; j <= k; ++j) {

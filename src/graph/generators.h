@@ -3,6 +3,13 @@
 // The paper's experiments (Sec. 4.1) run on Barabasi-Albert preferential
 // attachment graphs; the lower bound (Sec. 3.2) needs complete (M+2)-ary
 // trees; tests exercise the remaining families.
+//
+// Every generator first lists its edges, two ids per edge, and builds
+// the graph from that list in one pass (Graph::from_edges: each block
+// laid out once, in id order, at its final capacity). Barabasi-Albert's
+// list is its degree-proportional sampling list itself. Watts-Strogatz
+// builds its ring lattice that way, then rewires edge by edge. The
+// lists, edge counts and RNG draws are those of an edge-by-edge build.
 #pragma once
 
 #include <cstddef>

@@ -13,9 +13,41 @@ std::uint64_t next_uid() {
   static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
+
+/// Retained touched-log entries past which touch() compacts: ~2n.
+std::size_t touched_cap(std::size_t n) {
+  return std::max<std::size_t>(256, 2 * n);
+}
 }  // namespace
 
 Graph::Graph(std::size_t n) : slab_(n), alive_(n), uid_(next_uid()) {}
+
+Graph Graph::from_edges(std::size_t n, std::span<const NodeId> endpoints) {
+  DASH_CHECK_MSG(endpoints.size() % 2 == 0, "edge list needs two ids per edge");
+  std::vector<std::uint32_t> count(n, 0);
+  for (std::size_t i = 0; i < endpoints.size(); i += 2) {
+    const NodeId a = endpoints[i];
+    const NodeId b = endpoints[i + 1];
+    DASH_CHECK_MSG(a < n && b < n, "node id out of range");
+    DASH_CHECK_MSG(a != b, "self-loops are not representable");
+    ++count[a];
+    ++count[b];
+  }
+  Graph g(n);
+  g.slab_.pack(count);
+  for (std::size_t i = 0; i < endpoints.size(); i += 2) {
+    g.slab_.push_back(endpoints[i], endpoints[i + 1]);
+    g.slab_.push_back(endpoints[i + 1], endpoints[i]);
+  }
+  std::size_t entries = 0;
+  for (NodeId v = 0; v < n; ++v) entries += g.slab_.sort_unique(v);
+  g.edge_count_ = entries / 2;
+  // The log fills to its cap before it first compacts; an edge-by-edge
+  // build leaves it that large, and so does this reservation, instead
+  // of regrowing it by doubling through the first events.
+  g.touched_.reserve(touched_cap(n));
+  return g;
+}
 
 Graph::Graph(const Graph& other)
     : slab_(other.slab_),
@@ -39,7 +71,7 @@ void Graph::touch(NodeId v) {
   // consumers further behind than that would take the full-rebuild
   // fallback anyway, and the bound keeps log memory O(n) under
   // unbounded churn.
-  if (touched_.size() >= std::max<std::size_t>(256, 2 * num_nodes())) {
+  if (touched_.size() >= touched_cap(num_nodes())) {
     touched_base_ += touched_.size();
     touched_.clear();
   }
@@ -123,13 +155,6 @@ std::vector<NodeId> Graph::delete_node(NodeId v) {
   std::vector<NodeId> former_neighbors;
   delete_node(v, former_neighbors);
   return former_neighbors;
-}
-
-void Graph::reserve_neighbors(NodeId v, std::size_t expected) {
-  check_alive(v);
-  // No generation bump (topology is unchanged), but a moved block must
-  // be re-mirrored by delta-patching consumers.
-  if (slab_.reserve(v, expected)) touch(v);
 }
 
 const FlatView& Graph::flat_view() const {

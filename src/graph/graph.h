@@ -20,7 +20,9 @@
 // million heap allocations, and iterating a neighborhood is one
 // contiguous span. Graph inserts at the sorted position (memmove within
 // the block), so iteration order -- and every byte downstream of it --
-// is identical to the historical sorted-vector layout.
+// is identical to the historical sorted-vector layout. from_edges
+// builds a whole graph in one pass instead: every block is laid out
+// once, in id order, at the capacity edge-by-edge growth would reach.
 //
 // Every mutation also appends the vertices it touched to a bounded
 // *touched log* (monotone sequence numbers, prefix-compacted when it
@@ -60,6 +62,14 @@ class Graph {
  public:
   /// Create n isolated, alive nodes with ids 0..n-1.
   explicit Graph(std::size_t n = 0);
+
+  /// The graph on alive ids 0..n-1 whose edges `endpoints` lists, two
+  /// ids per edge: the same lists as Graph(n) plus add_edge for each
+  /// pair, an edge listed twice (either way round) counting once. Every
+  /// block is laid out once, in id order, with no free block; the
+  /// touched log starts empty. Aborts, as add_edge does, on an id >= n
+  /// or a self-loop, and on an odd-length list.
+  static Graph from_edges(std::size_t n, std::span<const NodeId> endpoints);
 
   /// Copies duplicate the topology but are *distinct instances*: the
   /// copy draws a fresh uid(), so snapshot consumers synced to the
@@ -127,12 +137,6 @@ class Graph {
     check_alive(v);
     return slab_.size(v);
   }
-
-  /// Pre-size v's slab block for `expected` neighbors. Capacity only --
-  /// topology, degree, and the generation are untouched. Generators
-  /// with known degree structure (Barabasi-Albert adds m edges per
-  /// node) use this to skip incremental block doubling.
-  void reserve_neighbors(NodeId v, std::size_t expected);
 
   /// All alive node ids, ascending. Allocates per call; sweeps should
   /// iterate alive_set() instead, rank lookups use kth_alive(), and

@@ -81,7 +81,7 @@ Graph read_edge_list(std::istream& in) {
   std::size_t line_no = 0;
   bool have_header = false;
   std::uint64_t n = 0;
-  std::vector<std::pair<NodeId, NodeId>> edges;
+  std::vector<NodeId> endpoints;  // two ids per edge
   std::vector<std::pair<NodeId, std::size_t>> dead;  // id, line
   while (std::getline(in, line)) {
     ++line_no;
@@ -101,11 +101,11 @@ Graph read_edge_list(std::istream& in) {
     }
     const auto [a, b] = read_fields<2>(line, n, line_no, "edge line");
     if (a == b) malformed(line_no, "edge line is a self-loop");
-    edges.emplace_back(static_cast<NodeId>(a), static_cast<NodeId>(b));
+    endpoints.push_back(static_cast<NodeId>(a));
+    endpoints.push_back(static_cast<NodeId>(b));
   }
   if (!have_header) throw std::runtime_error("edge list: missing header");
-  Graph g(static_cast<std::size_t>(n));
-  for (auto [a, b] : edges) g.add_edge(a, b);
+  Graph g = Graph::from_edges(static_cast<std::size_t>(n), endpoints);
   for (const auto& [v, at] : dead) {
     if (!g.alive(v)) {
       malformed(at, "dead node " + std::to_string(v) + " is listed twice");

@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <thread>
 
@@ -210,6 +212,24 @@ TEST(ServeBench, RowsMatchAnUnservedRun) {
   std::remove(path.c_str());
   EXPECT_EQ(got.str(), want.str());
   EXPECT_FALSE(want.str().empty());
+}
+
+TEST(ServeBench, UnwritableRowsPathFailsBeforeAnyRound) {
+  // The healer is only built inside a round, so an error naming the
+  // rows path (and not the bogus healer) means no round ran.
+  ServeBenchConfig cfg;
+  cfg.n = 64;
+  cfg.healer = "bogus";
+  cfg.reader_counts = {1, 2};
+  cfg.rows_path = ::testing::TempDir() + "dash_no_such_dir/rows.csv";
+  try {
+    (void)run_serve_bench(cfg);
+    FAIL() << "an unwritable rows path was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot write rows to"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ServeBench, JsonEscapesHealerAndScenario) {

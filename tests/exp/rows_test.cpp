@@ -39,10 +39,15 @@ api::RoundRow sample_row() {
   return row;
 }
 
+/// A temp file named after the running test (and numbered within it),
+/// so cases run as concurrent processes never share a path.
 std::string write_temp(const std::string& content) {
   static int counter = 0;
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
   const std::string path = ::testing::TempDir() + "dash_rows_test_" +
-                           std::to_string(counter++) + ".csv";
+                           test->test_suite_name() + "_" + test->name() +
+                           "_" + std::to_string(counter++) + ".csv";
   std::ofstream out(path, std::ios::trunc);
   out << content;
   return path;

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/metrics.h"
 #include "graph/traversal.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace dash::graph {
@@ -130,6 +135,114 @@ TEST(WattsStrogatz, BetaZeroIsLattice) {
   Rng rng(10);
   const Graph g = watts_strogatz(20, 2, 0.0, rng);
   for (NodeId v = 0; v < 20; ++v) EXPECT_EQ(g.degree(v), 4u);
+}
+
+/// One generated graph as a line: FNV-1a over every id's sorted
+/// neighbour list, the edge count, and the generator's RNG's next draw
+/// (0 for the generators that take none).
+std::string golden_line(const std::string& name, const Graph& g,
+                        std::uint64_t next_draw) {
+  std::string lists;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    lists += std::to_string(v) + (g.alive(v) ? ":" : "!");
+    if (!g.alive(v)) continue;
+    for (const NodeId u : g.neighbors(v)) lists += std::to_string(u) + ",";
+    lists += "\n";
+  }
+  return name + " " + util::hex16(util::fnv1a64(lists)) + " edges " +
+         std::to_string(g.num_edges()) + " next " + util::hex16(next_draw);
+}
+
+template <typename Make>
+std::string seeded_line(const std::string& name, std::uint64_t seed,
+                        Make make) {
+  Rng rng(seed);
+  const Graph g = make(rng);
+  return golden_line(name + " seed " + std::to_string(seed), g,
+                     rng.next_u64());
+}
+
+TEST(GeneratorGolden, EveryGeneratorMatchesRecordedHashes) {
+  // Every generator at two or three sizes, hashed with the RNG position
+  // it leaves behind: a change to how a generator builds its graph must
+  // keep these lines; a change that means to move a graph or a draw
+  // re-records them and says so.
+  std::vector<std::string> got = {
+      seeded_line("ba(60,2)", 1,
+                  [](Rng& r) { return barabasi_albert(60, 2, r); }),
+      seeded_line("ba(300,3)", 7,
+                  [](Rng& r) { return barabasi_albert(300, 3, r); }),
+      seeded_line("ba(2000,2)", 42,
+                  [](Rng& r) { return barabasi_albert(2000, 2, r); }),
+      seeded_line("gnp(80,0.1)", 3,
+                  [](Rng& r) { return erdos_renyi_gnp(80, 0.1, r); }),
+      seeded_line("gnp(400,0.02)", 11,
+                  [](Rng& r) { return erdos_renyi_gnp(400, 0.02, r); }),
+      seeded_line("connected_gnp(100,0.08)", 6,
+                  [](Rng& r) { return connected_gnp(100, 0.08, r); }),
+      seeded_line("connected_gnp(60,0.15)", 13,
+                  [](Rng& r) { return connected_gnp(60, 0.15, r); }),
+      seeded_line("tree(50)", 8, [](Rng& r) { return random_tree(50, r); }),
+      seeded_line("tree(400)", 21,
+                  [](Rng& r) { return random_tree(400, r); }),
+      seeded_line("ws(100,3,0.1)", 9,
+                  [](Rng& r) { return watts_strogatz(100, 3, 0.1, r); }),
+      seeded_line("ws(40,2,0.5)", 5,
+                  [](Rng& r) { return watts_strogatz(40, 2, 0.5, r); }),
+      seeded_line("ws(20,2,0)", 10,
+                  [](Rng& r) { return watts_strogatz(20, 2, 0.0, r); }),
+      golden_line("path(1)", path_graph(1), 0),
+      golden_line("path(17)", path_graph(17), 0),
+      golden_line("cycle(3)", cycle_graph(3), 0),
+      golden_line("cycle(25)", cycle_graph(25), 0),
+      golden_line("star(1)", star_graph(1), 0),
+      golden_line("star(30)", star_graph(30), 0),
+      golden_line("complete(1)", complete_graph(1), 0),
+      golden_line("complete(12)", complete_graph(12), 0),
+      golden_line("grid(1,5)", grid_graph(1, 5), 0),
+      golden_line("grid(4,7)", grid_graph(4, 7), 0),
+  };
+  for (const auto& [arity, depth] : {std::pair{3, 2}, std::pair{2, 5}}) {
+    const KaryTree t = complete_kary_tree(arity, depth);
+    std::string parents;
+    for (const NodeId p : t.parent) parents += std::to_string(p) + ",";
+    got.push_back(golden_line("kary(" + std::to_string(arity) + "," +
+                                  std::to_string(depth) + ") parents " +
+                                  util::hex16(util::fnv1a64(parents)),
+                              t.g, 0));
+  }
+  const std::vector<std::string> want = {
+      "ba(60,2) seed 1 fc2b228593322f06 edges 116 next 26bb1a822dd12982",
+      "ba(300,3) seed 7 3556337330bfc8f2 edges 891 next fdca47a5e38cce01",
+      "ba(2000,2) seed 42 a9a8c1ab9e73ba87 edges 3996 next 44cac157ba351741",
+      "gnp(80,0.1) seed 3 bd605b8d6d98096d edges 318 next 60a9a113722c44c0",
+      "gnp(400,0.02) seed 11 697530ccf704f1c5 edges 1620 next 2142ff2d0230222c",
+      "connected_gnp(100,0.08) seed 6 e6171ff3fa6ed179 "
+      "edges 359 next 63e74b453832a3c4",
+      "connected_gnp(60,0.15) seed 13 5daa5ce3660c5b97 "
+      "edges 252 next ea54f24821e3c538",
+      "tree(50) seed 8 ce78fab32ac04f67 edges 49 next fe2cd27fdf8aa9c9",
+      "tree(400) seed 21 ab92c15879244bd4 edges 399 next 2f28acabb5195cea",
+      "ws(100,3,0.1) seed 9 356b74428aaf69ed edges 300 next 4d8d1293190afe48",
+      "ws(40,2,0.5) seed 5 8bb7559b90544fe5 edges 80 next 7e0e0934a7687273",
+      "ws(20,2,0) seed 10 bb37909b17432a63 edges 40 next 964b4722d6e88da1",
+      "path(1) 4e5cfc181d4421df edges 0 next 0000000000000000",
+      "path(17) be8c574a102750b9 edges 16 next 0000000000000000",
+      "cycle(3) 9d0ccaa7be298168 edges 3 next 0000000000000000",
+      "cycle(25) 81f79edc41aff637 edges 25 next 0000000000000000",
+      "star(1) 4e5cfc181d4421df edges 0 next 0000000000000000",
+      "star(30) a2ec6c3a48bde4cd edges 29 next 0000000000000000",
+      "complete(1) 4e5cfc181d4421df edges 0 next 0000000000000000",
+      "complete(12) 5a0779b645803ccf edges 66 next 0000000000000000",
+      "grid(1,5) b120b608387974ab edges 4 next 0000000000000000",
+      "grid(4,7) c7f0e467a026c872 edges 45 next 0000000000000000",
+      "kary(3,2) parents 21fca8727711a1ea 970158810888aa01 "
+      "edges 12 next 0000000000000000",
+      "kary(2,5) parents 827454774df57c18 028c4b0ee4307a0d "
+      "edges 62 next 0000000000000000",
+  };
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i]);
 }
 
 }  // namespace

@@ -102,6 +102,34 @@ TEST(Io, MalformedInputThrows) {
   EXPECT_TRUE(g.has_edge(0, 1));
 }
 
+TEST(Io, RepeatedReversedAndDeadNodeLinesLoadTheSameGraph) {
+  // An edge listed twice, or once each way round, is one edge; a dead
+  // node's edges go with it; ids never listed stay isolated and alive.
+  std::istringstream in(
+      "7\n! 3\n0 1\n1 0\n2 1\n0 1\n3 0\n3 2\n4 2\n2 4\n! 5\n5 6\n");
+  const Graph g = read_edge_list(in);
+  Graph want(7);
+  want.add_edge(0, 1);
+  want.add_edge(1, 2);
+  want.add_edge(2, 4);
+  want.add_edge(0, 3);
+  want.add_edge(2, 3);
+  want.add_edge(5, 6);
+  want.delete_node(3);
+  want.delete_node(5);
+  EXPECT_TRUE(g.same_topology(want));
+  EXPECT_EQ(g.num_edges(), 3u);
+  EXPECT_EQ(g.num_alive(), 5u);
+  EXPECT_EQ(g.degree(6), 0u);
+  EXPECT_TRUE(g.has_edge(1, 0));
+  EXPECT_FALSE(g.alive(3));
+
+  // Written back out, each edge appears once, so the round trip holds.
+  std::stringstream buf;
+  write_edge_list(buf, g);
+  EXPECT_TRUE(read_edge_list(buf).same_topology(g));
+}
+
 TEST(Metrics, MaxAndArgmaxDegree) {
   const Graph g = star_graph(6);
   EXPECT_EQ(max_degree(g), 5u);

@@ -85,17 +85,6 @@ TEST(SlabGraph, DeleteRecyclesBlocksAndReusesThem) {
   EXPECT_EQ(g.slab_size(), grown);
 }
 
-TEST(SlabGraph, ReserveNeighborsSkipsDoublingWithoutTopologyChange) {
-  Graph g(5);
-  const std::uint64_t gen = g.generation();
-  g.reserve_neighbors(0, 8);
-  EXPECT_EQ(g.generation(), gen);  // capacity only, no topology change
-  const std::size_t grown = g.slab_size();
-  for (NodeId u = 1; u <= 4; ++u) g.add_edge(0, u);
-  EXPECT_EQ(g.slab_size(), grown + 4 * 2);  // only the leaves allocated
-  EXPECT_EQ(nbrs_of(g, 0), (std::vector<NodeId>{1, 2, 3, 4}));
-}
-
 TEST(SlabGraph, TouchedLogAdvancesAndCompacts) {
   Graph g(4);
   const std::uint64_t end0 = g.touched_end();
@@ -163,15 +152,11 @@ TEST(SlabGraph, RandomizedDifferentialAgainstSetModel) {
       edges -= model[v].size();
       model[v].clear();
       alive[v] = false;
-    } else if (op < 95) {  // add_node
+    } else {  // add_node
       const NodeId v = g.add_node();
       EXPECT_EQ(v, model.size());
       model.emplace_back();
       alive.push_back(true);
-    } else {  // reserve_neighbors
-      const NodeId v = static_cast<NodeId>(rng.below(model.size()));
-      if (!alive[v]) continue;
-      g.reserve_neighbors(v, 1 + rng.below(16));
     }
     ASSERT_NO_FATAL_FAILURE(expect_indexes_match_scan(g))
         << "after step " << step;
