@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> keys{"graph", "binarytree", "dash"};
 
   // One suite per cell; both metrics summarize the same runs.
-  const auto scenario = dash::api::Scenario().targeted(fo.attack);
+  const auto scenario = dash::api::Scenario::parse("targeted:" + fo.attack);
   dash::bench::JsonOutput json(fo.json_path);
   std::vector<dash::bench::SeriesPoint> points;
   std::vector<dash::bench::SeriesPoint> edge_points;

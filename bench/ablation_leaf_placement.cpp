@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
                                        "id-ordered(BinaryTreeHeal)"};
   const std::vector<std::string> keys{"dash", "binarytree"};
 
-  const auto scenario = dash::api::Scenario().targeted(fo.attack);
+  const auto scenario = dash::api::Scenario::parse("targeted:" + fo.attack);
   dash::bench::JsonOutput json(fo.json_path);
   std::vector<dash::bench::SeriesPoint> points;
   for (std::size_t n : fo.sizes()) {

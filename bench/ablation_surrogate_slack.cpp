@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
   dash::bench::JsonOutput json(fo.json_path);
   std::vector<dash::bench::SeriesPoint> stretch_points, delta_points;
   for (std::size_t n : fo.sizes()) {
-    const auto scenario =
-        dash::api::Scenario().targeted(fo.attack, n / 2);
+    const auto scenario = dash::api::Scenario::parse(
+        "targeted:" + fo.attack + "x" + std::to_string(n / 2));
     for (std::size_t i = 0; i < keys.size(); ++i) {
       // One suite per cell; both metrics summarize the same runs.
       const auto results = dash::bench::run_cell_results(

@@ -136,8 +136,7 @@ void BM_FullSchedule(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const char* names[] = {"dash", "sdash", "graph"};
   const char* healer_name = names[state.range(1)];
-  const auto scenario =
-      dash::api::Scenario().targeted("neighborofmax");
+  const auto scenario = dash::api::Scenario::parse("targeted:neighborofmax");
   for (auto _ : state) {
     state.PauseTiming();
     Rng rng(6);
@@ -161,8 +160,7 @@ void BM_ObserverPipelineOverhead(benchmark::State& state) {
   // Same schedule with a row-recording sink attached: what a pipeline
   // stage costs per deletion (dominated by the largest-component scan).
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto scenario =
-      dash::api::Scenario().targeted("neighborofmax");
+  const auto scenario = dash::api::Scenario::parse("targeted:neighborofmax");
   for (auto _ : state) {
     state.PauseTiming();
     Rng rng(6);
@@ -203,7 +201,7 @@ void BM_ConnectivityPerRound(benchmark::State& state) {
   // property suite pins down that the answers agree.
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool use_tracker = state.range(1) == 0;
-  const auto scenario = dash::api::Scenario().churn(0.3, 0.7, 2000);
+  const auto scenario = dash::api::Scenario::parse("churn:0.3,0.7x2000");
   for (auto _ : state) {
     state.PauseTiming();
     Rng rng(8);

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
                            "mean_prop_rounds", "log2n"});
 
   dash::util::ThreadPool pool(static_cast<std::size_t>(fo.threads));
-  const auto scenario = dash::api::Scenario().targeted(fo.attack);
+  const auto scenario = dash::api::Scenario::parse("targeted:" + fo.attack);
 
   for (std::size_t n : fo.sizes()) {
     const double log2n = std::log2(static_cast<double>(n));

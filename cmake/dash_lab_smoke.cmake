@@ -1,14 +1,16 @@
 # dash_lab_smoke.cmake -- end-to-end shard/merge identity check, run as
-# a ctest (and by the CI smoke job). Drives the dash_lab binary through
-# the sequential, the multi-threaded and the sharded path over one tiny
-# grid and asserts the exp layer's core guarantee: the document and
-# rows CSV of any partition of the cells, run on any number of threads,
-# are byte-identical to the single-process sequential run, also after
-# interrupted shards are resumed.
+# a ctest. Drives the dash_lab binary through the sequential, the
+# multi-threaded and the sharded path over one tiny grid and over the
+# paper sweep spec, and asserts the exp layer's core guarantee: the
+# document and rows CSV of any partition of the cells, run on any number
+# of threads, are byte-identical to the single-process sequential run,
+# also after interrupted shards are resumed.
 #
-#   cmake -DDASH_LAB=<path> -DWORK_DIR=<scratch dir> -P dash_lab_smoke.cmake
-if(NOT DASH_LAB OR NOT WORK_DIR)
-  message(FATAL_ERROR "need -DDASH_LAB=<binary> and -DWORK_DIR=<dir>")
+#   cmake -DDASH_LAB=<path> -DSPEC=<examples/paper_sweep.spec>
+#         -DWORK_DIR=<scratch dir> -P dash_lab_smoke.cmake
+if(NOT DASH_LAB OR NOT SPEC OR NOT WORK_DIR)
+  message(FATAL_ERROR
+          "need -DDASH_LAB=<binary>, -DSPEC=<spec file> and -DWORK_DIR=<dir>")
 endif()
 
 file(REMOVE_RECURSE ${WORK_DIR})
@@ -141,5 +143,22 @@ expect_usage_error("--rows-inputs" merge --grid ${GRID}
                    --inputs ${WORK_DIR}/s0.jsonl,${WORK_DIR}/s1.jsonl
                    --rows ${WORK_DIR}/no_rows.csv --quiet
                    --json ${WORK_DIR}/no_rows.json)
+
+# 7. The paper sweep spec file: four threads and a 2-shard merge give
+#    the sequential document.
+run_lab(run --spec ${SPEC} --threads 1 --quiet --json ${WORK_DIR}/paper.json)
+run_lab(run --spec ${SPEC} --threads 4 --quiet
+        --json ${WORK_DIR}/paper_pooled.json)
+assert_same(${WORK_DIR}/paper.json ${WORK_DIR}/paper_pooled.json
+            "paper sweep --threads 4 vs sequential")
+run_lab(run --spec ${SPEC} --shard 0/2 --threads 1 --quiet
+        --out ${WORK_DIR}/paper_s0.jsonl)
+run_lab(run --spec ${SPEC} --shard 1/2 --threads 1 --quiet
+        --out ${WORK_DIR}/paper_s1.jsonl)
+run_lab(merge --spec ${SPEC}
+        --inputs ${WORK_DIR}/paper_s0.jsonl,${WORK_DIR}/paper_s1.jsonl
+        --quiet --json ${WORK_DIR}/paper_merged.json)
+assert_same(${WORK_DIR}/paper.json ${WORK_DIR}/paper_merged.json
+            "paper sweep 2-shard merge vs sequential")
 
 message(STATUS "dash_lab shard/merge identity OK")

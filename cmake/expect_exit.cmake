@@ -1,5 +1,6 @@
 # expect_exit.cmake -- run one command and require its exit code and a
-# match in its stderr: the ctest form of a CLI's usage-error contract.
+# match in its stderr: the ctest form of a CLI's usage-error contract,
+# or of what a good run reports.
 #
 #   cmake -DPROG=<binary> -DARGS="<args>" -DEXIT=<code> -DMATCH=<regex>
 #         -P expect_exit.cmake

@@ -1,5 +1,5 @@
 # replay_smoke.cmake -- end-to-end record/replay/fuzz check over the
-# dash_lab CLI, run as a ctest (and by the CI replay-fuzz-smoke job).
+# dash_lab CLI, run as a ctest.
 # Asserts the replay subsystem's user-facing contract: a recorded run
 # replays bit-identically, a broken invariant is reported with a
 # non-zero exit, and the fuzzer turns an injected failure mode into a
@@ -70,5 +70,14 @@ foreach(repro ${repros})
     message(FATAL_ERROR "repro ${repro} did not reproduce:\n${repro_err}")
   endif()
 endforeach()
+
+# 6. At twice the size: a 128-node paper-churn run replays
+#    bit-identically, and ten mutants replay cleanly under every paper
+#    healer.
+run_lab(record --trace ${WORK_DIR}/run128.trace --family ba --n 128
+        --healer dash --scenario paper-churn --seed 7)
+run_lab(replay --trace ${WORK_DIR}/run128.trace)
+run_lab(fuzz --trace ${WORK_DIR}/run128.trace --mutants 10 --seed 5
+        --repro-dir ${WORK_DIR}/repro128)
 
 message(STATUS "replay record/replay/fuzz smoke OK (${n_repros} repros reproduced)")

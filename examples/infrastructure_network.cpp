@@ -49,9 +49,10 @@ Outcome run(const std::string& healer_name, std::size_t hubs,
 
   // Close the `closures` busiest airports, never going below 2: the
   // whole workload as one declarative scenario.
-  const auto scenario =
-      dash::api::Scenario().floor(2).targeted("maxnode", closures);
-  const dash::api::Metrics m = net.play(scenario, seed);
+  std::string spec = "floor:2;targeted:maxnode";
+  if (closures > 0) spec += 'x' + std::to_string(closures);
+  const dash::api::Metrics m =
+      net.play(dash::api::Scenario::parse(spec), seed);
 
   Outcome out;
   out.connected = m.stayed_connected;

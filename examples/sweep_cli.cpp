@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
       if (metric == "stretch" && deletions == 0) {
         scenario = "untilfrac:0.5," + attack;
       } else if (deletions > 0) {
-        scenario = "targeted:" + attack + "," + std::to_string(deletions);
+        scenario = "targeted:" + attack + "x" + std::to_string(deletions);
       } else {
         scenario = "targeted:" + attack;
       }

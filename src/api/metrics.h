@@ -34,8 +34,9 @@ struct Metrics {
   std::size_t largest_component = 0;
   /// True while no connectivity check ever failed. Per-round checks are
   /// lazy (RoundEvent::connected()): a round is only inspected when an
-  /// observer or RunOptions::stop_when_disconnected asks, plus one
-  /// final check in Network::finish().
+  /// observer asks, plus one final check in Network::finish(). A play
+  /// whose stop condition asks `component_count() > 1` ends at the
+  /// first disconnection, where that final check sees it.
   bool stayed_connected = true;
   /// First invariant violation encountered (empty if none / unchecked;
   /// filled by InvariantObserver).

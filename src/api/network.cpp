@@ -144,16 +144,14 @@ void Network::finish_round(RoundEvent& ev) {
   ev.graph_ = &g_;
   ev.tracker_ = &tracker_;
   ev.verify_ = conn_mode_ == ConnectivityMode::kVerify;
-  if (force_connectivity_checks_) (void)ev.connected();
   if (ev.ctx != nullptr) {
     for (Observer* obs : observers_) obs->on_heal(*this, ev);
   }
   for (Observer* obs : observers_) obs->on_round_end(*this, ev);
   // Connectivity is pay-per-ask: fold the scan into stayed_connected
   // only if this round's pipeline actually performed one.
-  if (ev.connectivity_checked()) {
-    last_connected_ = ev.connected();
-    if (!last_connected_) engine_.stayed_connected = false;
+  if (ev.connectivity_checked() && !ev.connected()) {
+    engine_.stayed_connected = false;
   }
 }
 
@@ -259,30 +257,11 @@ NodeId Network::join(const std::vector<NodeId>& attach_to) {
   ++engine_.joins;
   if (attach_to.empty() && g_.num_alive() > 1) {
     // An unattached newcomer is its own component.
-    last_connected_ = false;
     engine_.stayed_connected = false;
   }
   const JoinEvent ev{joined, attach_to};
   for (Observer* obs : observers_) obs->on_join(*this, ev);
   return joined;
-}
-
-Metrics Network::run(attack::AttackStrategy& attacker,
-                     const RunOptions& opts) {
-  // Stopping on disconnection needs the answer every round, so force
-  // the otherwise-lazy per-round connectivity scan for this run.
-  const bool saved_force = force_connectivity_checks_;
-  force_connectivity_checks_ |= opts.stop_when_disconnected;
-  while (g_.num_alive() > 1 && engine_.deletions < opts.max_deletions) {
-    if (opts.stop_condition && opts.stop_condition(*this)) break;
-    const NodeId victim = attacker.select(g_, state_);
-    if (victim == graph::kInvalidNode) break;  // attack finished early
-    DASH_CHECK_MSG(g_.alive(victim), "attacker chose a dead node");
-    remove(victim);
-    if (!last_connected_ && opts.stop_when_disconnected) break;
-  }
-  force_connectivity_checks_ = saved_force;
-  return finish();
 }
 
 bool Network::survivors_reconnected(
@@ -351,12 +330,11 @@ Metrics Network::finish() {
   // unobserved can have disconnected mid-way and been ground down to a
   // trivially connected remnant without stayed_connected noticing --
   // callers who care about transient disconnection (NoHeal studies)
-  // must ask per round, via stop_when_disconnected or an observer that
+  // must ask per round, via a play stop condition or an observer that
   // reads RoundEvent::connected().
   if (engine_.stayed_connected && g_.num_alive() > 1 &&
       !current_connected()) {
     engine_.stayed_connected = false;
-    last_connected_ = false;
   }
   Metrics m = metrics();
   for (Observer* obs : observers_) obs->on_finish(*this, m);

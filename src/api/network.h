@@ -1,12 +1,14 @@
 // network.h -- the self-healing network engine: one object that owns
 // the graph, the healing state, the healing strategy and the
 // incremental connectivity tracker, exposes the paper's protocol as
-// events (remove / remove_batch / join / run / play), and feeds a
-// pluggable Observer pipeline.
+// events (remove / remove_batch / join), and feeds a pluggable Observer
+// pipeline.
 //
 // Every workload in this repository -- figure benches, the sweep CLI,
-// the examples, the schedule-level tests -- drives this engine, almost
-// always through a declarative Scenario (api/scenario.h):
+// the examples, the schedule-level tests -- drives this engine with
+// play() and a declarative Scenario (api/scenario.h), the one driver.
+// An adversary the attack registry cannot build rides a targeted phase
+// (Scenario::targeted with an AttackerFactory):
 //
 //   api::Network net(graph::barabasi_albert(256, 2, rng), "dash", rng);
 //   api::InvariantObserver inv;
@@ -16,8 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -25,7 +25,7 @@
 
 #include "api/metrics.h"
 #include "api/observer.h"
-#include "attack/strategy.h"
+#include "api/scenario.h"
 #include "core/healing_state.h"
 #include "core/strategy.h"
 #include "graph/dynamic_connectivity.h"
@@ -34,8 +34,6 @@
 
 namespace dash::api {
 
-class Scenario;
-struct PlayOptions;
 class ServeHandle;
 struct ServeOptions;
 
@@ -52,17 +50,6 @@ enum class ConnectivityMode {
   /// switched on by setting DASH_VERIFY_CONNECTIVITY=1 in the
   /// environment.
   kVerify,
-};
-
-struct RunOptions {
-  /// Maximum deletions for this run() call (counted across calls; by
-  /// default run until <= 1 alive node or the attack stops on its own).
-  std::size_t max_deletions = std::numeric_limits<std::size_t>::max();
-  /// Stop the run loop once the network disconnects (meaningful for
-  /// NoHeal only; healers never disconnect).
-  bool stop_when_disconnected = false;
-  /// Extra stop condition, evaluated before each round.
-  std::function<bool(const Network&)> stop_condition;
 };
 
 class Network {
@@ -124,26 +111,20 @@ class Network {
   /// new node's id.
   graph::NodeId join(const std::vector<graph::NodeId>& attach_to);
 
-  /// Drive the attacker until it stops, the network is exhausted, or a
-  /// stop condition fires; then finish() and return the snapshot.
-  Metrics run(attack::AttackStrategy& attacker, const RunOptions& opts = {});
-
   /// Execute a declarative scenario (api/scenario.h): every phase in
   /// order, drawing all randomness (attack seeds, churn coin flips,
   /// batch victim shuffles) from `rng`; then finish() and return the
   /// snapshot. One seed -> one byte-identical run. `opts` carries
   /// play-level knobs (stop_condition).
   Metrics play(const Scenario& scenario, dash::util::Rng& rng,
-               const PlayOptions& opts);
-  Metrics play(const Scenario& scenario, dash::util::Rng& rng);
+               const PlayOptions& opts = {});
 
-  /// Convenience overloads seeding a fresh stream.
+  /// The same, drawing from a fresh stream seeded with `seed`.
   Metrics play(const Scenario& scenario, std::uint64_t seed,
-               const PlayOptions& opts);
-  Metrics play(const Scenario& scenario, std::uint64_t seed);
+               const PlayOptions& opts = {});
 
   /// Snapshot metrics and give every observer its on_finish() chance to
-  /// contribute (violation, stretch, ...). Idempotent; run() calls it.
+  /// contribute (violation, stretch, ...). Idempotent; play() calls it.
   Metrics finish();
 
   // ---- concurrent serving -------------------------------------------
@@ -152,8 +133,8 @@ class Network {
   /// ServeHandle whose internal observer publishes an immutable
   /// snapshot after every mutation event (cadence in ServeOptions), so
   /// reader threads answer connected/distance/largest_component
-  /// queries lock-free from a pinned epoch while play()/run() mutate
-  /// the graph. Call before starting the scenario; options are fixed
+  /// queries lock-free from a pinned epoch while play() mutates the
+  /// graph. Call before starting the scenario; options are fixed
   /// by the first call. See api/serve.h.
   ServeHandle& serve();
   ServeHandle& serve(const ServeOptions& opts);
@@ -229,10 +210,6 @@ class Network {
 
   Metrics engine_;  ///< incrementally maintained fields only
   std::size_t initial_size_ = 0;
-  bool last_connected_ = true;
-  /// When set (run() with stop_when_disconnected), every round pays for
-  /// the connectivity check even if no observer asks.
-  bool force_connectivity_checks_ = false;
   /// Incremental component tracker, kept in sync with every engine
   /// mutation. Mutable: queries flush its lazy re-scan without changing
   /// observable state.

@@ -118,8 +118,9 @@ class Observer {
   virtual void on_phase(const Network& /*net*/, const std::string& /*spec*/) {
   }
 
-  /// Called by Network::finish()/run(); contribute observer-owned
-  /// metrics (violation, stretch, ...) to the outgoing snapshot.
+  /// Called by Network::finish(), which ends every play(); contribute
+  /// observer-owned metrics (violation, stretch, ...) to the outgoing
+  /// snapshot.
   virtual void on_finish(const Network& /*net*/, Metrics& /*out*/) {}
 };
 

@@ -82,6 +82,12 @@ std::string rate_to_string(double v) {
   return util::CsvWriter::to_field(v);
 }
 
+/// `head` with its `x<count>` suffix; a count of 0 (no cap) is left out.
+std::string with_count(std::string head, std::size_t count) {
+  if (count > 0) head += "x" + std::to_string(count);
+  return head;
+}
+
 std::vector<std::string> split_commas(const std::string& s) {
   std::vector<std::string> out;
   std::size_t start = 0;
@@ -146,57 +152,57 @@ void validate_attack_spec(const std::string& phase,
 
 // ---- phases --------------------------------------------------------------
 
-class StrikePhase final : public ScenarioPhase {
+/// strike, targeted, until and untilfrac: delete the victims one
+/// attacker picks until it stops, `cap` deletions (0: no cap), or at
+/// most `keep` nodes alive -- ceil(initial_size * keep_frac) of them when
+/// keep_frac > 0, so one spec serves every n of a sweep grid. The
+/// deletion floor and the play's stop condition end it too.
+class AttackPhase final : public ScenarioPhase {
  public:
-  StrikePhase(std::string attack, std::size_t count)
-      : attack_(std::move(attack)), count_(count) {
-    DASH_CHECK_MSG(count_ > 0, "strike needs a positive count");
-    validate_attack_spec("strike", attack_);
-  }
+  struct Stop {
+    std::size_t cap = 0;
+    std::size_t keep = 0;
+    double keep_frac = 0.0;
+  };
 
-  std::string spec() const override {
-    return "strike:" + attack_ + "x" + std::to_string(count_);
-  }
+  AttackPhase(std::string spec, AttackerFactory factory, Stop stop)
+      : spec_(std::move(spec)), factory_(std::move(factory)), stop_(stop) {}
+
+  std::string spec() const override { return spec_; }
 
   void execute(PlayContext& ctx) const override {
-    auto atk = attack::make_attack(attack_, ctx.rng.next_u64());
-    for (std::size_t i = 0; i < count_; ++i) {
-      if (ctx.net.graph().num_alive() <= ctx.floor || ctx.stopped()) break;
+    std::size_t keep = stop_.keep;
+    if (stop_.keep_frac > 0.0) {
+      const double raw = std::ceil(
+          static_cast<double>(ctx.net.initial_size()) * stop_.keep_frac);
+      keep = std::max<std::size_t>(1, static_cast<std::size_t>(raw));
+    }
+    keep = std::max(keep, ctx.floor);
+    const auto atk = factory_(ctx.rng.next_u64());
+    for (std::size_t deleted = 0; stop_.cap == 0 || deleted < stop_.cap;
+         ++deleted) {
+      if (ctx.net.graph().num_alive() <= keep || ctx.stopped()) return;
       const NodeId v = atk->select(ctx.net.graph(), ctx.net.state());
-      if (v == graph::kInvalidNode) break;
+      if (v == graph::kInvalidNode) return;
       ctx.net.remove(v);
     }
   }
 
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<StrikePhase>(*this);
-  }
-
  private:
-  std::string attack_;
-  std::size_t count_;
+  std::string spec_;
+  AttackerFactory factory_;
+  Stop stop_;
 };
 
 class BatchStrikePhase final : public ScenarioPhase {
  public:
   BatchStrikePhase(std::size_t batch_size, std::string mode,
                    std::size_t rounds)
-      : batch_size_(batch_size), mode_(std::move(mode)), rounds_(rounds) {
-    DASH_CHECK_MSG(batch_size_ > 0, "batch needs a positive size");
-    DASH_CHECK_MSG(mode_ == "hubs" || mode_ == "random",
-                   "batch mode must be hubs or random");
-  }
+      : batch_size_(batch_size), mode_(std::move(mode)), rounds_(rounds) {}
 
   std::string spec() const override {
-    std::string out("batch:");
-    out += std::to_string(batch_size_);
-    out += ',';
-    out += mode_;
-    if (rounds_ > 0) {
-      out += 'x';
-      out += std::to_string(rounds_);
-    }
-    return out;
+    return with_count("batch:" + std::to_string(batch_size_) + "," + mode_,
+                      rounds_);
   }
 
   void execute(PlayContext& ctx) const override {
@@ -218,49 +224,45 @@ class BatchStrikePhase final : public ScenarioPhase {
     }
   }
 
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<BatchStrikePhase>(*this);
-  }
-
  private:
   std::size_t batch_size_;
   std::string mode_;
   std::size_t rounds_;
 };
 
+/// churn and ramp: `events` ticks, each joining a newcomer wired to
+/// `attach` random alive peers and deleting a uniform random node, each
+/// with its own probability. The rates move linearly from (join0,
+/// leave0) at the first tick to (join1, leave1) at the last; churn
+/// holds them fixed.
 class ChurnPhase final : public ScenarioPhase {
  public:
-  ChurnPhase(double join_rate, double leave_rate, std::size_t events,
-             std::size_t attach)
-      : join_rate_(join_rate),
-        leave_rate_(leave_rate),
+  ChurnPhase(std::string spec, double join0, double leave0, double join1,
+             double leave1, std::size_t events, std::size_t attach)
+      : spec_(std::move(spec)),
+        join0_(join0),
+        leave0_(leave0),
+        join1_(join1),
+        leave1_(leave1),
         events_(events),
-        attach_(attach) {
-    DASH_CHECK_MSG(events_ > 0, "churn needs a positive event count");
-    DASH_CHECK_MSG(attach_ > 0, "churn joins need >= 1 attachment");
-  }
+        attach_(attach) {}
 
-  std::string spec() const override {
-    std::string out("churn:");
-    out += rate_to_string(join_rate_);
-    out += ',';
-    out += rate_to_string(leave_rate_);
-    if (attach_ != 2) {
-      out += ',';
-      out += std::to_string(attach_);
-    }
-    out += 'x';
-    out += std::to_string(events_);
-    return out;
-  }
+  std::string spec() const override { return spec_; }
 
   void execute(PlayContext& ctx) const override {
     for (std::size_t e = 0; e < events_; ++e) {
       if (ctx.stopped()) break;
       // Both coins are flipped every tick (joins and leaves are
-      // independent processes), keeping the stream layout fixed.
-      const bool do_join = ctx.rng.chance(join_rate_);
-      const bool do_leave = ctx.rng.chance(leave_rate_);
+      // independent processes), keeping the stream layout fixed. With
+      // churn's equal start and end rates the interpolation adds
+      // exactly 0, so each coin uses churn's own rate.
+      const double t =
+          events_ == 1 ? 0.0
+                       : static_cast<double>(e) /
+                             static_cast<double>(events_ - 1);
+      const bool do_join = ctx.rng.chance(join0_ + (join1_ - join0_) * t);
+      const bool do_leave =
+          ctx.rng.chance(leave0_ + (leave1_ - leave0_) * t);
       if (do_join) {
         ctx.net.join(
             graph::sample_alive(ctx.net.graph(), ctx.rng, attach_));
@@ -271,13 +273,12 @@ class ChurnPhase final : public ScenarioPhase {
     }
   }
 
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<ChurnPhase>(*this);
-  }
-
  private:
-  double join_rate_;
-  double leave_rate_;
+  std::string spec_;
+  double join0_;
+  double leave0_;
+  double join1_;
+  double leave1_;
   std::size_t events_;
   std::size_t attach_;
 };
@@ -285,10 +286,7 @@ class ChurnPhase final : public ScenarioPhase {
 class JoinPhase final : public ScenarioPhase {
  public:
   JoinPhase(std::size_t attach, std::size_t count)
-      : attach_(attach), count_(count) {
-    DASH_CHECK_MSG(attach_ > 0, "join needs >= 1 attachment");
-    DASH_CHECK_MSG(count_ > 0, "join needs a positive count");
-  }
+      : attach_(attach), count_(count) {}
 
   std::string spec() const override {
     return "join:" + std::to_string(attach_) + "x" +
@@ -303,84 +301,20 @@ class JoinPhase final : public ScenarioPhase {
     }
   }
 
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<JoinPhase>(*this);
-  }
-
  private:
   std::size_t attach_;
   std::size_t count_;
 };
 
-class RampPhase final : public ScenarioPhase {
- public:
-  RampPhase(double join_start, double leave_start, double join_end,
-            double leave_end, std::size_t events, std::size_t attach)
-      : join_start_(join_start),
-        leave_start_(leave_start),
-        join_end_(join_end),
-        leave_end_(leave_end),
-        events_(events),
-        attach_(attach) {
-    DASH_CHECK_MSG(events_ > 0, "ramp needs a positive event count");
-    DASH_CHECK_MSG(attach_ > 0, "ramp joins need >= 1 attachment");
+/// Runs a nested phase list once; false when the play's stop condition
+/// ended it.
+bool run_body(PlayContext& ctx, const Scenario& body) {
+  for (const auto& phase : body.phases()) {
+    if (ctx.stopped()) return false;
+    phase->execute(ctx);
   }
-
-  std::string spec() const override {
-    std::string out("ramp:");
-    out += rate_to_string(join_start_);
-    out += ',';
-    out += rate_to_string(leave_start_);
-    out += ',';
-    out += rate_to_string(join_end_);
-    out += ',';
-    out += rate_to_string(leave_end_);
-    if (attach_ != 2) {
-      out += ',';
-      out += std::to_string(attach_);
-    }
-    out += 'x';
-    out += std::to_string(events_);
-    return out;
-  }
-
-  void execute(PlayContext& ctx) const override {
-    for (std::size_t e = 0; e < events_; ++e) {
-      if (ctx.stopped()) break;
-      // Linear interpolation of both rates across the phase; the last
-      // tick hits the end rates exactly. Same both-coins-every-tick
-      // stream layout as ChurnPhase, so a ramp with equal start/end
-      // rates consumes the identical RNG stream a churn phase would.
-      const double t =
-          events_ == 1 ? 0.0
-                       : static_cast<double>(e) /
-                             static_cast<double>(events_ - 1);
-      const bool do_join =
-          ctx.rng.chance(join_start_ + (join_end_ - join_start_) * t);
-      const bool do_leave =
-          ctx.rng.chance(leave_start_ + (leave_end_ - leave_start_) * t);
-      if (do_join) {
-        ctx.net.join(
-            graph::sample_alive(ctx.net.graph(), ctx.rng, attach_));
-      }
-      if (do_leave && ctx.net.graph().num_alive() > ctx.floor) {
-        ctx.net.remove(graph::sample_alive(ctx.net.graph(), ctx.rng, 1)[0]);
-      }
-    }
-  }
-
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<RampPhase>(*this);
-  }
-
- private:
-  double join_start_;
-  double leave_start_;
-  double join_end_;
-  double leave_end_;
-  std::size_t events_;
-  std::size_t attach_;
-};
+  return true;
+}
 
 /// One weighted alternative of a mix phase.
 struct MixArm {
@@ -392,13 +326,7 @@ class MixPhase final : public ScenarioPhase {
  public:
   MixPhase(std::vector<MixArm> arms, std::size_t draws)
       : arms_(std::move(arms)), draws_(draws) {
-    DASH_CHECK_MSG(!arms_.empty(), "mix needs at least one arm");
-    DASH_CHECK_MSG(draws_ > 0, "mix needs a positive draw count");
-    for (const MixArm& arm : arms_) {
-      DASH_CHECK_MSG(arm.weight > 0, "mix weights must be >= 1");
-      DASH_CHECK_MSG(!arm.body.empty(), "mix arm needs at least one phase");
-      total_ += arm.weight;
-    }
+    for (const MixArm& arm : arms_) total_ += arm.weight;
   }
 
   std::string spec() const override {
@@ -410,9 +338,7 @@ class MixPhase final : public ScenarioPhase {
       out += arms_[i].body.spec();
       out += '}';
     }
-    out += 'x';
-    out += std::to_string(draws_);
-    return out;
+    return with_count(out, draws_);
   }
 
   void execute(PlayContext& ctx) const override {
@@ -423,19 +349,12 @@ class MixPhase final : public ScenarioPhase {
       std::uint64_t r = ctx.rng.below(total_);
       for (const MixArm& arm : arms_) {
         if (r < arm.weight) {
-          for (const auto& phase : arm.body.phases()) {
-            if (ctx.stopped()) return;
-            phase->execute(ctx);
-          }
+          if (!run_body(ctx, arm.body)) return;
           break;
         }
         r -= arm.weight;
       }
     }
-  }
-
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<MixPhase>(*this);
   }
 
  private:
@@ -444,182 +363,31 @@ class MixPhase final : public ScenarioPhase {
   std::uint64_t total_ = 0;
 };
 
-class TargetedPhase final : public ScenarioPhase {
- public:
-  TargetedPhase(std::string attack, std::size_t max_deletions)
-      : attack_(std::move(attack)), max_deletions_(max_deletions) {
-    validate_attack_spec("targeted", attack_);
-  }
-
-  TargetedPhase(AttackerFactory factory, std::string label,
-                std::size_t max_deletions)
-      : attack_("<" + label + ">"),
-        factory_(std::move(factory)),
-        max_deletions_(max_deletions) {}
-
-  std::string spec() const override {
-    std::string out("targeted:");
-    out += attack_;
-    if (max_deletions_ > 0) {
-      out += 'x';
-      out += std::to_string(max_deletions_);
-    }
-    return out;
-  }
-
-  void execute(PlayContext& ctx) const override {
-    auto atk = factory_ ? factory_(ctx.rng.next_u64())
-                        : attack::make_attack(attack_, ctx.rng.next_u64());
-    std::size_t deleted = 0;
-    while (max_deletions_ == 0 || deleted < max_deletions_) {
-      if (ctx.net.graph().num_alive() <= ctx.floor || ctx.stopped()) break;
-      const NodeId v = atk->select(ctx.net.graph(), ctx.net.state());
-      if (v == graph::kInvalidNode) break;
-      ctx.net.remove(v);
-      ++deleted;
-    }
-  }
-
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<TargetedPhase>(*this);
-  }
-
- private:
-  std::string attack_;
-  AttackerFactory factory_;
-  std::size_t max_deletions_ = 0;
-};
-
-class UntilNLeftPhase final : public ScenarioPhase {
- public:
-  UntilNLeftPhase(std::size_t n, std::string attack)
-      : n_(n), attack_(std::move(attack)) {
-    DASH_CHECK_MSG(n_ > 0, "until needs n >= 1");
-    validate_attack_spec("until", attack_);
-  }
-
-  std::string spec() const override {
-    return "until:" + std::to_string(n_) + "," + attack_;
-  }
-
-  void execute(PlayContext& ctx) const override {
-    auto atk = attack::make_attack(attack_, ctx.rng.next_u64());
-    while (ctx.net.graph().num_alive() > std::max(n_, ctx.floor)) {
-      if (ctx.stopped()) break;
-      const NodeId v = atk->select(ctx.net.graph(), ctx.net.state());
-      if (v == graph::kInvalidNode) break;
-      ctx.net.remove(v);
-    }
-  }
-
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<UntilNLeftPhase>(*this);
-  }
-
- private:
-  std::size_t n_;
-  std::string attack_;
-};
-
-class UntilFracPhase final : public ScenarioPhase {
- public:
-  UntilFracPhase(double frac, std::string attack)
-      : frac_(frac), attack_(std::move(attack)) {
-    DASH_CHECK_MSG(frac_ > 0.0 && frac_ <= 1.0,
-                   "untilfrac needs a fraction in (0, 1]");
-    validate_attack_spec("untilfrac", attack_);
-  }
-
-  std::string spec() const override {
-    return "untilfrac:" + rate_to_string(frac_) + "," + attack_;
-  }
-
-  void execute(PlayContext& ctx) const override {
-    // Size-relative target: delete until at most ceil(initial * frac)
-    // nodes survive. The initial size comes from the engine, so the
-    // same phase value serves every n of a sweep grid ("delete half"
-    // without baking n/2 into the spec).
-    const double raw =
-        std::ceil(static_cast<double>(ctx.net.initial_size()) * frac_);
-    const auto target =
-        std::max<std::size_t>(1, static_cast<std::size_t>(raw));
-    auto atk = attack::make_attack(attack_, ctx.rng.next_u64());
-    while (ctx.net.graph().num_alive() > std::max(target, ctx.floor)) {
-      if (ctx.stopped()) break;
-      const NodeId v = atk->select(ctx.net.graph(), ctx.net.state());
-      if (v == graph::kInvalidNode) break;
-      ctx.net.remove(v);
-    }
-  }
-
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<UntilFracPhase>(*this);
-  }
-
- private:
-  double frac_;
-  std::string attack_;
-};
-
-/// A registered name standing for a whole phase list; spec() round-trips
-/// through the preset's name, so grids and CLIs stay readable.
-class PresetPhase final : public ScenarioPhase {
- public:
-  PresetPhase(std::string name, Scenario body)
-      : name_(std::move(name)), body_(std::move(body)) {}
-
-  std::string spec() const override { return name_; }
-
-  void execute(PlayContext& ctx) const override {
-    for (const auto& phase : body_.phases()) {
-      if (ctx.stopped()) return;
-      phase->execute(ctx);
-    }
-  }
-
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<PresetPhase>(*this);
-  }
-
- private:
-  std::string name_;
-  Scenario body_;
-};
-
+/// repeat, and the named presets: a nested phase list run `times` times.
+/// A preset runs its body once and round-trips through its name, so
+/// grids and CLIs stay readable.
 class RepeatPhase final : public ScenarioPhase {
  public:
-  RepeatPhase(std::size_t times, Scenario body)
-      : times_(times), body_(std::move(body)) {
-    DASH_CHECK_MSG(times_ > 0, "repeat needs a positive multiplier");
-  }
+  RepeatPhase(std::string spec, std::size_t times, Scenario body)
+      : spec_(std::move(spec)), times_(times), body_(std::move(body)) {}
 
-  std::string spec() const override {
-    return "repeat:" + std::to_string(times_) + "{" + body_.spec() + "}";
-  }
+  std::string spec() const override { return spec_; }
 
   void execute(PlayContext& ctx) const override {
     for (std::size_t t = 0; t < times_; ++t) {
-      for (const auto& phase : body_.phases()) {
-        if (ctx.stopped()) return;
-        phase->execute(ctx);
-      }
+      if (!run_body(ctx, body_)) return;
     }
   }
 
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<RepeatPhase>(*this);
-  }
-
  private:
+  std::string spec_;
   std::size_t times_;
   Scenario body_;
 };
 
 class FloorPhase final : public ScenarioPhase {
  public:
-  explicit FloorPhase(std::size_t min_alive) : min_alive_(min_alive) {
-    DASH_CHECK_MSG(min_alive_ > 0, "floor needs min_alive >= 1");
-  }
+  explicit FloorPhase(std::size_t min_alive) : min_alive_(min_alive) {}
 
   std::string spec() const override {
     return "floor:" + std::to_string(min_alive_);
@@ -627,34 +395,43 @@ class FloorPhase final : public ScenarioPhase {
 
   void execute(PlayContext& ctx) const override { ctx.floor = min_alive_; }
 
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<FloorPhase>(*this);
-  }
-
  private:
   std::size_t min_alive_;
 };
 
 // ---- phase parsers (registry factories) ----------------------------------
 
+/// A phase driven by the registry attack `attack`, resolved (and its
+/// seed drawn) each time the phase executes.
+std::unique_ptr<ScenarioPhase> attack_phase(const std::string& phase,
+                                            const std::string& attack,
+                                            std::string spec,
+                                            AttackPhase::Stop stop) {
+  validate_attack_spec(phase, attack);
+  return std::make_unique<AttackPhase>(
+      std::move(spec),
+      [attack](std::uint64_t seed) {
+        return attack::make_attack(attack, seed);
+      },
+      stop);
+}
+
 std::unique_ptr<ScenarioPhase> parse_strike(const std::string& param) {
   const CountSplit cs = split_count("strike", param);
-  if (cs.head.empty()) {
-    return std::make_unique<StrikePhase>("maxnode",
-                                         cs.has_count ? cs.count : 1);
-  }
+  std::string attack = cs.head.empty() ? "maxnode" : cs.head;
+  std::size_t count = cs.has_count ? cs.count : 1;
   if (!cs.has_count && all_digits(cs.head)) {
     // "strike:40" == "strike x40".
-    const auto count = util::parse_spec_uint("strike", cs.head);
+    count = static_cast<std::size_t>(util::parse_spec_uint("strike", cs.head));
     if (count == 0) {
       throw std::invalid_argument("zero count in scenario phase 'strike:" +
                                   param + "'");
     }
-    return std::make_unique<StrikePhase>(
-        "maxnode", static_cast<std::size_t>(count));
+    attack = "maxnode";
   }
-  return std::make_unique<StrikePhase>(cs.head,
-                                       cs.has_count ? cs.count : 1);
+  return attack_phase("strike", attack,
+                      "strike:" + attack + "x" + std::to_string(count),
+                      {.cap = count});
 }
 
 std::unique_ptr<ScenarioPhase> parse_batch(const std::string& param) {
@@ -674,36 +451,57 @@ std::unique_ptr<ScenarioPhase> parse_batch(const std::string& param) {
     throw std::invalid_argument("unknown batch mode '" + mode +
                                 "' (expected hubs or random)");
   }
-  return std::make_unique<BatchStrikePhase>(
-      static_cast<std::size_t>(k), std::move(mode),
-      cs.has_count ? cs.count : 0);
+  return std::make_unique<BatchStrikePhase>(static_cast<std::size_t>(k),
+                                            std::move(mode), cs.count);
 }
 
-std::unique_ptr<ScenarioPhase> parse_churn(const std::string& param) {
-  const CountSplit cs = split_count("churn", param);
+/// churn:<jr>,<lr>[,<a>]xN and ramp:<jr0>,<lr0>,<jr1>,<lr1>[,<a>]xN:
+/// `rates` rates, then an optional attach count.
+std::unique_ptr<ScenarioPhase> parse_churn_like(const std::string& phase,
+                                                const std::string& param,
+                                                std::size_t rates,
+                                                const std::string& usage) {
+  const CountSplit cs = split_count(phase, param);
   if (!cs.has_count) {
-    throw std::invalid_argument(
-        "churn phase needs an event count: 'churn:" + param +
-        "' (expected churn:<join_rate>,<leave_rate>[,<attach>]xN)");
+    throw std::invalid_argument(phase + " phase needs an event count: '" +
+                                phase + ":" + param + "' (expected " +
+                                usage + ")");
   }
   const auto parts = split_commas(cs.head);
-  if (parts.size() < 2 || parts.size() > 3) {
-    throw std::invalid_argument(
-        "bad churn phase: 'churn:" + param +
-        "' (expected churn:<join_rate>,<leave_rate>[,<attach>]xN)");
+  if (parts.size() < rates || parts.size() > rates + 1) {
+    throw std::invalid_argument("bad " + phase + " phase: '" + phase + ":" +
+                                param + "' (expected " + usage + ")");
   }
-  const double jr = parse_rate("churn", parts[0]);
-  const double lr = parse_rate("churn", parts[1]);
+  std::vector<double> r;
+  std::string spec = phase + ":";
+  for (std::size_t i = 0; i < rates; ++i) {
+    r.push_back(parse_rate(phase, parts[i]));
+    spec += rate_to_string(r.back()) + (i + 1 < rates ? "," : "");
+  }
   std::size_t attach = 2;
-  if (parts.size() == 3) {
+  if (parts.size() == rates + 1) {
     attach = static_cast<std::size_t>(
-        util::parse_spec_uint("churn", parts[2]));
+        util::parse_spec_uint(phase, parts[rates]));
     if (attach == 0) {
-      throw std::invalid_argument("churn attach count must be >= 1 in '" +
+      throw std::invalid_argument(phase + " attach count must be >= 1 in '" +
                                   param + "'");
     }
   }
-  return std::make_unique<ChurnPhase>(jr, lr, cs.count, attach);
+  if (attach != 2) spec += "," + std::to_string(attach);
+  spec = with_count(spec, cs.count);
+  const std::size_t end = rates == 2 ? 0 : 2;  // churn holds its rates
+  return std::make_unique<ChurnPhase>(std::move(spec), r[0], r[1], r[end],
+                                      r[end + 1], cs.count, attach);
+}
+
+std::unique_ptr<ScenarioPhase> parse_churn(const std::string& param) {
+  return parse_churn_like("churn", param, 2,
+                          "churn:<join_rate>,<leave_rate>[,<attach>]xN");
+}
+
+std::unique_ptr<ScenarioPhase> parse_ramp(const std::string& param) {
+  return parse_churn_like("ramp", param, 4,
+                          "ramp:<jr0>,<lr0>,<jr1>,<lr1>[,<attach>]xN");
 }
 
 std::unique_ptr<ScenarioPhase> parse_join(const std::string& param) {
@@ -718,35 +516,6 @@ std::unique_ptr<ScenarioPhase> parse_join(const std::string& param) {
     }
   }
   return std::make_unique<JoinPhase>(attach, cs.has_count ? cs.count : 1);
-}
-
-std::unique_ptr<ScenarioPhase> parse_ramp(const std::string& param) {
-  const CountSplit cs = split_count("ramp", param);
-  if (!cs.has_count) {
-    throw std::invalid_argument(
-        "ramp phase needs an event count: 'ramp:" + param +
-        "' (expected ramp:<jr0>,<lr0>,<jr1>,<lr1>[,<attach>]xN)");
-  }
-  const auto parts = split_commas(cs.head);
-  if (parts.size() < 4 || parts.size() > 5) {
-    throw std::invalid_argument(
-        "bad ramp phase: 'ramp:" + param +
-        "' (expected ramp:<jr0>,<lr0>,<jr1>,<lr1>[,<attach>]xN)");
-  }
-  const double jr0 = parse_rate("ramp", parts[0]);
-  const double lr0 = parse_rate("ramp", parts[1]);
-  const double jr1 = parse_rate("ramp", parts[2]);
-  const double lr1 = parse_rate("ramp", parts[3]);
-  std::size_t attach = 2;
-  if (parts.size() == 5) {
-    attach = static_cast<std::size_t>(
-        util::parse_spec_uint("ramp", parts[4]));
-    if (attach == 0) {
-      throw std::invalid_argument("ramp attach count must be >= 1 in '" +
-                                  param + "'");
-    }
-  }
-  return std::make_unique<RampPhase>(jr0, lr0, jr1, lr1, cs.count, attach);
 }
 
 std::unique_ptr<ScenarioPhase> parse_mix(const std::string& param) {
@@ -780,8 +549,14 @@ std::unique_ptr<ScenarioPhase> parse_mix(const std::string& param) {
 std::unique_ptr<ScenarioPhase> parse_targeted(const std::string& param) {
   const CountSplit cs = split_count("targeted", param);
   const std::string attack = cs.head.empty() ? "maxnode" : cs.head;
-  return std::make_unique<TargetedPhase>(attack,
-                                         cs.has_count ? cs.count : 0);
+  return attack_phase("targeted", attack,
+                      with_count("targeted:" + attack, cs.count),
+                      {.cap = cs.count});
+}
+
+/// The optional `,<attack>` of until and untilfrac.
+std::string until_attack(const std::vector<std::string>& parts) {
+  return parts.size() == 2 && !parts[1].empty() ? parts[1] : "maxnode";
 }
 
 std::unique_ptr<ScenarioPhase> parse_until(const std::string& param) {
@@ -790,14 +565,16 @@ std::unique_ptr<ScenarioPhase> parse_until(const std::string& param) {
     throw std::invalid_argument("bad until phase: 'until:" + param +
                                 "' (expected until:<n>[,<attack>])");
   }
-  const auto n = util::parse_spec_uint("until", parts[0]);
+  const auto n = static_cast<std::size_t>(
+      util::parse_spec_uint("until", parts[0]));
   if (n == 0) {
     throw std::invalid_argument("until needs n >= 1 in 'until:" + param +
                                 "'");
   }
-  return std::make_unique<UntilNLeftPhase>(
-      static_cast<std::size_t>(n),
-      parts.size() == 2 && !parts[1].empty() ? parts[1] : "maxnode");
+  const std::string attack = until_attack(parts);
+  return attack_phase("until", attack,
+                      "until:" + std::to_string(n) + "," + attack,
+                      {.keep = n});
 }
 
 std::unique_ptr<ScenarioPhase> parse_untilfrac(const std::string& param) {
@@ -813,8 +590,10 @@ std::unique_ptr<ScenarioPhase> parse_untilfrac(const std::string& param) {
         "untilfrac needs a fraction in (0, 1] in 'untilfrac:" + param +
         "'");
   }
-  return std::make_unique<UntilFracPhase>(
-      frac, parts.size() == 2 && !parts[1].empty() ? parts[1] : "maxnode");
+  const std::string attack = until_attack(parts);
+  return attack_phase("untilfrac", attack,
+                      "untilfrac:" + rate_to_string(frac) + "," + attack,
+                      {.keep_frac = frac});
 }
 
 std::unique_ptr<ScenarioPhase> parse_repeat(const std::string& param) {
@@ -828,10 +607,12 @@ std::unique_ptr<ScenarioPhase> parse_repeat(const std::string& param) {
   if (times == 0) {
     throw std::invalid_argument("zero count in 'repeat:" + param + "'");
   }
-  const std::string inner =
-      param.substr(brace + 1, param.size() - brace - 2);
-  return std::make_unique<RepeatPhase>(static_cast<std::size_t>(times),
-                                       Scenario::parse(inner));
+  Scenario body =
+      Scenario::parse(param.substr(brace + 1, param.size() - brace - 2));
+  std::string spec =
+      "repeat:" + std::to_string(times) + "{" + body.spec() + "}";
+  return std::make_unique<RepeatPhase>(
+      std::move(spec), static_cast<std::size_t>(times), std::move(body));
 }
 
 std::unique_ptr<ScenarioPhase> parse_floor(const std::string& param) {
@@ -896,7 +677,7 @@ void add_preset(util::Registry<ScenarioPhase>* r, const std::string& name,
                                          "' takes no parameter (got '" +
                                          param + "')");
            }
-           return std::make_unique<PresetPhase>(name,
+           return std::make_unique<RepeatPhase>(name, 1,
                                                 Scenario::parse(body_spec));
          },
          {}, name);
@@ -970,14 +751,6 @@ util::Registry<ScenarioPhase>& scenario_phase_registry() {
 
 // ---- Scenario ---------------------------------------------------------------
 
-Scenario& Scenario::operator=(const Scenario& other) {
-  if (this == &other) return *this;
-  phases_.clear();
-  phases_.reserve(other.phases_.size());
-  for (const auto& p : other.phases_) phases_.push_back(p->clone());
-  return *this;
-}
-
 Scenario Scenario::parse(const std::string& spec) {
   Scenario out;
   for (const std::string& raw : split_phases(spec)) {
@@ -991,51 +764,16 @@ Scenario Scenario::parse(const std::string& spec) {
   return out;
 }
 
-Scenario& Scenario::strike(std::size_t count, const std::string& attack) {
-  return add(std::make_unique<StrikePhase>(attack, count));
-}
-
-Scenario& Scenario::batch_strike(std::size_t batch_size, std::size_t rounds,
-                                 const std::string& mode) {
-  return add(std::make_unique<BatchStrikePhase>(batch_size, mode, rounds));
-}
-
-Scenario& Scenario::churn(double join_rate, double leave_rate,
-                          std::size_t events, std::size_t attach) {
-  return add(
-      std::make_unique<ChurnPhase>(join_rate, leave_rate, events, attach));
-}
-
-Scenario& Scenario::targeted(const std::string& attack,
-                             std::size_t max_deletions) {
-  return add(std::make_unique<TargetedPhase>(attack, max_deletions));
-}
-
 Scenario& Scenario::targeted(AttackerFactory factory,
                              const std::string& label,
                              std::size_t max_deletions) {
   DASH_CHECK_MSG(factory != nullptr, "null attacker factory");
-  return add(std::make_unique<TargetedPhase>(std::move(factory), label,
-                                             max_deletions));
+  return add(std::make_shared<AttackPhase>(
+      with_count("targeted:<" + label + ">", max_deletions),
+      std::move(factory), AttackPhase::Stop{.cap = max_deletions}));
 }
 
-Scenario& Scenario::until_n_left(std::size_t n, const std::string& attack) {
-  return add(std::make_unique<UntilNLeftPhase>(n, attack));
-}
-
-Scenario& Scenario::until_fraction(double frac, const std::string& attack) {
-  return add(std::make_unique<UntilFracPhase>(frac, attack));
-}
-
-Scenario& Scenario::repeat(std::size_t times, Scenario body) {
-  return add(std::make_unique<RepeatPhase>(times, std::move(body)));
-}
-
-Scenario& Scenario::floor(std::size_t min_alive) {
-  return add(std::make_unique<FloorPhase>(min_alive));
-}
-
-Scenario& Scenario::add(std::unique_ptr<ScenarioPhase> phase) {
+Scenario& Scenario::add(std::shared_ptr<const ScenarioPhase> phase) {
   DASH_CHECK_MSG(phase != nullptr, "null scenario phase");
   phases_.push_back(std::move(phase));
   return *this;
@@ -1063,18 +801,10 @@ Metrics Network::play(const Scenario& scenario, dash::util::Rng& rng,
   return finish();
 }
 
-Metrics Network::play(const Scenario& scenario, dash::util::Rng& rng) {
-  return play(scenario, rng, PlayOptions{});
-}
-
 Metrics Network::play(const Scenario& scenario, std::uint64_t seed,
                       const PlayOptions& opts) {
   dash::util::Rng rng(seed);
   return play(scenario, rng, opts);
-}
-
-Metrics Network::play(const Scenario& scenario, std::uint64_t seed) {
-  return play(scenario, seed, PlayOptions{});
 }
 
 }  // namespace dash::api

@@ -2,15 +2,10 @@
 //
 // A Scenario is a value describing *what happens to the network*: an
 // ordered list of phases, each a compact event pattern the engine can
-// execute, instead of a hand-rolled driver loop. Scenarios come from
-// a builder API or from a one-line text spec:
+// execute, instead of a hand-rolled driver loop. Scenarios come from a
+// one-line text spec, and Network::play is the one way to run them:
 //
-//   api::Scenario sc = api::Scenario()
-//                          .churn(0.3, 0.1, 500)
-//                          .batch_strike(8, 50);
-//   // ... is the same workload as ...
 //   api::Scenario sc = api::Scenario::parse("churn:0.3,0.1x500;batch:8x50");
-//
 //   api::Network net(std::move(g), "dash", seed);
 //   const api::Metrics m = net.play(sc, seed);
 //
@@ -86,8 +81,8 @@ class Network;
 struct PlayOptions {
   /// Checked before every phase event; a true return ends the play
   /// (after which finish() still runs). Use for conditions the phase
-  /// grammar cannot express, e.g. "stop at the first disconnection"
-  /// together with an observer reading RoundEvent::connected().
+  /// grammar cannot express, e.g. "stop at the first disconnection":
+  /// `[](const Network& n) { return n.component_count() > 1; }`.
   std::function<bool(const Network&)> stop_condition;
 };
 
@@ -108,9 +103,9 @@ struct PlayContext {
   }
 };
 
-/// One phase of a scenario. Implementations are value-like: clone()
-/// must produce an independent deep copy, and execute() must draw all
-/// randomness from ctx.rng.
+/// One phase of a scenario. Phases never change after construction, so
+/// copies of a Scenario (and run_suite's parallel instances) share them;
+/// execute() must draw all randomness from ctx.rng.
 class ScenarioPhase {
  public:
   virtual ~ScenarioPhase() = default;
@@ -120,8 +115,6 @@ class ScenarioPhase {
   virtual std::string spec() const = 0;
 
   virtual void execute(PlayContext& ctx) const = 0;
-
-  virtual std::unique_ptr<ScenarioPhase> clone() const = 0;
 };
 
 /// Builds a per-instance adversary from a derived seed; lets scenarios
@@ -132,53 +125,22 @@ using AttackerFactory =
 
 class Scenario {
  public:
-  Scenario() = default;
-  Scenario(const Scenario& other) { *this = other; }
-  Scenario& operator=(const Scenario& other);
-  Scenario(Scenario&&) noexcept = default;
-  Scenario& operator=(Scenario&&) noexcept = default;
-
   /// Parse a text spec (grammar above). Throws std::invalid_argument
   /// for empty phases, zero counts, malformed parameters, and unknown
   /// phase names (the error lists every registered spelling).
   static Scenario parse(const std::string& spec);
 
-  // ---- builder (each returns *this for chaining) --------------------
-
-  /// `count` single deletions picked by `attack`.
-  Scenario& strike(std::size_t count, const std::string& attack = "maxnode");
-  /// Simultaneous `batch_size`-node strikes: `rounds` of them, or --
-  /// with rounds == 0 -- for as long as more than batch_size nodes
-  /// survive. Mode "hubs" hits the highest-degree nodes, "random"
-  /// uniform ones.
-  Scenario& batch_strike(std::size_t batch_size, std::size_t rounds = 0,
-                         const std::string& mode = "hubs");
-  /// `events` churn ticks: each joins a newcomer (attached to `attach`
-  /// random alive peers) with probability join_rate, and deletes a
-  /// uniform random node with probability leave_rate.
-  Scenario& churn(double join_rate, double leave_rate, std::size_t events,
-                  std::size_t attach = 2);
-  /// Run a registry attack until it stops or the network is exhausted;
-  /// max_deletions == 0 means unlimited.
-  Scenario& targeted(const std::string& attack,
-                     std::size_t max_deletions = 0);
-  /// Same, with a custom adversary (labelled for spec() output only).
+  /// Append a targeted phase over an adversary the attack registry
+  /// cannot build (a LevelAttack needs its tree metadata): it deletes
+  /// the nodes `factory`'s attacker picks until the attacker stops, the
+  /// deletion floor is reached, or max_deletions deletions (0: no cap).
+  /// spec() wraps the label in angle brackets (`targeted:<levelattack>`),
+  /// which does not parse back.
   Scenario& targeted(AttackerFactory factory, const std::string& label,
                      std::size_t max_deletions = 0);
-  /// Delete via `attack` until at most n nodes remain.
-  Scenario& until_n_left(std::size_t n, const std::string& attack = "maxnode");
-  /// Delete via `attack` until at most ceil(initial_size * frac) nodes
-  /// remain; frac in (0, 1].
-  Scenario& until_fraction(double frac,
-                           const std::string& attack = "maxnode");
-  /// Repeat a nested scenario `times` times.
-  Scenario& repeat(std::size_t times, Scenario body);
-  /// Deletions never reduce the network to <= min_alive nodes from
-  /// this point on.
-  Scenario& floor(std::size_t min_alive);
 
   /// Append an externally built phase.
-  Scenario& add(std::unique_ptr<ScenarioPhase> phase);
+  Scenario& add(std::shared_ptr<const ScenarioPhase> phase);
 
   // ---- introspection -------------------------------------------------
 
@@ -186,12 +148,12 @@ class Scenario {
   std::string spec() const;
   bool empty() const { return phases_.empty(); }
   std::size_t size() const { return phases_.size(); }
-  const std::vector<std::unique_ptr<ScenarioPhase>>& phases() const {
+  const std::vector<std::shared_ptr<const ScenarioPhase>>& phases() const {
     return phases_;
   }
 
  private:
-  std::vector<std::unique_ptr<ScenarioPhase>> phases_;
+  std::vector<std::shared_ptr<const ScenarioPhase>> phases_;
 };
 
 /// The registry serving phase-name lookups for Scenario::parse.

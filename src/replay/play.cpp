@@ -7,6 +7,7 @@
 #include "api/observers.h"
 #include "core/factory.h"
 #include "replay/recorder.h"
+#include "replay/trace_phase.h"
 
 namespace dash::replay {
 
@@ -28,18 +29,56 @@ TraceMetrics engine_metrics(const api::Metrics& m) {
   return out;
 }
 
-/// Alive members of `nodes`, deduplicated, original order kept.
-std::vector<graph::NodeId> alive_subset(const graph::Graph& g,
-                                        const std::vector<graph::NodeId>& nodes) {
-  std::vector<graph::NodeId> out;
-  out.reserve(nodes.size());
-  for (graph::NodeId v : nodes) {
-    if (v < g.num_nodes() && g.alive(v) &&
-        std::find(out.begin(), out.end(), v) == out.end()) {
-      out.push_back(v);
+/// True when every id of `nodes` is alive and listed once, so the event
+/// applies exactly as recorded.
+bool all_alive_once(const graph::Graph& g,
+                    const std::vector<graph::NodeId>& nodes) {
+  for (auto it = nodes.begin(); it != nodes.end(); ++it) {
+    if (*it >= g.num_nodes() || !g.alive(*it) ||
+        std::find(nodes.begin(), it, *it) != it) {
+      return false;
     }
   }
-  return out;
+  return true;
+}
+
+/// Applies event `i` exactly as recorded, or throws TraceError naming
+/// what the graph cannot take. Returns false for an empty batch.
+bool apply_strictly(api::Network& net, const TraceEvent& e, std::size_t i) {
+  const graph::Graph& g = net.graph();
+  const auto fail = [i](const std::string& what) {
+    return TraceError("event " + std::to_string(i) + " " + what);
+  };
+  switch (e.kind) {
+    case EventKind::kRemove: {
+      const graph::NodeId v =
+          e.nodes.empty() ? graph::kInvalidNode : e.nodes.front();
+      if (v >= g.num_nodes() || !g.alive(v)) {
+        throw fail("removes dead node " + std::to_string(v));
+      }
+      net.remove(v);
+      return true;
+    }
+    case EventKind::kBatch:
+      if (!all_alive_once(g, e.nodes)) throw fail("batch contains dead nodes");
+      if (e.nodes.empty()) return false;
+      net.remove_batch(e.nodes);
+      return true;
+    case EventKind::kJoin: {
+      if (!all_alive_once(g, e.nodes)) {
+        throw fail("join attaches to dead nodes");
+      }
+      const graph::NodeId joined = net.join(e.nodes);
+      if (joined != e.joined) {
+        throw fail("join allocated id " + std::to_string(joined) +
+                   ", trace recorded " + std::to_string(e.joined));
+      }
+      return true;
+    }
+    case EventKind::kPhase:
+      break;
+  }
+  return false;
 }
 
 }  // namespace
@@ -77,63 +116,18 @@ ReplayResult play_trace(const Trace& t, const ReplayOptions& opt) {
   // A different healer heals differently, and lenient filtering changes
   // the applied events: recorded digests only certify the strict,
   // same-healer replay.
-  const bool verify =
-      opt.verify && !opt.lenient && opt.healer_override.empty();
+  const bool verify = !opt.lenient && opt.healer_override.empty();
 
   ReplayResult result;
   for (std::size_t i = 0; i < t.events.size(); ++i) {
     const TraceEvent& e = t.events[i];
-    switch (e.kind) {
-      case EventKind::kPhase:
-        net.notify_phase(e.phase);
-        continue;
-      case EventKind::kRemove: {
-        const graph::NodeId v = e.nodes.empty() ? graph::kInvalidNode
-                                                : e.nodes.front();
-        if (v >= net.graph().num_nodes() || !net.graph().alive(v)) {
-          if (!opt.lenient) {
-            throw TraceError("event " + std::to_string(i) +
-                             " removes dead node " + std::to_string(v));
-          }
-          ++result.skipped;
-          continue;
-        }
-        net.remove(v);
-        break;
-      }
-      case EventKind::kBatch: {
-        const auto batch = alive_subset(net.graph(), e.nodes);
-        if (!opt.lenient && batch.size() != e.nodes.size()) {
-          throw TraceError("event " + std::to_string(i) +
-                           " batch contains dead nodes");
-        }
-        if (batch.empty()) {
-          ++result.skipped;
-          continue;
-        }
-        net.remove_batch(batch);
-        break;
-      }
-      case EventKind::kJoin: {
-        const auto attach = alive_subset(net.graph(), e.nodes);
-        if (!opt.lenient && attach.size() != e.nodes.size()) {
-          throw TraceError("event " + std::to_string(i) +
-                           " join attaches to dead nodes");
-        }
-        if (opt.lenient && attach.empty()) {
-          // Nobody left to attach to (mutated trace): a zero-edge join
-          // would disconnect any healer. Skip it, as TracePhase does.
-          ++result.skipped;
-          continue;
-        }
-        const graph::NodeId joined = net.join(attach);
-        if (!opt.lenient && joined != e.joined) {
-          throw TraceError("event " + std::to_string(i) +
-                           " join allocated id " + std::to_string(joined) +
-                           ", trace recorded " + std::to_string(e.joined));
-        }
-        break;
-      }
+    if (e.kind == EventKind::kPhase) {
+      net.notify_phase(e.phase);
+      continue;
+    }
+    if (!(opt.lenient ? apply_leniently(net, e) : apply_strictly(net, e, i))) {
+      ++result.skipped;
+      continue;
     }
     ++result.applied;
     if (verify && event_digest(e, net) != e.row_hash) {

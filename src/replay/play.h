@@ -12,7 +12,9 @@
 // by an earlier mutation (removing an already-dead node, attaching to
 // a dead peer) are skipped or filtered instead of aborting, which is
 // what lets the differential fuzzer (replay/fuzz.h) drive the same
-// mutant through every registered healer.
+// mutant through every registered healer. Lenient mode applies each
+// event through apply_leniently (replay/trace_phase.h), the rule the
+// `trace:<file>` scenario phase applies recorded events with.
 #pragma once
 
 #include <cstddef>
@@ -33,14 +35,13 @@ struct ReplayOptions {
   /// healer legitimately heals differently.
   std::string healer_override;
   /// Skip/filter events the current graph state cannot apply instead
-  /// of failing the replay. Implies no digest verification.
+  /// of failing the replay. Implies no digest verification; without it
+  /// and healer_override, replay compares every event's digest and the
+  /// footer metrics.
   bool lenient = false;
   /// Register an api::InvariantObserver and report its first violation
   /// in the result.
   bool check_invariants = false;
-  /// Compare per-event digests and the footer metrics (strict replay).
-  /// Ignored -- forced off -- under lenient or healer_override.
-  bool verify = true;
   /// Extra observers for the replay engine (a SinkObserver to
   /// re-materialize the run's rows, a StretchObserver, ...), registered
   /// after the invariant observer.

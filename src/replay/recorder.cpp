@@ -57,7 +57,6 @@ std::string drop_invariant_repro(const std::string& trace_text,
     ReplayOptions o;
     o.lenient = true;
     o.check_invariants = true;
-    o.verify = false;
     try {
       return !play_trace(candidate, o).violation.empty();
     } catch (const TraceError&) {

@@ -1,6 +1,7 @@
 #include "replay/trace_phase.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -10,8 +11,7 @@ namespace dash::replay {
 
 namespace {
 
-/// Alive members of `nodes` on the live graph, deduplicated, original
-/// order kept -- the same filter play_trace applies in lenient mode.
+/// Alive members of `nodes`, deduplicated, original order kept.
 std::vector<graph::NodeId> alive_subset(
     const graph::Graph& g, const std::vector<graph::NodeId>& nodes) {
   std::vector<graph::NodeId> out;
@@ -27,13 +27,44 @@ std::vector<graph::NodeId> alive_subset(
 
 }  // namespace
 
+bool apply_leniently(api::Network& net, const TraceEvent& e,
+                     std::size_t floor) {
+  const graph::Graph& g = net.graph();
+  switch (e.kind) {
+    case EventKind::kRemove: {
+      const graph::NodeId v =
+          e.nodes.empty() ? graph::kInvalidNode : e.nodes.front();
+      if (v >= g.num_nodes() || !g.alive(v)) return false;
+      net.remove(v);
+      return true;
+    }
+    case EventKind::kBatch: {
+      const auto batch = alive_subset(g, e.nodes);
+      if (batch.empty() || g.num_alive() < batch.size() + floor) {
+        return false;
+      }
+      net.remove_batch(batch);
+      return true;
+    }
+    case EventKind::kJoin: {
+      const auto attach = alive_subset(g, e.nodes);
+      if (attach.empty()) return false;
+      net.join(attach);
+      return true;
+    }
+    case EventKind::kPhase:
+      break;
+  }
+  return false;
+}
+
 TracePhase::TracePhase(std::string path) : path_(std::move(path)) {
   if (path_.empty()) {
     throw std::invalid_argument(
         "bad trace phase: 'trace:' needs a file path (trace:<file>)");
   }
   try {
-    trace_ = std::make_shared<const Trace>(load_trace_file(path_));
+    trace_ = load_trace_file(path_);
   } catch (const TraceError& e) {
     throw std::invalid_argument("bad trace phase 'trace:" + path_ +
                                 "': " + e.what());
@@ -41,46 +72,17 @@ TracePhase::TracePhase(std::string path) : path_(std::move(path)) {
 }
 
 void TracePhase::execute(api::PlayContext& ctx) const {
-  for (const TraceEvent& e : trace_->events) {
+  for (const TraceEvent& e : trace_.events) {
     if (ctx.stopped()) return;
-    switch (e.kind) {
-      case EventKind::kPhase:
-        ctx.net.notify_phase(e.phase);
-        break;
-      case EventKind::kRemove: {
-        if (ctx.net.graph().num_alive() <= ctx.floor) return;
-        const graph::NodeId v =
-            e.nodes.empty() ? graph::kInvalidNode : e.nodes.front();
-        if (v >= ctx.net.graph().num_nodes() || !ctx.net.graph().alive(v)) {
-          break;  // recorded victim does not exist here: skip
-        }
-        ctx.net.remove(v);
-        break;
-      }
-      case EventKind::kBatch: {
-        const auto batch = alive_subset(ctx.net.graph(), e.nodes);
-        // The whole batch must fit above the deletion floor -- the
-        // same rule the batch phase applies.
-        if (batch.empty() ||
-            ctx.net.graph().num_alive() < batch.size() + ctx.floor) {
-          break;
-        }
-        ctx.net.remove_batch(batch);
-        break;
-      }
-      case EventKind::kJoin: {
-        const auto attach = alive_subset(ctx.net.graph(), e.nodes);
-        if (attach.empty()) break;  // nobody left to attach to: skip
-        ctx.net.join(attach);
-        break;
-      }
+    if (e.kind == EventKind::kPhase) {
+      ctx.net.notify_phase(e.phase);
+    } else if (e.kind == EventKind::kRemove &&
+               ctx.net.graph().num_alive() <= ctx.floor) {
+      return;  // a deletion at the floor ends the phase
+    } else {
+      apply_leniently(ctx.net, e, ctx.floor);
     }
   }
-}
-
-std::unique_ptr<api::ScenarioPhase> TracePhase::clone() const {
-  auto copy = std::make_unique<TracePhase>(*this);
-  return copy;
 }
 
 namespace detail {

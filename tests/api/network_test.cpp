@@ -1,6 +1,6 @@
 // network_test.cpp -- the api::Network engine: event API (remove /
-// remove_batch / join), the run loop, metrics, and the incremental
-// connectivity tracker it owns.
+// remove_batch / join), attack schedules played through it, metrics,
+// and the incremental connectivity tracker it owns.
 #include "api/network.h"
 
 #include <gtest/gtest.h>
@@ -11,11 +11,13 @@
 #include "api/api.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace dash::api {
 namespace {
 
+using dash::testing::play_attack;
 using dash::util::Rng;
 using graph::Graph;
 using graph::NodeId;
@@ -30,7 +32,7 @@ Network make_net(std::size_t n, std::uint64_t seed,
 TEST(Network, RunsToSingleNode) {
   auto net = make_net(64, 1);
   auto atk = attack::make_attack("neighborofmax", 1);
-  const Metrics m = net.run(*atk);
+  const Metrics m = play_attack(net, *atk);
   EXPECT_EQ(m.deletions, 63u);
   EXPECT_EQ(net.graph().num_alive(), 1u);
   EXPECT_TRUE(m.stayed_connected);
@@ -41,9 +43,7 @@ TEST(Network, RunsToSingleNode) {
 TEST(Network, RespectsMaxDeletions) {
   auto net = make_net(64, 2);
   auto atk = attack::make_attack("neighborofmax", 2);
-  RunOptions opts;
-  opts.max_deletions = 10;
-  const Metrics m = net.run(*atk, opts);
+  const Metrics m = play_attack(net, *atk, 10);
   EXPECT_EQ(m.deletions, 10u);
   EXPECT_EQ(net.graph().num_alive(), 54u);
 }
@@ -51,24 +51,13 @@ TEST(Network, RespectsMaxDeletions) {
 TEST(Network, StopConditionEndsRun) {
   auto net = make_net(64, 3);
   auto atk = attack::make_attack("maxnode", 3);
-  RunOptions opts;
+  PlayOptions opts;
   opts.stop_condition = [](const Network& engine) {
     return engine.graph().num_alive() <= 32;
   };
-  const Metrics m = net.run(*atk, opts);
+  const Metrics m = play_attack(net, *atk, 0, opts);
   EXPECT_EQ(net.graph().num_alive(), 32u);
   EXPECT_EQ(m.deletions, 32u);
-}
-
-TEST(Network, RunContinuesAcrossCalls) {
-  auto net = make_net(64, 4);
-  auto atk = attack::make_attack("neighborofmax", 4);
-  RunOptions opts;
-  opts.max_deletions = 5;  // counted across run() calls
-  net.run(*atk, opts);
-  opts.max_deletions = 12;
-  const Metrics m = net.run(*atk, opts);
-  EXPECT_EQ(m.deletions, 12u);
 }
 
 TEST(Network, RemoveHealsAndReportsAction) {
@@ -85,8 +74,8 @@ TEST(Network, SameSeedSameMetrics) {
   auto b = make_net(48, 77);
   auto atk_a = attack::make_attack("random", 9);
   auto atk_b = attack::make_attack("random", 9);
-  const Metrics ma = a.run(*atk_a);
-  const Metrics mb = b.run(*atk_b);
+  const Metrics ma = play_attack(a, *atk_a);
+  const Metrics mb = play_attack(b, *atk_b);
   EXPECT_EQ(ma.deletions, mb.deletions);
   EXPECT_EQ(ma.max_delta, mb.max_delta);
   EXPECT_EQ(ma.edges_added, mb.edges_added);
@@ -150,9 +139,7 @@ TEST(Network, JoinCountsAndExtendsGraph) {
 TEST(Network, MetricsSnapshotMatchesState) {
   auto net = make_net(40, 10);
   auto atk = attack::make_attack("maxnode", 10);
-  RunOptions opts;
-  opts.max_deletions = 15;
-  net.run(*atk, opts);
+  play_attack(net, *atk, 15);
   const Metrics m = net.metrics();
   EXPECT_EQ(m.max_delta, net.state().max_delta_ever());
   EXPECT_EQ(m.max_id_changes, net.state().max_id_changes());
@@ -170,7 +157,7 @@ TEST(Network, InitialSizeFrozenAtConstruction) {
 }
 
 TEST(Network, EarlyStoppingAttackEndsRun) {
-  // An attacker returning kInvalidNode stops the loop.
+  // An attacker returning kInvalidNode ends its phase.
   class OneShot final : public attack::AttackStrategy {
    public:
     std::string name() const override { return "OneShot"; }
@@ -188,7 +175,7 @@ TEST(Network, EarlyStoppingAttackEndsRun) {
   };
   auto net = make_net(32, 12);
   OneShot atk;
-  const Metrics m = net.run(atk);
+  const Metrics m = play_attack(net, atk);
   EXPECT_EQ(m.deletions, 1u);
 }
 
@@ -207,9 +194,7 @@ TEST(Network, OwningEnginesDefaultToTrackerMode) {
 TEST(Network, ComponentAccessorsMatchScan) {
   auto net = make_net(64, 15);
   auto atk = attack::make_attack("maxnode", 15);
-  RunOptions opts;
-  opts.max_deletions = 20;
-  net.run(*atk, opts);
+  play_attack(net, *atk, 20);
   const auto truth = graph::connected_components(net.graph());
   EXPECT_EQ(net.component_count(), truth.count());
   EXPECT_EQ(net.largest_component(), truth.largest());
@@ -223,7 +208,7 @@ TEST(Network, HealedRunsNeverRebuildTheTracker) {
   // whole schedule stays on the O(alpha) fast path: zero re-scans.
   auto net = make_net(128, 16);
   auto atk = attack::make_attack("neighborofmax", 16);
-  const Metrics m = net.run(*atk);
+  const Metrics m = play_attack(net, *atk);
   EXPECT_TRUE(m.stayed_connected);
   ASSERT_NE(net.connectivity_tracker(), nullptr);
   EXPECT_EQ(net.connectivity_tracker()->rebuilds(), 0u);
@@ -266,9 +251,7 @@ TEST(Network, RoundEventCacheIsFreshEveryRound) {
   CacheProbe probe;
   net.add_observer(&probe);
   auto atk = attack::make_attack("neighborofmax", 18);
-  RunOptions opts;
-  opts.max_deletions = 30;
-  net.run(*atk, opts);
+  play_attack(net, *atk, 30);
   EXPECT_EQ(probe.rounds_seen, 30u);
 }
 

@@ -10,11 +10,13 @@
 
 #include "api/api.h"
 #include "graph/generators.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace dash::api {
 namespace {
 
+using dash::testing::play_attack;
 using dash::util::Rng;
 using graph::Graph;
 using graph::NodeId;
@@ -59,9 +61,7 @@ TEST(ObserverPipeline, EventsFireOncePerRound) {
   EXPECT_EQ(counter.attached, 1);
 
   auto atk = attack::make_attack("neighborofmax", 1);
-  RunOptions opts;
-  opts.max_deletions = 10;
-  net.run(*atk, opts);
+  play_attack(net, *atk, 10);
 
   EXPECT_EQ(counter.begins, 10);
   EXPECT_EQ(counter.heals, 10);
@@ -96,7 +96,7 @@ TEST(ObserverPipeline, OwnedObserverSurvivesAndIsReachable) {
   auto& inv = static_cast<InvariantObserver&>(
       net.add_observer(std::make_unique<InvariantObserver>()));
   auto atk = attack::make_attack("maxnode", 3);
-  net.run(*atk);
+  play_attack(net, *atk);
   EXPECT_TRUE(inv.ok()) << inv.violation();
 }
 
@@ -105,7 +105,7 @@ TEST(InvariantObserver, CleanRunReportsNoViolation) {
   InvariantObserver inv;
   net.add_observer(&inv);
   auto atk = attack::make_attack("neighborofmax", 4);
-  const Metrics m = net.run(*atk);
+  const Metrics m = play_attack(net, *atk);
   EXPECT_TRUE(m.violation.empty()) << m.violation;
   EXPECT_TRUE(inv.ok());
 }
@@ -121,7 +121,7 @@ TEST(InvariantObserver, SurfacesViolationForBadBound) {
   InvariantObserver inv(opts);
   net.add_observer(&inv);
   auto atk = attack::make_attack("neighborofmax", 5);
-  const Metrics m = net.run(*atk);
+  const Metrics m = play_attack(net, *atk);
   EXPECT_FALSE(m.violation.empty());
   EXPECT_FALSE(inv.ok());
   EXPECT_EQ(m.violation, inv.violation());
@@ -135,7 +135,7 @@ TEST(InvariantObserver, RemBoundHoldsForDash) {
   InvariantObserver inv(opts);
   net.add_observer(&inv);
   auto atk = attack::make_attack("neighborofmax", 6);
-  const Metrics m = net.run(*atk);
+  const Metrics m = play_attack(net, *atk);
   EXPECT_TRUE(m.violation.empty()) << m.violation;
 }
 
@@ -144,9 +144,7 @@ TEST(StretchObserver, TracksStretchDuringRun) {
   StretchObserver stretch;
   net.add_observer(&stretch);
   auto atk = attack::make_attack("neighborofmax", 7);
-  RunOptions opts;
-  opts.max_deletions = 8;
-  const Metrics m = net.run(*atk, opts);
+  const Metrics m = play_attack(net, *atk, 8);
   EXPECT_GE(m.max_stretch, 1.0);
   EXPECT_EQ(m.max_stretch, stretch.max_stretch());
 }
@@ -159,9 +157,7 @@ TEST(StretchObserver, ZeroSampleEveryIsClampedToOne) {
   StretchObserver stretch(0);
   net.add_observer(&stretch);
   auto atk = attack::make_attack("maxnode", 8);
-  RunOptions opts;
-  opts.max_deletions = 4;
-  const Metrics m = net.run(*atk, opts);
+  const Metrics m = play_attack(net, *atk, 4);
   EXPECT_GE(m.max_stretch, 1.0);
   EXPECT_TRUE(stretch.sampled_last_round());
 }
@@ -193,9 +189,7 @@ TEST(StretchObserver, SamplesOnlyOnSchedule) {
   StretchObserver stretch(1000);  // never due at these round counts
   net.add_observer(&stretch);
   auto atk = attack::make_attack("maxnode", 9);
-  RunOptions opts;
-  opts.max_deletions = 5;
-  net.run(*atk, opts);
+  play_attack(net, *atk, 5);
   EXPECT_EQ(stretch.max_stretch(), 0.0);
   EXPECT_FALSE(stretch.sampled_last_round());
 }
@@ -206,7 +200,7 @@ TEST(SuiteConfigure, PerInstanceObserversContributeMetrics) {
     return graph::barabasi_albert(24, 2, rng);
   };
   cfg.make_healer = healer_factory("dash");
-  cfg.scenario = Scenario().targeted("maxnode", 8);
+  cfg.scenario = Scenario::parse("targeted:maxnodex8");
   cfg.instances = 3;
   cfg.configure = [](Network& net) {
     net.add_observer(std::make_unique<StretchObserver>());

@@ -58,7 +58,7 @@ TEST(GraphHeal, FullScheduleStaysConnected) {
   // No invariant observer: the forest check is not applicable here.
   api::Network net(std::move(g), make_strategy("graph"), rng);
   auto attacker = attack::make_attack("neighborofmax", 4);
-  const auto result = net.run(*attacker);
+  const auto result = dash::testing::play_attack(net, *attacker);
   EXPECT_TRUE(result.stayed_connected);
   EXPECT_EQ(result.deletions, 95u);
 }
@@ -128,9 +128,11 @@ TEST(NoHeal, ScheduleReportsDisconnection) {
   Rng rng(9);
   api::Network net(graph::star_graph(20), make_strategy("none"), rng);
   auto attacker = attack::make_attack("maxnode", 10);
-  api::RunOptions opts;
-  opts.stop_when_disconnected = true;
-  const auto result = net.run(*attacker, opts);
+  api::PlayOptions opts;
+  opts.stop_condition = [](const api::Network& engine) {
+    return engine.component_count() > 1;
+  };
+  const auto result = dash::testing::play_attack(net, *attacker, 0, opts);
   EXPECT_FALSE(result.stayed_connected);
   EXPECT_EQ(result.deletions, 1u);  // hub deletion shatters the star
 }

@@ -137,7 +137,7 @@ TEST(SdashSlack, FullScheduleStaysConnectedAndBounded) {
   Graph g = graph::barabasi_albert(128, 2, rng);
   api::Network net(std::move(g), make_strategy("sdash:4"), rng);
   auto atk = attack::make_attack("maxnode", 22);
-  const auto r = net.run(*atk);
+  const auto r = dash::testing::play_attack(net, *atk);
   EXPECT_TRUE(r.stayed_connected);
   EXPECT_LE(r.max_delta, static_cast<std::uint32_t>(
                              2.0 * std::log2(128.0)) + 4);

@@ -18,6 +18,7 @@
 #include "api/api.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
+#include "test_helpers.h"
 #include "util/thread_pool.h"
 
 namespace dash::api {
@@ -213,9 +214,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(ConnectivityPropertyExtras, StopWhenDisconnectedAgreesAcrossModes) {
-  // run() + stop_when_disconnected forces a per-round ask; in either
-  // mode an unhealed network must stop at the first round this test's
-  // own BFS sees disconnected.
+  // A stop condition asking component_count() > 1 checks every round;
+  // in either mode an unhealed network must stop at the first round
+  // this test's own BFS sees disconnected.
   class FirstDisconnect final : public Observer {
    public:
     std::string name() const override { return "first-disconnect"; }
@@ -233,9 +234,11 @@ TEST(ConnectivityPropertyExtras, StopWhenDisconnectedAgreesAcrossModes) {
     FirstDisconnect probe;
     net.add_observer(&probe);
     auto attacker = attack::make_attack("maxnode", 3);
-    RunOptions opts;
-    opts.stop_when_disconnected = true;
-    const Metrics m = net.run(*attacker, opts);
+    PlayOptions opts;
+    opts.stop_condition = [](const Network& engine) {
+      return engine.component_count() > 1;
+    };
+    const Metrics m = dash::testing::play_attack(net, *attacker, 0, opts);
     EXPECT_FALSE(m.stayed_connected);
     ASSERT_NE(probe.round, 0u);
     EXPECT_EQ(m.deletions, probe.round);

@@ -9,6 +9,7 @@
 
 #include "api/api.h"
 #include "graph/generators.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace dash {
@@ -53,7 +54,7 @@ TEST_P(HealAttackMatrix, ConnectivityAndLocalityHoldToExhaustion) {
 
   // Locality + forest + id consistency after every round.
   net.add_observer(std::make_unique<api::InvariantObserver>());
-  const auto r = net.run(*attacker);
+  const auto r = dash::testing::play_attack(net, *attacker);
   EXPECT_TRUE(r.violation.empty()) << r.violation;
   EXPECT_TRUE(r.stayed_connected);
   EXPECT_EQ(r.deletions, 71u);  // ran to a single survivor
@@ -89,7 +90,7 @@ double mean_max_delta(const char* healer, std::size_t n,
     return graph::barabasi_albert(n, 2, rng);
   };
   cfg.make_healer = api::healer_factory(healer);
-  cfg.scenario = api::Scenario().targeted("neighborofmax");
+  cfg.scenario = api::Scenario::parse("targeted:neighborofmax");
   cfg.instances = instances;
   cfg.base_seed = 0x5EED;
   const auto results = api::run_suite(cfg);

@@ -56,7 +56,7 @@ TEST_P(Theorem1Sweep, AllBoundsHoldOverFullDeletion) {
   api::InvariantOptions inv_opts;
   inv_opts.check_delta_bound = true;
   net.add_observer(std::make_unique<api::InvariantObserver>(inv_opts));
-  const auto r = net.run(*attacker);
+  const auto r = dash::testing::play_attack(net, *attacker);
   const auto& st = net.state();
 
   // Bullet 1: connectivity through the whole schedule + degree bound.
@@ -110,7 +110,7 @@ TEST_P(Theorem1Seeds, DegreeBoundNeverViolated) {
   Graph g = graph::barabasi_albert(96, 2, rng);
   api::Network net(std::move(g), core::make_strategy("dash"), rng);
   const auto r =
-      net.play(api::Scenario().targeted("neighborofmax"), seed);
+      net.play(api::Scenario::parse("targeted:neighborofmax"), seed);
   EXPECT_TRUE(r.stayed_connected);
   EXPECT_LE(static_cast<double>(r.max_delta),
             2.0 * std::log2(96.0) + 1e-9);

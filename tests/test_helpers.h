@@ -1,4 +1,4 @@
-// test_helpers.h -- shared machinery for schedule-level tests: run an
+// test_helpers.h -- shared machinery for schedule-level tests: play an
 // attack/heal schedule on the api::Network engine with the full
 // invariant battery plugged in, failing loudly on any violation.
 #pragma once
@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -26,10 +25,26 @@ struct RunSpec {
   std::uint64_t seed = 12345;
   bool check_rem = false;   // DASH-only Lemma 4 bound
   bool track_stretch = false;
-  std::size_t max_deletions = std::numeric_limits<std::size_t>::max();
+  std::size_t max_deletions = 0;  // 0: no cap
 };
 
-/// Run a full schedule on `g` with the invariant observer attached;
+/// Plays `attacker`, seeded by the caller, on `net` until it stops, one
+/// node is left, or `max_deletions` deletions (0: no cap): a targeted
+/// phase over a BorrowedAttack, so the caller can read the attacker
+/// afterwards and replay its exact deletions.
+inline api::Metrics play_attack(api::Network& net,
+                                attack::AttackStrategy& attacker,
+                                std::size_t max_deletions = 0,
+                                const api::PlayOptions& opts = {}) {
+  const auto scenario = api::Scenario().targeted(
+      [&attacker](std::uint64_t) {
+        return std::make_unique<attack::BorrowedAttack>(attacker);
+      },
+      attacker.name(), max_deletions);
+  return net.play(scenario, 0, opts);
+}
+
+/// Play a full schedule on `g` with the invariant observer attached;
 /// EXPECT no violation and that the network stayed connected.
 inline api::Metrics run_checked(graph::Graph g, const RunSpec& spec) {
   dash::util::Rng rng(spec.seed);
@@ -44,9 +59,7 @@ inline api::Metrics run_checked(graph::Graph g, const RunSpec& spec) {
   }
 
   auto attacker = attack::make_attack(spec.attack, spec.seed);
-  api::RunOptions opts;
-  opts.max_deletions = spec.max_deletions;
-  const api::Metrics result = net.run(*attacker, opts);
+  const api::Metrics result = play_attack(net, *attacker, spec.max_deletions);
 
   EXPECT_TRUE(result.violation.empty()) << result.violation;
   EXPECT_TRUE(result.stayed_connected)
