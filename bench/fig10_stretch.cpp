@@ -24,22 +24,13 @@ int main(int argc, char** argv) {
   fo.attack = "maxnode";
   fo.instances = 5;
   std::uint64_t sample_every = 4;
-  {
-    // Extend the common flags with the sampling interval.
-    dash::util::Options opt(
-        "Figure 10: stretch vs graph size (MaxNode attack)");
-    opt.add_uint("instances", &fo.instances, "instances per point");
-    opt.add_uint("seed", &fo.seed, "base RNG seed");
-    opt.add_uint("min-n", &fo.min_n, "smallest graph size");
-    opt.add_uint("max-n", &fo.max_n, "largest graph size");
-    opt.add_uint("ba-edges", &fo.ba_edges, "BA attachment edges");
-    opt.add_string("attack", &fo.attack, "attack strategy");
-    opt.add_string("csv", &fo.csv_path, "optional CSV output path");
-    opt.add_string("json", &fo.json_path, "optional JSON summary path");
-    opt.add_uint("threads", &fo.threads, "worker threads");
-    opt.add_uint("sample-every", &sample_every,
-                 "sample stretch every k-th deletion");
-    if (!opt.parse(argc, argv)) return opt.help_requested() ? 0 : 2;
+  if (!fo.parse(argc, argv,
+                "Figure 10: stretch vs graph size (MaxNode attack)",
+                [&](dash::util::Options& opt) {
+                  opt.add_uint("sample-every", &sample_every,
+                               "sample stretch every k-th deletion");
+                })) {
+    return fo.help ? 0 : 2;
   }
 
   // One grid over sizes x the paper's five strategies: delete half the

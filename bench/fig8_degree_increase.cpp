@@ -15,16 +15,16 @@
 
 int main(int argc, char** argv) {
   using dash::api::Metrics;
+  const std::string title = "Figure 8: maximum degree increase vs graph size";
+  dash::bench::FigureOptions fo;
+  if (!fo.parse(argc, argv, title)) return fo.help ? 0 : 2;
   const int rc = dash::bench::run_strategy_sweep_figure(
-      argc, argv,
-      "Figure 8: maximum degree increase vs graph size",
-      "max_degree_increase",
-      [](const Metrics& r) {
+      fo, title, "max_degree_increase", [](const Metrics& r) {
         return static_cast<double>(r.max_delta);
       });
   if (rc == 0) {
     std::cout << "\nreference: 2*log2(n) bound for DASH:\n";
-    for (std::size_t n = 64; n <= 1024; n *= 2) {
+    for (std::size_t n : fo.sizes()) {
       std::cout << "  n=" << n << "  2log2(n)=" << 2.0 * std::log2(double(n))
                 << "\n";
     }

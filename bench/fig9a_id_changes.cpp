@@ -11,16 +11,17 @@
 
 int main(int argc, char** argv) {
   using dash::api::Metrics;
+  const std::string title =
+      "Figure 9(a): max ID changes per node vs graph size";
+  dash::bench::FigureOptions fo;
+  if (!fo.parse(argc, argv, title)) return fo.help ? 0 : 2;
   const int rc = dash::bench::run_strategy_sweep_figure(
-      argc, argv,
-      "Figure 9(a): max ID changes per node vs graph size",
-      "max_id_changes",
-      [](const Metrics& r) {
+      fo, title, "max_id_changes", [](const Metrics& r) {
         return static_cast<double>(r.max_id_changes);
       });
   if (rc == 0) {
     std::cout << "\nreference: 2*ln(n) record-breaking bound:\n";
-    for (std::size_t n = 64; n <= 1024; n *= 2) {
+    for (std::size_t n : fo.sizes()) {
       std::cout << "  n=" << n << "  2ln(n)=" << 2.0 * std::log(double(n))
                 << "\n";
     }

@@ -15,11 +15,12 @@
 
 int main(int argc, char** argv) {
   using dash::api::Metrics;
+  const std::string title =
+      "Figure 9(b): max messages sent per node vs graph size";
+  dash::bench::FigureOptions fo;
+  if (!fo.parse(argc, argv, title)) return fo.help ? 0 : 2;
   return dash::bench::run_strategy_sweep_figure(
-      argc, argv,
-      "Figure 9(b): max messages sent per node vs graph size",
-      "max_messages_sent",
-      [](const Metrics& r) {
+      fo, title, "max_messages_sent", [](const Metrics& r) {
         return static_cast<double>(r.max_messages_sent);
       });
 }

@@ -9,6 +9,7 @@
 #include <functional>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,9 +38,13 @@ struct FigureOptions {
   std::uint64_t threads = 0;
   bool help = false;  ///< set when --help was given
 
-  /// Parse common flags; returns false if the program should exit
-  /// (check `help` to distinguish --help from a parse error).
-  bool parse(int argc, char** argv, const std::string& description) {
+  /// Parse common flags, plus the bench's own through `extra`; returns
+  /// false if the program should exit (check `help` to distinguish
+  /// --help from a parse error). A size sweep the BA family cannot run
+  /// is a parse error naming its flags.
+  bool parse(int argc, char** argv, const std::string& description,
+             const std::function<void(dash::util::Options&)>& extra =
+                 nullptr) {
     dash::util::Options opt(description);
     opt.add_uint("instances", &instances,
                  "random graph instances per data point (paper: 30)");
@@ -53,17 +58,24 @@ struct FigureOptions {
                    "optional path for a BENCH_*.json metric summary");
     opt.add_uint("threads", &threads,
                  "worker threads (0 = hardware concurrency)");
-    const bool ok = opt.parse(argc, argv);
-    help = opt.help_requested();
-    return ok;
+    if (extra) extra(opt);
+    if (!opt.parse(argc, argv)) {
+      help = opt.help_requested();
+      return false;
+    }
+    try {
+      sizes();  // throws for a sweep the BA family cannot run
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return false;
+    }
+    return true;
   }
 
+  /// The doubling sweep from --min-n to --max-n.
   std::vector<std::size_t> sizes() const {
-    std::vector<std::size_t> out;
-    for (std::uint64_t n = min_n; n <= max_n; n *= 2) {
-      out.push_back(static_cast<std::size_t>(n));
-    }
-    return out;
+    return exp::doubling_sizes(min_n, max_n, "ba",
+                               static_cast<std::size_t>(ba_edges));
   }
 };
 
@@ -278,14 +290,11 @@ inline int run_grid_figure(const std::string& title,
 
 /// Full driver shared by Fig. 8 / 9(a) / 9(b): sweep sizes x the paper's
 /// five strategies, each cell one declarative scenario suite, and
-/// report `metric`.
-inline int run_strategy_sweep_figure(int argc, char** argv,
+/// report `metric`. `fo` holds the parsed flags.
+inline int run_strategy_sweep_figure(const FigureOptions& fo,
                                      const std::string& title,
                                      const std::string& metric_name,
-                                     const MetricFn& metric,
-                                     FigureOptions fo = {}) {
-  if (!fo.parse(argc, argv, title)) return fo.help ? 0 : 2;
-
+                                     const MetricFn& metric) {
   // The paper's schedule: the adversary deletes until the graph is
   // gone, no observers.
   const auto spec = grid_spec(fo, metric_name,

@@ -4,9 +4,11 @@
 // message volume, as graph size grows.
 #include <cmath>
 #include <iostream>
+#include <stdexcept>
+#include <vector>
 
+#include "exp/spec.h"
 #include "graph/generators.h"
-#include "graph/metrics.h"
 #include "sim/distributed_dash.h"
 #include "util/cli.h"
 #include "util/rng.h"
@@ -23,6 +25,13 @@ int main(int argc, char** argv) {
   opt.add_uint("instances", &instances, "instances per size");
   opt.add_uint("seed", &seed, "base seed");
   if (!opt.parse(argc, argv)) return opt.help_requested() ? 0 : 2;
+  std::vector<std::size_t> sizes;
+  try {
+    sizes = dash::exp::doubling_sizes(min_n, max_n, "ba", 2);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 
   std::cout << "\n== Distributed DASH scaling (round-based simulator, "
                "max-degree attack) ==\n\n";
@@ -31,14 +40,13 @@ int main(int argc, char** argv) {
                            "max_msgs_per_node", "max_id_changes",
                            "max_delta", "2log2n"});
 
-  for (std::uint64_t n = min_n; n <= max_n; n *= 2) {
+  for (const std::size_t n : sizes) {
     double reconnect_max = 0, prop_mean = 0, prop_max = 0;
     double total_msgs = 0, max_msgs = 0, max_idchg = 0, max_delta = 0;
     for (std::uint64_t inst = 0; inst < instances; ++inst) {
       dash::util::Rng seeder(seed ^ (n * 0x9E3779B97F4A7C15ULL));
       dash::util::Rng rng = seeder.fork(inst + 1);
-      auto g = dash::graph::barabasi_albert(
-          static_cast<std::size_t>(n), 2, rng);
+      auto g = dash::graph::barabasi_albert(n, 2, rng);
       dash::sim::DistributedDashSim sim(std::move(g), rng);
       dash::sim::run_max_degree_attack(sim);
       const auto& m = sim.metrics();
@@ -64,8 +72,7 @@ int main(int argc, char** argv) {
         .cell(max_idchg, 0)
         .cell(max_delta, 0)
         .cell(2 * log2n, 1);
-    std::fprintf(stderr, "  done n=%llu\n",
-                 static_cast<unsigned long long>(n));
+    std::fprintf(stderr, "  done n=%zu\n", n);
   }
   table.print(std::cout);
   std::cout << "\nexpected: reconnect_rounds_max == 1 (O(1) claim); "

@@ -15,7 +15,6 @@
 #include <iostream>
 
 #include "figure_common.h"
-#include "graph/metrics.h"
 #include "sim/distributed_dash.h"
 
 namespace {

@@ -6,7 +6,6 @@
 #include <iostream>
 
 #include "graph/generators.h"
-#include "graph/metrics.h"
 #include "graph/traversal.h"
 #include "sim/distributed_dash.h"
 #include "util/cli.h"

@@ -130,10 +130,8 @@ int main(int argc, char** argv) {
     dash::exp::ExperimentSpec spec;
     spec.name = "sweep";
     spec.families = {family};
-    spec.sizes.clear();
-    for (std::uint64_t n = min_n; n <= max_n; n *= 2) {
-      spec.sizes.push_back(static_cast<std::size_t>(n));
-    }
+    spec.sizes = dash::exp::doubling_sizes(
+        min_n, max_n, family, static_cast<std::size_t>(ba_edges));
     spec.healers = split_csv(healers);
     spec.scenarios = {dash::api::Scenario::parse(scenario).spec()};
     spec.instances = static_cast<std::size_t>(instances);

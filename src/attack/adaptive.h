@@ -20,9 +20,6 @@ class RankAttack final : public AttackStrategy {
   explicit RankAttack(std::size_t rank);
   std::string name() const override;
   NodeId select(const Graph& g, const HealingState& state) override;
-  std::unique_ptr<AttackStrategy> clone() const override {
-    return std::make_unique<RankAttack>(*this);
-  }
 
  private:
   std::size_t rank_;
@@ -41,9 +38,6 @@ class AdaptiveAttack final : public AttackStrategy {
   explicit AdaptiveAttack(std::int32_t threshold = 2);
   std::string name() const override;
   NodeId select(const Graph& g, const HealingState& state) override;
-  std::unique_ptr<AttackStrategy> clone() const override {
-    return std::make_unique<AdaptiveAttack>(*this);
-  }
 
  private:
   std::int32_t threshold_;

@@ -12,9 +12,6 @@ class MaxNodeAttack final : public AttackStrategy {
  public:
   std::string name() const override { return "MaxNode"; }
   NodeId select(const Graph& g, const HealingState& state) override;
-  std::unique_ptr<AttackStrategy> clone() const override {
-    return std::make_unique<MaxNodeAttack>(*this);
-  }
 };
 
 /// "NeighborOfMaxStrategy (NMS)": delete a uniformly random neighbor of
@@ -26,9 +23,6 @@ class NeighborOfMaxAttack final : public AttackStrategy {
       : rng_(seed ^ 0x4e4d53ULL) {}
   std::string name() const override { return "NeighborOfMax"; }
   NodeId select(const Graph& g, const HealingState& state) override;
-  std::unique_ptr<AttackStrategy> clone() const override {
-    return std::make_unique<NeighborOfMaxAttack>(*this);
-  }
 
  private:
   dash::util::Rng rng_;
@@ -40,9 +34,6 @@ class RandomAttack final : public AttackStrategy {
   explicit RandomAttack(std::uint64_t seed = 1) : rng_(seed ^ 0x524eULL) {}
   std::string name() const override { return "Random"; }
   NodeId select(const Graph& g, const HealingState& state) override;
-  std::unique_ptr<AttackStrategy> clone() const override {
-    return std::make_unique<RandomAttack>(*this);
-  }
 
  private:
   dash::util::Rng rng_;
@@ -54,9 +45,6 @@ class MinNodeAttack final : public AttackStrategy {
  public:
   std::string name() const override { return "MinNode"; }
   NodeId select(const Graph& g, const HealingState& state) override;
-  std::unique_ptr<AttackStrategy> clone() const override {
-    return std::make_unique<MinNodeAttack>(*this);
-  }
 };
 
 /// Delete the alive node with the highest delta (the healer's most
@@ -66,9 +54,6 @@ class MaxDeltaAttack final : public AttackStrategy {
  public:
   std::string name() const override { return "MaxDelta"; }
   NodeId select(const Graph& g, const HealingState& state) override;
-  std::unique_ptr<AttackStrategy> clone() const override {
-    return std::make_unique<MaxDeltaAttack>(*this);
-  }
 };
 
 }  // namespace dash::attack

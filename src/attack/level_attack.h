@@ -32,9 +32,6 @@ class LevelAttack final : public AttackStrategy {
 
   std::string name() const override;
   NodeId select(const Graph& g, const HealingState& state) override;
-  std::unique_ptr<AttackStrategy> clone() const override {
-    return std::make_unique<LevelAttack>(*this);
-  }
 
   /// Number of deletions so far that were Prune leaf-deletions rather
   /// than planned level deletions.

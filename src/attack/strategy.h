@@ -4,9 +4,11 @@
 // healer's internal state, and deletes one node per round. select() gets
 // both and returns the victim, or kInvalidNode to stop attacking early
 // (LEVELATTACK stops after the root).
+//
+// Attackers are never copied: each attack phase builds a fresh one,
+// from the registry (attack/factory.h) or from the caller's factory.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "core/healing_state.h"
@@ -26,8 +28,6 @@ class AttackStrategy {
   /// Pick the next node to delete. `g` has at least one alive node.
   /// Returning kInvalidNode ends the attack.
   virtual NodeId select(const Graph& g, const HealingState& state) = 0;
-
-  virtual std::unique_ptr<AttackStrategy> clone() const = 0;
 };
 
 /// Non-owning adapter: lets an externally owned, stateful adversary
@@ -41,9 +41,6 @@ class BorrowedAttack final : public AttackStrategy {
   std::string name() const override { return inner_.name(); }
   NodeId select(const Graph& g, const HealingState& state) override {
     return inner_.select(g, state);
-  }
-  std::unique_ptr<AttackStrategy> clone() const override {
-    return std::make_unique<BorrowedAttack>(inner_);
   }
 
  private:

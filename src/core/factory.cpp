@@ -52,9 +52,9 @@ void register_builtins(util::Registry<HealingStrategy>& r) {
 }  // namespace
 
 util::Registry<HealingStrategy>& healer_registry() {
-  // Built-ins are registered lazily here rather than via static
-  // Registrar objects: this accessor is always linked in, whereas the
-  // linker may drop unreferenced registrars from a static library.
+  // Built-ins are registered lazily here rather than by static
+  // objects' constructors: this accessor is always linked in, whereas
+  // the linker drops unreferenced objects from a static library.
   static util::Registry<HealingStrategy>* registry = [] {
     auto* r = new util::Registry<HealingStrategy>("healing strategy");
     register_builtins(*r);
@@ -69,14 +69,6 @@ std::unique_ptr<HealingStrategy> make_strategy(const std::string& name) {
 
 std::vector<std::string> paper_strategy_specs() {
   return {"graph", "line", "binarytree", "dash", "sdash"};
-}
-
-std::vector<std::unique_ptr<HealingStrategy>> paper_strategies() {
-  std::vector<std::unique_ptr<HealingStrategy>> out;
-  for (const auto& spec : paper_strategy_specs()) {
-    out.push_back(make_strategy(spec));
-  }
-  return out;
 }
 
 std::vector<std::string> strategy_names() {

@@ -4,6 +4,8 @@
 // a thin forwarder kept for source compatibility. Downstream code can
 // register its own strategies on healer_registry() and have them served
 // everywhere a spec string is accepted (api::Network, sweep_cli, ...).
+// The paper's figure set is a list of specs, paper_strategy_specs();
+// build a strategy from one with make_strategy.
 #pragma once
 
 #include <memory>
@@ -24,9 +26,6 @@ util::Registry<HealingStrategy>& healer_registry();
 /// Forwards to healer_registry().create(). Throws std::invalid_argument
 /// for unknown names, listing every registered spelling.
 std::unique_ptr<HealingStrategy> make_strategy(const std::string& name);
-
-/// The strategy set the paper's figures compare.
-std::vector<std::unique_ptr<HealingStrategy>> paper_strategies();
 
 /// Spec strings of the paper's figure set, in plot order.
 std::vector<std::string> paper_strategy_specs();

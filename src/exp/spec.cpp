@@ -370,6 +370,14 @@ std::function<graph::Graph(util::Rng&)> make_family(
           std::to_string(min) + why + ", got n=" + std::to_string(n));
     }
   };
+  // Node ids are 32-bit: past kInvalidNode a generator's id loop wraps
+  // (BA's never ends).
+  if (n > graph::kInvalidNode) {
+    throw std::invalid_argument(
+        "graph family '" + family + "' needs n <= " +
+        std::to_string(graph::kInvalidNode) +
+        " (32-bit node ids), got n=" + std::to_string(n));
+  }
   if (family == "ba") {
     if (ba_edges == 0) {
       throw std::invalid_argument("graph family 'ba' needs ba_edges >= 1");
@@ -410,6 +418,34 @@ std::function<graph::Graph(util::Rng&)> make_family(
 
 std::vector<std::string> family_names() {
   return {"ba", "tree", "gnp", "ws", "cycle", "line"};
+}
+
+std::vector<std::size_t> doubling_sizes(std::uint64_t min_n,
+                                        std::uint64_t max_n) {
+  if (min_n == 0 || min_n > max_n) {
+    throw std::invalid_argument("a size sweep needs 1 <= --min-n <= --max-n");
+  }
+  std::vector<std::size_t> sizes;
+  for (std::uint64_t n = min_n;; n *= 2) {
+    sizes.push_back(static_cast<std::size_t>(n));
+    if (n > max_n / 2) break;  // the next size would pass max_n or wrap
+  }
+  return sizes;
+}
+
+std::vector<std::size_t> doubling_sizes(std::uint64_t min_n,
+                                        std::uint64_t max_n,
+                                        const std::string& family,
+                                        std::size_t ba_edges) {
+  try {
+    const auto sizes = doubling_sizes(min_n, max_n);
+    for (const std::size_t n : sizes) make_family(family, n, ba_edges);
+    return sizes;
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("--min-n " + std::to_string(min_n) +
+                                " --max-n " + std::to_string(max_n) + ": " +
+                                e.what());
+  }
 }
 
 }  // namespace dash::exp

@@ -138,11 +138,28 @@ struct ExperimentSpec {
 /// ws, cycle, line; unknown names throw, listing them. A size below
 /// the family's smallest buildable n (ba_edges + 1 for ba, 7 for gnp,
 /// 5 for ws, 3 for cycle, 1 for tree and line) throws
-/// std::invalid_argument naming the family and that minimum.
+/// std::invalid_argument naming the family and that minimum; so does a
+/// size above graph::kInvalidNode (node ids are 32-bit).
 std::function<graph::Graph(util::Rng&)> make_family(
     const std::string& family, std::size_t n, std::size_t ba_edges);
 
 /// Family spellings, for --help texts and errors.
 std::vector<std::string> family_names();
+
+/// The sizes of a doubling sweep, the expansion of the --min-n/--max-n
+/// flags of the figure benches, sweep_cli and sim_distributed: min_n,
+/// 2 min_n, 4 min_n, ... up to max_n, stopping before a size would pass
+/// max_n or wrap. Throws std::invalid_argument for a zero start or a
+/// start above the end.
+std::vector<std::size_t> doubling_sizes(std::uint64_t min_n,
+                                        std::uint64_t max_n);
+
+/// The same sweep with every size checked by make_family(family, n,
+/// ba_edges). Any error throws std::invalid_argument prefixed with
+/// both flags and their values.
+std::vector<std::size_t> doubling_sizes(std::uint64_t min_n,
+                                        std::uint64_t max_n,
+                                        const std::string& family,
+                                        std::size_t ba_edges);
 
 }  // namespace dash::exp

@@ -73,6 +73,19 @@ bool parse_spool_line(const std::string& line, std::size_t healers,
   return true;
 }
 
+/// Write the record parse_spool_line reads, and its newline.
+void write_spool_line(std::ostream& out, const std::string& spec,
+                      double fitness,
+                      const std::vector<std::string>& groups) {
+  out << spec << '\t' << util::hex16(std::bit_cast<std::uint64_t>(fitness))
+      << '\t';
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    if (i) out << kGroupSep;
+    out << groups[i];
+  }
+  out << "\n";
+}
+
 }  // namespace
 
 FitnessSpec FitnessSpec::parse(const std::string& spec) {
@@ -322,25 +335,13 @@ void Evaluator::load_spool() {
   std::ofstream out(path, std::ios::trunc);
   out << header << "\n";
   for (const auto& [spec, score] : computed_) {
-    out << spec << '\t'
-        << util::hex16(std::bit_cast<std::uint64_t>(score.fitness)) << '\t';
-    for (std::size_t i = 0; i < score.groups.size(); ++i) {
-      if (i) out << kGroupSep;
-      out << score.groups[i];
-    }
-    out << "\n";
+    write_spool_line(out, spec, score.fitness, score.groups);
   }
 }
 
 void Evaluator::append_spool(const std::string& spec, const Score& score) {
   if (!spool_.is_open()) return;
-  spool_ << spec << '\t'
-         << util::hex16(std::bit_cast<std::uint64_t>(score.fitness)) << '\t';
-  for (std::size_t i = 0; i < score.groups.size(); ++i) {
-    if (i) spool_ << kGroupSep;
-    spool_ << score.groups[i];
-  }
-  spool_ << "\n";
+  write_spool_line(spool_, spec, score.fitness, score.groups);
   spool_.flush();
 }
 

@@ -298,7 +298,6 @@ TraceWriter::TraceWriter(std::ostream& out, const Trace& header)
 
 void TraceWriter::event(const TraceEvent& e) {
   out_ << event_line(e) << '\n' << std::flush;
-  ++events_;
 }
 
 void TraceWriter::finish(const TraceFooter& f) {

@@ -150,12 +150,10 @@ class TraceWriter {
   void event(const TraceEvent& e);
   void finish(const TraceFooter& f);
 
-  std::size_t events_written() const { return events_; }
   bool finished() const { return finished_; }
 
  private:
   std::ostream& out_;
-  std::size_t events_ = 0;
   bool finished_ = false;
 };
 

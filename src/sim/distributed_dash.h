@@ -83,7 +83,6 @@ class DistributedDashSim {
   std::uint32_t delete_and_heal(NodeId v);
 
   const Graph& network() const { return g_; }
-  Graph& mutable_network() { return g_; }
   const SimMetrics& metrics() const { return metrics_; }
 
   std::uint64_t component_id(NodeId v) const { return comp_id_[v]; }

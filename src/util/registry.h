@@ -11,6 +11,12 @@
 // Extra construction inputs that are not part of the spec (e.g. the RNG
 // seed an attack strategy needs) are the Args... pack, forwarded from
 // create() to the entry's factory.
+//
+// Each family's accessor (core::healer_registry(),
+// attack::attack_registry(), ...) registers its built-ins lazily, on
+// first use: a static library's linker drops objects nothing
+// references, so an entry registered by a static object's constructor
+// could silently go missing.
 #pragma once
 
 #include <algorithm>
@@ -165,23 +171,6 @@ class Registry {
   std::map<std::string, Factory> entries_;
   std::vector<std::string> displays_;
   std::vector<std::string> aliases_;
-};
-
-/// Registers an entry at static-initialization time:
-///   static Registrar<HealingStrategy> reg(my_registry(), "mine", ...);
-/// Prefer lazy registration inside the registry accessor for entries
-/// that live in a static library (the linker may drop unreferenced
-/// registrar objects); this helper is for application-level plugins.
-template <typename T, typename... Args>
-class Registrar {
- public:
-  Registrar(Registry<T, Args...>& registry, const std::string& name,
-            typename Registry<T, Args...>::Factory factory,
-            std::vector<std::string> aliases = {},
-            std::string display = "") {
-    registry.add(name, std::move(factory), std::move(aliases),
-                 std::move(display));
-  }
 };
 
 }  // namespace dash::util

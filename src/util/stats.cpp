@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/check.h"
 
@@ -24,82 +23,25 @@ Summary summarize(const std::vector<double>& xs) {
   s.count = xs.size();
   if (xs.empty()) return s;
 
-  OnlineStats on;
-  for (double x : xs) on.add(x);
-  s.mean = on.mean();
-  s.stddev = on.stddev();
-  s.min = on.min();
-  s.max = on.max();
+  // Welford's update, in this order: the summaries in every BENCH
+  // document are these exact doubles.
+  s.min = s.max = xs.front();
+  double m2 = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double x = xs[i];
+    s.min = std::min(s.min, x);
+    s.max = std::max(s.max, x);
+    const double delta = x - s.mean;
+    s.mean += delta / static_cast<double>(i + 1);
+    m2 += delta * (x - s.mean);
+  }
+  if (xs.size() >= 2) {
+    s.stddev = std::sqrt(m2 / static_cast<double>(xs.size() - 1));
+  }
   s.median = quantile(xs, 0.5);
   s.q25 = quantile(xs, 0.25);
   s.q75 = quantile(xs, 0.75);
   return s;
-}
-
-double Summary::ci95_halfwidth() const {
-  if (count < 2) return 0.0;
-  return 1.96 * stddev / std::sqrt(static_cast<double>(count));
-}
-
-std::string Summary::to_string() const {
-  std::ostringstream os;
-  os << "n=" << count << " mean=" << mean << " sd=" << stddev
-     << " min=" << min << " med=" << median << " max=" << max;
-  return os.str();
-}
-
-void OnlineStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double OnlineStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(n_);
-  const auto n2 = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double linear_slope(const std::vector<double>& x,
-                    const std::vector<double>& y) {
-  DASH_CHECK(x.size() == y.size());
-  if (x.size() < 2) return 0.0;
-  const auto n = static_cast<double>(x.size());
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sx += x[i];
-    sy += y[i];
-    sxx += x[i] * x[i];
-    sxy += x[i] * y[i];
-  }
-  const double denom = n * sxx - sx * sx;
-  if (denom == 0.0) return 0.0;
-  return (n * sxy - sx * sy) / denom;
 }
 
 }  // namespace dash::util

@@ -1,12 +1,11 @@
 // stats.h -- summary statistics for experiment series.
 //
 // Everything the figure-reproduction harness reports flows through
-// Summary (batch) or OnlineStats (streaming, Welford). Both are exact in
-// the sense of using numerically stable accumulation.
+// Summary, whose mean and standard deviation are accumulated with
+// Welford's numerically stable update.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace dash::util {
@@ -21,12 +20,6 @@ struct Summary {
   double median = 0.0;
   double q25 = 0.0;
   double q75 = 0.0;
-
-  /// Half-width of the normal-approximation 95% confidence interval of
-  /// the mean (1.96 * stddev / sqrt(n)); 0 when count < 2.
-  double ci95_halfwidth() const;
-
-  std::string to_string() const;
 };
 
 /// Compute the batch summary of `xs`. Empty input yields a zero Summary.
@@ -34,29 +27,5 @@ Summary summarize(const std::vector<double>& xs);
 
 /// Linear-interpolation quantile (type-7, the numpy default). q in [0,1].
 double quantile(std::vector<double> xs, double q);
-
-/// Streaming mean/variance via Welford's algorithm; O(1) memory.
-class OnlineStats {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  ///< sample variance; 0 when n < 2
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  void merge(const OnlineStats& other);  ///< parallel-combine two streams
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Least-squares slope of y against x; used to sanity-check growth rates
-/// (e.g. "max degree increase grows ~ c*log n" => slope of y vs log2(n)).
-double linear_slope(const std::vector<double>& x, const std::vector<double>& y);
 
 }  // namespace dash::util

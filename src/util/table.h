@@ -24,8 +24,6 @@ class Table {
   Table& cell(long value) { return cell(std::to_string(value)); }
   Table& cell(unsigned value) { return cell(std::to_string(value)); }
 
-  std::size_t num_rows() const { return rows_.size(); }
-
   /// Render with a separator rule under the header.
   void print(std::ostream& out) const;
 

@@ -166,9 +166,6 @@ TEST(Network, EarlyStoppingAttackEndsRun) {
       fired_ = true;
       return g.alive_nodes().front();
     }
-    std::unique_ptr<attack::AttackStrategy> clone() const override {
-      return std::make_unique<OneShot>(*this);
-    }
 
    private:
     bool fired_ = false;

@@ -300,9 +300,6 @@ TEST(ScenarioPlay, CustomAttackerFactoryDrivesTargetedPhase) {
       ++selections;
       return g.alive_nodes().front();
     }
-    std::unique_ptr<attack::AttackStrategy> clone() const override {
-      return std::make_unique<FirstAlive>(*this);
-    }
     int selections = 0;
   };
 

@@ -132,10 +132,5 @@ TEST(Factory, RegistryServesLookups) {
   EXPECT_FALSE(attack_registry().contains("levelattack"));
 }
 
-TEST(Clone, PreservesName) {
-  NeighborOfMaxAttack atk(3);
-  EXPECT_EQ(atk.clone()->name(), atk.name());
-}
-
 }  // namespace
 }  // namespace dash::attack

@@ -85,13 +85,13 @@ TEST(Factory, RegistryServesLookupsAndAcceptsNewEntries) {
 }
 
 TEST(Factory, PaperStrategySetIsComplete) {
-  const auto strategies = paper_strategies();
-  ASSERT_EQ(strategies.size(), 5u);
-  EXPECT_EQ(strategies[0]->name(), "GraphHeal");
-  EXPECT_EQ(strategies[1]->name(), "LineHeal");
-  EXPECT_EQ(strategies[2]->name(), "BinaryTreeHeal");
-  EXPECT_EQ(strategies[3]->name(), "DASH");
-  EXPECT_EQ(strategies[4]->name(), "SDASH");
+  const auto specs = paper_strategy_specs();
+  ASSERT_EQ(specs.size(), 5u);
+  EXPECT_EQ(make_strategy(specs[0])->name(), "GraphHeal");
+  EXPECT_EQ(make_strategy(specs[1])->name(), "LineHeal");
+  EXPECT_EQ(make_strategy(specs[2])->name(), "BinaryTreeHeal");
+  EXPECT_EQ(make_strategy(specs[3])->name(), "DASH");
+  EXPECT_EQ(make_strategy(specs[4])->name(), "SDASH");
 }
 
 TEST(Factory, ClonePreservesBehavior) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -290,6 +291,51 @@ TEST(MakeFamily, SizeBelowTheMinimumIsANamedError) {
       ADD_FAILURE() << family << ": expected invalid_argument";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("'" + family + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(MakeFamily, SizeAboveTheIdRangeIsANamedError) {
+  for (const auto& [family, min] : family_minimums()) {
+    try {
+      make_family(family, std::size_t{graph::kInvalidNode} + 1, 2);
+      ADD_FAILURE() << family << ": expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + family + "' needs n <= 4294967295"),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(DoublingSizes, StopsBeforePassingTheEndOrWrapping) {
+  EXPECT_EQ(doubling_sizes(64, 1024),
+            (std::vector<std::size_t>{64, 128, 256, 512, 1024}));
+  EXPECT_EQ(doubling_sizes(33, 64), (std::vector<std::size_t>{33}));
+  // Doubling 2^63 wraps to 0: the sweep ends at 2^63.
+  EXPECT_EQ(doubling_sizes(std::uint64_t{1} << 62, UINT64_MAX),
+            (std::vector<std::size_t>{std::size_t{1} << 62,
+                                      std::size_t{1} << 63}));
+  EXPECT_EQ(doubling_sizes(64, 1024, "ba", 2), doubling_sizes(64, 1024));
+}
+
+TEST(DoublingSizes, BadSweepIsANamedError) {
+  // A zero start, a start above the end, a size BA cannot build, and
+  // sizes past 32-bit node ids.
+  for (const auto& [min_n, max_n] :
+       {std::pair<std::uint64_t, std::uint64_t>{0, 64},
+        {65, 64},
+        {2, 64},
+        {std::uint64_t{1} << 62, UINT64_MAX}}) {
+    try {
+      doubling_sizes(min_n, max_n, "ba", 2);
+      ADD_FAILURE() << "--min-n " << min_n << ": expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--min-n " +
+                                           std::to_string(min_n)),
                 std::string::npos)
           << e.what();
     }

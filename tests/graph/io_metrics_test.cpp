@@ -5,7 +5,6 @@
 
 #include "graph/generators.h"
 #include "graph/io.h"
-#include "graph/metrics.h"
 #include "util/rng.h"
 
 namespace dash::graph {
@@ -132,7 +131,7 @@ TEST(Io, RepeatedReversedAndDeadNodeLinesLoadTheSameGraph) {
 
 TEST(Metrics, MaxAndArgmaxDegree) {
   const Graph g = star_graph(6);
-  EXPECT_EQ(max_degree(g), 5u);
+  EXPECT_EQ(g.degree(g.argmax_degree()), 5u);
   EXPECT_EQ(g.argmax_degree(), 0u);
 }
 
@@ -143,31 +142,7 @@ TEST(Metrics, ArgmaxTiesGoToLowestId) {
 
 TEST(Metrics, EmptyGraphDefaults) {
   Graph g(0);
-  EXPECT_EQ(max_degree(g), 0u);
   EXPECT_EQ(g.argmax_degree(), kInvalidNode);
-  EXPECT_EQ(average_degree(g), 0.0);
-}
-
-TEST(Metrics, AverageDegree) {
-  const Graph g = cycle_graph(10);
-  EXPECT_DOUBLE_EQ(average_degree(g), 2.0);
-}
-
-TEST(Metrics, DegreeHistogram) {
-  const Graph g = star_graph(5);  // one degree-4 hub, four degree-1 leaves
-  const auto hist = degree_histogram(g);
-  ASSERT_EQ(hist.size(), 5u);
-  EXPECT_EQ(hist[1], 4u);
-  EXPECT_EQ(hist[4], 1u);
-  EXPECT_EQ(hist[0], 0u);
-}
-
-TEST(Metrics, HistogramSkipsDead) {
-  Graph g = star_graph(5);
-  g.delete_node(0);
-  const auto hist = degree_histogram(g);
-  ASSERT_EQ(hist.size(), 1u);
-  EXPECT_EQ(hist[0], 4u);  // all leaves now isolated
 }
 
 }  // namespace

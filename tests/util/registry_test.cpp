@@ -156,15 +156,5 @@ TEST(Registry, ExtraArgsForwardToFactory) {
   EXPECT_EQ(r.create("offset:10", 5)->value(), 15);
 }
 
-TEST(Registrar, RegistersOnConstruction) {
-  Registry<Widget> r("widget");
-  const Registrar<Widget> reg(
-      r, "late", [](const std::string&) -> std::unique_ptr<Widget> {
-        return std::make_unique<Plain>();
-      });
-  EXPECT_TRUE(r.contains("late"));
-  EXPECT_EQ(r.create("late")->value(), 1);
-}
-
 }  // namespace
 }  // namespace dash::util

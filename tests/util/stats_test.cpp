@@ -36,13 +36,6 @@ TEST(Summary, HandComputed) {
   EXPECT_DOUBLE_EQ(s.median, 4.5);
 }
 
-TEST(Summary, Ci95Halfwidth) {
-  const Summary s = summarize({1, 2, 3, 4, 5});
-  const double expected = 1.96 * s.stddev / std::sqrt(5.0);
-  EXPECT_NEAR(s.ci95_halfwidth(), expected, 1e-12);
-  EXPECT_EQ(summarize({1.0}).ci95_halfwidth(), 0.0);
-}
-
 TEST(Quantile, Extremes) {
   const std::vector<double> xs{3, 1, 2};
   EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 1.0);
@@ -54,63 +47,6 @@ TEST(Quantile, LinearInterpolation) {
   // numpy.quantile([0, 10], 0.25) == 2.5 (type-7).
   EXPECT_DOUBLE_EQ(quantile({0, 10}, 0.25), 2.5);
   EXPECT_DOUBLE_EQ(quantile({0, 10, 20, 30}, 1.0 / 3.0), 10.0);
-}
-
-TEST(OnlineStats, MatchesBatch) {
-  const std::vector<double> xs{1.5, -2.0, 3.25, 8.0, 0.0, -1.0};
-  OnlineStats on;
-  for (double x : xs) on.add(x);
-  const Summary batch = summarize(xs);
-  EXPECT_EQ(on.count(), batch.count);
-  EXPECT_NEAR(on.mean(), batch.mean, 1e-12);
-  EXPECT_NEAR(on.stddev(), batch.stddev, 1e-12);
-  EXPECT_DOUBLE_EQ(on.min(), batch.min);
-  EXPECT_DOUBLE_EQ(on.max(), batch.max);
-}
-
-TEST(OnlineStats, VarianceNeedsTwo) {
-  OnlineStats on;
-  EXPECT_EQ(on.variance(), 0.0);
-  on.add(5.0);
-  EXPECT_EQ(on.variance(), 0.0);
-  on.add(7.0);
-  EXPECT_DOUBLE_EQ(on.variance(), 2.0);  // sample variance of {5,7}
-}
-
-TEST(OnlineStats, MergeEqualsSequential) {
-  OnlineStats left, right, all;
-  const std::vector<double> xs{1, 2, 3, 4, 5, 6, 7, 8};
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    (i < 3 ? left : right).add(xs[i]);
-    all.add(xs[i]);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats a, b;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(b);  // no-op
-  EXPECT_EQ(a.count(), 2u);
-  b.merge(a);  // copies
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
-TEST(LinearSlope, ExactLine) {
-  // y = 3x + 1.
-  EXPECT_NEAR(linear_slope({0, 1, 2, 3}, {1, 4, 7, 10}), 3.0, 1e-12);
-}
-
-TEST(LinearSlope, Degenerate) {
-  EXPECT_EQ(linear_slope({1}, {2}), 0.0);
-  EXPECT_EQ(linear_slope({2, 2, 2}, {1, 5, 9}), 0.0);  // vertical
 }
 
 }  // namespace
