@@ -41,7 +41,8 @@ struct FigureOptions {
   /// Parse common flags, plus the bench's own through `extra`; returns
   /// false if the program should exit (check `help` to distinguish
   /// --help from a parse error). A size sweep the BA family cannot run
-  /// is a parse error naming its flags.
+  /// is a parse error naming its flags, and an unknown --attack one
+  /// naming the attack.
   bool parse(int argc, char** argv, const std::string& description,
              const std::function<void(dash::util::Options&)>& extra =
                  nullptr) {
@@ -65,6 +66,7 @@ struct FigureOptions {
     }
     try {
       sizes();  // throws for a sweep the BA family cannot run
+      api::Scenario::parse("targeted:" + attack);  // and for a bad attack
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return false;

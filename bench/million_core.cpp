@@ -28,6 +28,8 @@
 //      the network targeted:neighborofmax leaves after n/2 deletions
 //      (half the nodes dead, G' grown by the heals) -- the check the
 //      paper's guarantees rest on, at the scale they are claimed for.
+//      A violation in either battery makes the exit code 1, once the
+//      ledger line is out.
 //
 // The last line is one JSON object: each section's medians under the
 // metric names of BENCH_perf_ledger.json, plus the process's peak RSS
@@ -321,7 +323,8 @@ void bench_victims(std::size_t n, std::size_t rounds, std::uint64_t seed,
   table.print(std::cout);
 }
 
-void bench_battery(std::size_t n, std::uint64_t seed, Ledger& ledger) {
+/// Returns false when either battery reports a violation.
+bool bench_battery(std::size_t n, std::uint64_t seed, Ledger& ledger) {
   Rng rng(seed);
   dash::api::Network net(dash::graph::barabasi_albert(n, 2, rng), "dash",
                          seed);
@@ -337,6 +340,7 @@ void bench_battery(std::size_t n, std::uint64_t seed, Ledger& ledger) {
             << net.graph().num_alive() << " alive, "
             << net.state().num_healing_edges() << " healing edges\n";
 
+  bool all_hold = true;
   for (const bool rem : {false, true}) {
     // battery_every = 0: no per-round batteries, one end-state sweep
     // per on_finish -- a battery over the whole state. The observer
@@ -362,7 +366,9 @@ void bench_battery(std::size_t n, std::uint64_t seed, Ledger& ledger) {
               << std::endl;
     ledger.emplace_back(rem ? "battery_rem_on_ms" : "battery_rem_off_ms",
                         median);
+    all_hold &= battery.ok();
   }
+  return all_hold;
 }
 
 double peak_rss_mb() {
@@ -428,11 +434,11 @@ int main(int argc, char** argv) {
 
   std::cout << "\n-- five invariant batteries after n/2 neighborofmax "
                "deletions --\n";
-  bench_battery(n, seed, ledger);
+  const bool batteries_hold = bench_battery(n, seed, ledger);
 
   const double rss = peak_rss_mb();
   std::cout << "\npeak RSS: " << rss << " MB\n";
   ledger.emplace_back("peak_rss_mb", rss);
   print_ledger(ledger);
-  return 0;
+  return batteries_hold ? 0 : 1;
 }

@@ -51,19 +51,41 @@ Check check_delta_bound(const HealingState& state, std::size_t n) {
 
 // ---- HealingForestWalk -----------------------------------------------
 
+namespace {
+
+bool test_bit(const std::uint64_t* bits, std::uint64_t x) {
+  return (bits[x >> 6] >> (x & 63)) & 1;
+}
+void set_bit(std::uint64_t* bits, std::uint64_t x) {
+  bits[x >> 6] |= std::uint64_t{1} << (x & 63);
+}
+
+/// Where a failing E' edge {a, b} is named: at its lower endpoint
+/// when both are alive, else at its alive one (kInvalidNode when both
+/// are dead).
+NodeId edge_candidate(NodeId a, bool a_alive, NodeId b, bool b_alive) {
+  return std::min(a_alive ? a : graph::kInvalidNode,
+                  b_alive ? b : graph::kInvalidNode);
+}
+
+}  // namespace
+
 Check HealingForestWalk::check(const Graph& g, const HealingState& state,
                                ForestWalkOptions opts) {
   const std::size_t n = g.num_nodes();
   DASH_CHECK_MSG(state.num_nodes() == n, "state out of sync with graph");
-  if (seen_.size() < n) {
-    seen_.resize(n, 0);
-    id_seen_.resize(n, 0);
+  const std::size_t words = (n + 63) / 64;
+  seen_.assign(words, 0);
+  id_seen_.assign(words, 0);
+  if (queue_.size() < n + 1) {
+    queue_.resize(n + 1);
+    parent_.resize(n + 1);
   }
-  if (++epoch_ == 0) {  // the stamp wrapped: forget every old mark
-    std::fill(seen_.begin(), seen_.end(), 0);
-    std::fill(id_seen_.begin(), id_seen_.end(), 0);
-    epoch_ = 1;
-  }
+  std::uint64_t* const seen = seen_.data();
+  std::uint64_t* const id_seen = id_seen_.data();
+  NodeId* const queue = queue_.data();
+  std::uint32_t* const parent_at = parent_.data();
+  const graph::BlockSlab& adjacency = g.adjacency();
 
   // Each property's first failure, kept as a node: the lowest failing
   // one, or for the ids the root of the first failing tree. The
@@ -78,8 +100,11 @@ Check HealingForestWalk::check(const Graph& g, const HealingState& state,
   double rem_value = 0.0;
   double rem_bound = 0.0;
 
-  auto drifts = [&](NodeId v) {
-    return state.delta(v) != state.raw_degree_increase(g, v);
+  // delta(v) against the size of v's block, which the caller holds.
+  auto drifts = [&](NodeId v, std::size_t degree) {
+    return state.delta(v) != static_cast<std::int64_t>(degree) -
+                                 static_cast<std::int64_t>(
+                                     state.initial_degree(v));
   };
   // Trees come in ascending root order: the first failing one is the
   // one a per-root scan names.
@@ -91,8 +116,8 @@ Check HealingForestWalk::check(const Graph& g, const HealingState& state,
       return;
     }
     DASH_CHECK_MSG(id < n, "component id out of range");
-    if (id_seen_[id] == epoch_) ids_at = root;
-    id_seen_[id] = epoch_;
+    if (test_bit(id_seen, id)) ids_at = root;
+    set_bit(id_seen, id);
   };
   auto check_rem = [&](NodeId v, std::uint64_t rem_weight) {
     const auto rem = static_cast<double>(rem_weight);
@@ -103,38 +128,23 @@ Check HealingForestWalk::check(const Graph& g, const HealingState& state,
       rem_bound = bound;
     }
   };
-  // E' subset of E, one probe per undirected E' edge {v, u}, taken from
-  // v < u: E' is symmetric, so u's list names v too. Its lowest failing
-  // endpoint is v when v is alive, else u. Adjacency is symmetric, so
-  // the probe searches the shorter of the two sorted blocks.
-  auto probe_edge = [&](NodeId v, std::span<const NodeId> v_block,
-                        bool v_alive, NodeId u) {
-    const bool u_alive = g.alive(u);
-    if (!v_alive) {
-      if (u_alive && u < edge_at) edge_at = u;
-      return;
-    }
-    if (v >= edge_at) return;
-    if (!u_alive) {
-      edge_at = v;
-      return;
-    }
-    std::span<const NodeId> block = v_block;
-    NodeId other = u;
-    const std::span<const NodeId> u_block = g.neighbors(u);
-    if (u_block.size() < block.size()) {
-      block = u_block;
-      other = v;
-    }
-    if (!std::binary_search(block.begin(), block.end(), other)) edge_at = v;
+
+  // Six queue slots before a node is dequeued, its blocks in G and G'
+  // are prefetched: at 10^6 nodes they are mostly out of cache.
+  constexpr std::size_t kAhead = 6;
+  auto prefetch_blocks = [&](NodeId v) {
+    __builtin_prefetch(adjacency.list(v).data());
+    __builtin_prefetch(state.forest_neighbors(v).data());
   };
 
   for (const NodeId root : g.alive_set()) {
-    if (seen_[root] == epoch_) continue;
+    if (test_bit(seen, root)) continue;
     const std::uint64_t id = state.component_id(root);
     if (state.forest_neighbors(root).empty()) {
       // A G'-singleton: no edge to walk or probe, and rem = w(root).
-      if (root < delta_at && drifts(root)) delta_at = root;
+      if (drifts(root, adjacency.size(root))) {
+        delta_at = std::min(delta_at, root);
+      }
       claim_id(root, id, false);
       if (opts.check_rem_bound && root < rem_at) {
         check_rem(root, state.weight(root));
@@ -142,32 +152,51 @@ Check HealingForestWalk::check(const Graph& g, const HealingState& state,
       continue;
     }
     // BFS from the tree's lowest alive id. A dead id that E' still
-    // names is walked like any node; only its per-node checks are
-    // skipped. The root is its own parent (E' has no self-loops).
-    queue_.assign(1, root);
-    parent_.assign(1, 0);
-    seen_[root] = epoch_;
+    // names is walked like any node (its block is empty); only its
+    // per-node checks are skipped. The root is its own parent (E' has
+    // no self-loops). Every E' entry is stored at the queue's tail and
+    // kept only if unseen, so the loop takes no branch on the marks;
+    // the queue has a slot past n for the last store.
+    queue[0] = root;
+    parent_at[0] = 0;
+    set_bit(seen, root);
+    std::size_t tail = 1;
     bool mixed = false;
     bool cyclic = false;
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const NodeId v = queue_[i];
-      const NodeId parent = queue_[parent_[i]];
+    for (std::size_t i = 0; i < tail; ++i) {
+      if (i + kAhead < tail) prefetch_blocks(queue[i + kAhead]);
+      const NodeId v = queue[i];
+      const NodeId p = queue[parent_at[i]];
       const bool v_alive = g.alive(v);
       mixed |= state.component_id(v) != id;
-      const std::span<const NodeId> v_block =
-          v_alive ? g.neighbors(v) : std::span<const NodeId>{};
+      const std::span<const NodeId> block = adjacency.list(v);
+      if (v_alive & drifts(v, block.size())) delta_at = std::min(delta_at, v);
+      // E' subset of E: the E' edge {v, x} is a G-edge iff both ends
+      // are alive and x is in v's block. Each tree edge is probed from
+      // its child.
+      auto probe = [&](NodeId x) {
+        const bool x_alive = g.alive(x);
+        const bool in_g = v_alive & x_alive &
+                          std::binary_search(block.begin(), block.end(), x);
+        const NodeId at = edge_candidate(v, v_alive, x, x_alive);
+        edge_at = std::min(edge_at, in_g ? kNone : at);
+      };
+      if (p != v) probe(p);
       for (const NodeId u : state.forest_neighbors(v)) {
-        if (v < u) probe_edge(v, v_block, v_alive, u);
-        if (u == parent) continue;
-        if (seen_[u] == epoch_) {
+        std::uint64_t& word = seen[u >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (u & 63);
+        const bool fresh = (word & bit) == 0;
+        word |= bit;
+        queue[tail] = u;
+        parent_at[tail] = static_cast<std::uint32_t>(i);
+        tail += fresh;
+        if (!fresh && u != p) [[unlikely]] {
+          // An E' edge off the BFS tree: G' has a cycle here. Both ends
+          // meet it as a seen entry; the lower end probes it.
           cyclic = true;
-          continue;
+          if (v < u) probe(u);
         }
-        seen_[u] = epoch_;
-        queue_.push_back(u);
-        parent_.push_back(static_cast<std::uint32_t>(i));
       }
-      if (v_alive && v < delta_at && drifts(v)) delta_at = v;
     }
     if (cyclic && opts.require_forest) {
       return Check::fail("healing graph G' contains a cycle");
@@ -183,18 +212,17 @@ Check HealingForestWalk::check(const Graph& g, const HealingState& state,
     // rem(v) = W(T) minus the heaviest side of T once v is cut out: a
     // child's subtree, or W(T) - W(subtree(v)) above v. Reverse BFS
     // order finishes every child before its parent.
-    const std::size_t size = queue_.size();
-    subtree_.resize(size);
-    heaviest_.assign(size, 0);
-    for (std::size_t i = 0; i < size; ++i) {
-      subtree_[i] = state.weight(queue_[i]);
+    subtree_.resize(tail);
+    heaviest_.assign(tail, 0);
+    for (std::size_t i = 0; i < tail; ++i) {
+      subtree_[i] = state.weight(queue[i]);
     }
-    for (std::size_t i = size; i-- > 1;) {
-      subtree_[parent_[i]] += subtree_[i];
-      heaviest_[parent_[i]] = std::max(heaviest_[parent_[i]], subtree_[i]);
+    for (std::size_t i = tail; i-- > 1;) {
+      subtree_[parent_at[i]] += subtree_[i];
+      heaviest_[parent_at[i]] = std::max(heaviest_[parent_at[i]], subtree_[i]);
     }
-    for (std::size_t i = 0; i < size; ++i) {
-      const NodeId v = queue_[i];
+    for (std::size_t i = 0; i < tail; ++i) {
+      const NodeId v = queue[i];
       if (v >= rem_at || !g.alive(v)) continue;
       const std::uint64_t above = i == 0 ? 0 : subtree_[0] - subtree_[i];
       check_rem(v, subtree_[0] - std::max(heaviest_[i], above));

@@ -58,9 +58,13 @@ struct ForestWalkOptions {
 
 /// The healing-forest properties, checked in one walk of G' that
 /// visits each alive node and each E' entry once (O(n + |E'|), plus one
-/// O(log deg) adjacency probe per undirected E' edge, in the sorted
-/// block of its lower-degree endpoint). Roots come from the graph's
-/// alive words, and a G'-singleton is settled without a BFS.
+/// adjacency probe per undirected E' edge). Trees start at their
+/// lowest alive id, taken from the graph's alive set, and a
+/// G'-singleton is settled without a BFS. Each BFS-tree edge is probed
+/// once, when its child is dequeued, by a binary search of the child's
+/// own sorted block -- the block the walk reads for delta anyway; an
+/// E' edge off the BFS tree (only a cycle has one) is probed from its
+/// lower end.
 /// check() reports the first failing property in this order:
 ///   1. G' is a forest (only with require_forest);
 ///   2. component ids are uniform inside each G'-tree and distinct
@@ -72,21 +76,34 @@ struct ForestWalkOptions {
 ///      which fails as "rem(<root>) undefined: ...".
 /// Trees are walked from their lowest alive id in ascending order, and
 /// within a property the node named is the lowest failing one, as an
-/// ascending scan per property would name it; an E' edge failure names
-/// that node's first failing entry. E' must be a simple symmetric
-/// adjacency over the graph's ids, which HealingState keeps and
-/// HealingState::load enforces. The work buffers (epoch-stamped marks,
-/// a flat BFS queue) are reused across calls by one thread at a time.
+/// ascending scan per property would name it; a failing E' edge is
+/// named at its lower endpoint when both are alive, else at its alive
+/// one, by that node's first failing entry. E' must be a simple
+/// symmetric adjacency over the graph's ids, which HealingState keeps
+/// and HealingState::load enforces.
+///
+/// The work buffers are reused across calls by one thread at a time,
+/// and a warm call allocates nothing: the visited and id marks are
+/// bitsets of n/8 bytes each, cleared once per call; the BFS queue and
+/// its parent positions hold n + 1 slots, since every E' entry is
+/// stored at the queue's tail and kept only if unseen (no branch on
+/// the marks), so a tree over all n ids still stores at index n; the
+/// subtree weights serve Lemma 4. Six queue slots before a node is
+/// dequeued, its blocks in G and G' are prefetched.
+/// Cost, on BA(n, 2) after n/2 neighborofmax deletions (bench/
+/// million_core's battery section, rem bound off / on): about 0.21 /
+/// 0.27 ms at n = 10^4, 2.2 / 3.1 ms at 10^5 and 59 / 85 ms at 10^6.
+/// A battery of perfbench's paper-targeted (n = 4096, about 2,048
+/// alive nodes and 1,190 E' edges) takes about 70 us traced.
 class HealingForestWalk {
  public:
   Check check(const Graph& g, const HealingState& state,
               ForestWalkOptions opts);
 
  private:
-  std::vector<std::uint32_t> seen_;     ///< per node: epoch of visit
-  std::vector<std::uint32_t> id_seen_;  ///< per component id: epoch used
-  std::uint32_t epoch_ = 0;
-  std::vector<NodeId> queue_;           ///< one tree in BFS order
+  std::vector<std::uint64_t> seen_;     ///< visited bit per node
+  std::vector<std::uint64_t> id_seen_;  ///< used bit per component id
+  std::vector<NodeId> queue_;           ///< one tree in BFS order, n + 1
   std::vector<std::uint32_t> parent_;   ///< queue position of the parent
   std::vector<std::uint64_t> subtree_;  ///< W(subtree), by queue position
   std::vector<std::uint64_t> heaviest_; ///< heaviest child subtree

@@ -50,7 +50,7 @@ struct InvariantOptions {
 /// (analysis::HealingForestWalk, whose scratch this observer keeps)
 /// and the O(1) delta bound. Measured on BA(n, 2) after n/2
 /// neighborofmax deletions (bench/million_core, median of five): about
-/// 0.11 s a battery at n = 10^6 with the rem bound off and 0.14 s with
+/// 59 ms a battery at n = 10^6 with the rem bound off and 85 ms with
 /// it on; at the default cadence that is every round, so large runs
 /// amortize it with battery_every.
 class InvariantObserver final : public Observer {

@@ -138,6 +138,12 @@ class Graph {
     return slab_.size(v);
   }
 
+  /// Every id's sorted adjacency block, read-only: list(v) is
+  /// neighbors(v) for an alive id and empty for a dead one, without the
+  /// alive check. For walks that read blocks of ids they have not
+  /// checked; valid as neighbors() is.
+  const BlockSlab& adjacency() const { return slab_; }
+
   /// All alive node ids, ascending. Allocates per call; sweeps should
   /// iterate alive_set() instead, rank lookups use kth_alive(), and
   /// uniform draws graph::sample_alive (graph/sample.h).

@@ -19,14 +19,26 @@ namespace dash::util {
 
 }  // namespace dash::util
 
-#define DASH_CHECK(expr)                                              \
-  do {                                                                \
-    if (!(expr)) ::dash::util::check_failed(#expr, __FILE__, __LINE__, ""); \
+// The file a failed check names: its basename where the compiler has
+// __FILE_NAME__ (GCC 12 and later, Clang 9 and later), so the path of
+// the checkout a binary was built in never enters it; the full
+// __FILE__ on older compilers.
+#ifdef __FILE_NAME__
+#define DASH_CHECK_FILE __FILE_NAME__
+#else
+#define DASH_CHECK_FILE __FILE__
+#endif
+
+#define DASH_CHECK(expr)                                                  \
+  do {                                                                    \
+    if (!(expr))                                                          \
+      ::dash::util::check_failed(#expr, DASH_CHECK_FILE, __LINE__, "");   \
   } while (0)
 
-#define DASH_CHECK_MSG(expr, msg)                                       \
-  do {                                                                  \
-    if (!(expr)) ::dash::util::check_failed(#expr, __FILE__, __LINE__, msg); \
+#define DASH_CHECK_MSG(expr, msg)                                         \
+  do {                                                                    \
+    if (!(expr))                                                          \
+      ::dash::util::check_failed(#expr, DASH_CHECK_FILE, __LINE__, msg);  \
   } while (0)
 
 #ifdef NDEBUG

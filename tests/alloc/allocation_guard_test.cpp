@@ -8,14 +8,18 @@
 // every buffer, slab class and free list reach its working size; then a
 // churn window (one join after each deletion) and a strike window are
 // counted, remove() calls only. The counts repeat exactly for a seed,
-// so unlike a timing this guard is deterministic.
+// so unlike a timing this guard is deterministic. The invariant
+// battery's walk of G' is held to none at all once warm: it reuses its
+// scratch from call to call.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <new>
 #include <vector>
 
+#include "analysis/invariants.h"
 #include "api/network.h"
+#include "api/scenario.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -96,6 +100,23 @@ TEST(AllocationGuard, CountsRepeatForASeed) {
   const Counts second = count_allocations(11);
   EXPECT_EQ(first.churn, second.churn);
   EXPECT_EQ(first.strike, second.strike);
+}
+
+TEST(AllocationGuard, WarmForestWalkAllocatesNothing) {
+  util::Rng rng(3);
+  Network net(graph::barabasi_albert(kNodes, 2, rng), "dash", 3);
+  net.play(Scenario::parse("targeted:neighborofmaxx256"), rng);
+  ASSERT_GT(net.state().num_healing_edges(), 0u);
+  analysis::HealingForestWalk walk;
+  const analysis::ForestWalkOptions opts{.check_rem_bound = true};
+  ASSERT_TRUE(walk.check(net.graph(), net.state(), opts).ok);  // warm-up
+  const std::size_t before = allocations;
+  std::size_t passed = 0;
+  for (int i = 0; i < 100; ++i) {
+    passed += walk.check(net.graph(), net.state(), opts).ok;
+  }
+  EXPECT_EQ(allocations - before, 0u);
+  EXPECT_EQ(passed, 100u);
 }
 
 }  // namespace

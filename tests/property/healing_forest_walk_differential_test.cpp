@@ -10,8 +10,10 @@
 //     (a cycle edge, a mixed id, one id on two trees, an E' edge missing
 //     from G, a dead E' endpoint, delta drift, a rem violation, and the
 //     id, delta and rem cases again on a G'-singleton, plus a dead
-//     endpoint below all its E' partners), which also pins the order
-//     the failures rank in.
+//     endpoint below all its E' partners and a cycle edge missing from
+//     G), which also pins the order the failures rank in;
+//   * on healthy states whose one G'-tree spans every alive node, and
+//     every id.
 //
 // The one place the walk departs from the reference is Lemma 4 on a
 // cyclic E', where the reference rem() aborts: the expectation there is
@@ -23,6 +25,7 @@
 #include <cmath>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <unordered_set>
@@ -35,6 +38,7 @@
 #include "api/api.h"
 #include "core/dash.h"
 #include "core/healing_state.h"
+#include "core/line_heal.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -376,6 +380,24 @@ NodeId pick_singleton(const State& s, Rng& rng) {
   return singles[static_cast<std::size_t>(rng.below(singles.size()))];
 }
 
+/// Closes a cycle in E': a new healing edge between two nodes of a
+/// random tree with at least three alive nodes that E' does not join
+/// yet. Returns the pair, or nothing if the state has no place for it.
+std::optional<std::pair<NodeId, NodeId>> close_cycle(State& s, Rng& rng) {
+  const auto trees = trees_of(s);
+  const auto* tree = pick_tree(trees, 3, rng);
+  if (tree == nullptr) return std::nullopt;
+  for (int tries = 0; tries < 64; ++tries) {
+    const NodeId a = (*tree)[rng.below(tree->size())];
+    const NodeId b = (*tree)[rng.below(tree->size())];
+    const auto& fa = s.st.forest_neighbors(a);
+    if (a == b || std::find(fa.begin(), fa.end(), b) != fa.end()) continue;
+    s.st.add_healing_edge(s.g, a, b);
+    return std::pair{a, b};
+  }
+  return std::nullopt;
+}
+
 struct Corruption {
   const char* name;
   Rank rank;  ///< the property it breaks first
@@ -385,22 +407,7 @@ struct Corruption {
 
 const Corruption kCorruptions[] = {
     {"cycle edge", kForest,
-     [](State& s, Rng& rng) {
-       const auto trees = trees_of(s);
-       const auto* tree = pick_tree(trees, 3, rng);
-       if (tree == nullptr) return false;
-       for (int tries = 0; tries < 64; ++tries) {
-         const NodeId a = (*tree)[rng.below(tree->size())];
-         const NodeId b = (*tree)[rng.below(tree->size())];
-         const auto& fa = s.st.forest_neighbors(a);
-         if (a == b || std::find(fa.begin(), fa.end(), b) != fa.end()) {
-           continue;
-         }
-         s.st.add_healing_edge(s.g, a, b);
-         return true;
-       }
-       return false;
-     }},
+     [](State& s, Rng& rng) { return close_cycle(s, rng).has_value(); }},
     {"mixed id", kIds,
      [](State& s, Rng& rng) {
        const auto trees = trees_of(s);
@@ -539,6 +546,16 @@ const Corruption kCorruptions[] = {
        s.st = with_line(s.st, 6, weights);
        return true;
      }},
+    {"cycle E' edge missing from G", kForest,
+     [](State& s, Rng& rng) {
+       // Without require_forest the E' edge failure must still be
+       // named; when the BFS reaches the closing edge last, it is the
+       // one E' edge off the BFS tree.
+       const auto edge = close_cycle(s, rng);
+       if (!edge) return false;
+       s.g.remove_edge(edge->first, edge->second);
+       return true;
+     }},
 };
 
 constexpr ForestWalkOptions kOptionSets[] = {
@@ -609,6 +626,42 @@ TEST(ForestWalkDifferential, CorruptedStatesInPairsRankInCheckOrder) {
     }
   }
   EXPECT_GE(applied, 400u);
+}
+
+TEST(ForestWalkDifferential, OneTreeOverEveryNodeFillsTheQueue) {
+  // The line healer on a star whose hub is deleted: one G'-path over
+  // every alive node.
+  {
+    Graph g = graph::star_graph(33);
+    Rng rng(7);
+    HealingState st(g, rng);
+    const core::DeletionContext ctx = st.begin_deletion(g, 0);
+    g.delete_node(0);
+    core::LineHealStrategy().heal(g, st, ctx);
+    const State s{std::move(g), std::move(st)};
+    ASSERT_EQ(s.st.healing_component(s.g, 1).size(), s.g.num_alive());
+    EXPECT_TRUE(HealingForestWalk().check(s.g, s.st, {}).ok);
+    expect_agreement(s, kNone, "line-healed star");
+  }
+  // One G'-path over every id, none deleted: the BFS fills all n queue
+  // slots, and the entries it reads after that still store one past
+  // them.
+  {
+    constexpr std::size_t kIds = 33;
+    Graph g(kIds);
+    Rng rng(9);
+    HealingState st(g, rng);
+    std::vector<NodeId> all(kIds);
+    for (NodeId v = 0; v < kIds; ++v) {
+      all[v] = v;
+      if (v > 0) st.add_healing_edge(g, v - 1, v);
+    }
+    st.propagate_min_id(g, all);
+    const State s{std::move(g), std::move(st)};
+    ASSERT_EQ(s.st.healing_component(s.g, 0).size(), kIds);
+    EXPECT_TRUE(HealingForestWalk().check(s.g, s.st, {}).ok);
+    expect_agreement(s, kNone, "G'-path over every id");
+  }
 }
 
 TEST(ForestWalkDifferential, NamesTheLowestFailingNode) {
