@@ -11,6 +11,7 @@
 
 #include "api/api.h"
 #include "graph/generators.h"
+#include "graph/io.h"
 #include "test_helpers.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -469,6 +470,152 @@ TEST(ScenarioGolden, EveryPhaseTypeMatchesRecordedHashes) {
       " rows 0b800f0b5c8667a5 json fa879a769cae0728",
       "graph mix:2{strike:random},1{join:2}x40"
       " rows e1f1ac55a18893c0 json fd802d4a83ab6c69",
+  };
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i]);
+}
+
+/// One played spec under `healer`, with the invariant observer attached,
+/// as a line: one FNV-1a digest over the digests of its rows, its JSON
+/// summary, the healing state's checkpoint bytes (which read E' list by
+/// list, in insertion order) and the final edge list, then the
+/// observer's verdict.
+std::string every_healer_line(const std::string& spec,
+                              const std::string& healer) {
+  std::ostringstream rows, doc, edges;
+  CsvStreamSink csv(rows);
+  JsonSummarySink json(doc);
+  json.begin_group({{"scenario", spec}, {"healer", healer}});
+  InvariantObserver invariants;
+  auto net = make_net(48, 31, healer);
+  net.add_observer(&invariants);
+  net.add_observer(std::make_unique<SinkObserver>(csv));
+  net.add_observer(std::make_unique<SinkObserver>(json));
+  net.play(Scenario::parse(spec), 31);
+  csv.flush();
+  json.flush();
+  graph::write_edge_list(edges, net.graph());
+  std::string digests;
+  for (const std::string& bytes :
+       {rows.str(), doc.str(), dash::testing::save_bytes(net.state()),
+        edges.str()}) {
+    digests += util::hex16(util::fnv1a64(bytes));
+  }
+  return healer + " " + spec + " " + util::hex16(util::fnv1a64(digests)) +
+         (invariants.ok() ? " ok" : " " + invariants.violation());
+}
+
+TEST(ScenarioGolden, EveryHealerMatchesRecordedHashes) {
+  // Every registered healer shape over every phase type: the edges each
+  // heal adds, their E' order, the ids and the counters must keep these
+  // lines.
+  std::vector<std::string> got;
+  for (const char* healer : {"dash", "sdash", "sdash:3", "graph", "line",
+                             "binarytree", "capped:2", "none"}) {
+    for (const char* spec : dash::testing::kEveryPhaseType) {
+      got.push_back(every_healer_line(spec, healer));
+    }
+  }
+  const std::vector<std::string> want = {
+      "dash strike:randomx30 7acf649ecf639025 ok",
+      "dash batch:4,randomx4;batch:3,hubsx2 dcdee70d9b2e262e ok",
+      "dash churn:0.4,0.4x80 88aaab4380f87797 ok",
+      "dash targeted:maxnodex30 7408e570ce76d282 ok",
+      "dash until:12,random 3caf3d34b98c12da ok",
+      "dash repeat:3{strike:randomx5;churn:0.3,0.2x10} a524a2a734d1496f ok",
+      "dash floor:16;targeted:maxnode ac03a9bcf1223c02 ok",
+      "dash untilfrac:0.5,neighborofmax 6f127098dfacbc9d ok",
+      "dash join:2x10;strike:randomx20 b7a314424ef68d80 ok",
+      "dash ramp:0.1,0.5,0.5,0.1x60 10fac0962bb37819 ok",
+      "dash mix:2{strike:random},1{join:2}x40 fcef7f5cf04631b6 ok",
+      "sdash strike:randomx30 da8a5196c56ed30d ok",
+      "sdash batch:4,randomx4;batch:3,hubsx2 76545cdf2059a2eb ok",
+      "sdash churn:0.4,0.4x80 59d2733f83c3ac3f ok",
+      "sdash targeted:maxnodex30 8bde6aea6c8dc862 ok",
+      "sdash until:12,random 43a36e7cae576dd7 ok",
+      "sdash repeat:3{strike:randomx5;churn:0.3,0.2x10} 87fb4efd425b47b7 ok",
+      "sdash floor:16;targeted:maxnode a0d6b07a321f28a5 ok",
+      "sdash untilfrac:0.5,neighborofmax c792c50dd7a78720 ok",
+      "sdash join:2x10;strike:randomx20 abf121d117a1005a ok",
+      "sdash ramp:0.1,0.5,0.5,0.1x60 23c02cbd89cbae59 ok",
+      "sdash mix:2{strike:random},1{join:2}x40 7b62acd393305858 ok",
+      "sdash:3 strike:randomx30 69db409ea1e9cc55 ok",
+      "sdash:3 batch:4,randomx4;batch:3,hubsx2 f8c9c5570c7ecfbd ok",
+      "sdash:3 churn:0.4,0.4x80 bb6cf21931110a29 ok",
+      "sdash:3 targeted:maxnodex30 94a2ad71ae537c5e ok",
+      "sdash:3 until:12,random c8155841468eb604 ok",
+      "sdash:3 repeat:3{strike:randomx5;churn:0.3,0.2x10} 7f80aedbebff3661 ok",
+      "sdash:3 floor:16;targeted:maxnode d58f9378b159c5b5 ok",
+      "sdash:3 untilfrac:0.5,neighborofmax 6496d9c57dfc5911 ok",
+      "sdash:3 join:2x10;strike:randomx20 a23f816a62f365d3 ok",
+      "sdash:3 ramp:0.1,0.5,0.5,0.1x60 3bef9307e3986145 ok",
+      "sdash:3 mix:2{strike:random},1{join:2}x40 f1ebf6f4beda7f7f ok",
+      "graph strike:randomx30 5623640684620911 ok",
+      "graph batch:4,randomx4;batch:3,hubsx2 76e968b70a9f2f83 ok",
+      "graph churn:0.4,0.4x80 4f6f37069f15da70 ok",
+      "graph targeted:maxnodex30 1771abc3d9498836 ok",
+      "graph until:12,random b22102becdb132ea ok",
+      "graph repeat:3{strike:randomx5;churn:0.3,0.2x10} dc1c97380a61167e ok",
+      "graph floor:16;targeted:maxnode 92504bb1897a00de ok",
+      "graph untilfrac:0.5,neighborofmax 38d2cbfaf0ab851e ok",
+      "graph join:2x10;strike:randomx20 be5a08ba67515699 ok",
+      "graph ramp:0.1,0.5,0.5,0.1x60 9bc8520d1c798342 ok",
+      "graph mix:2{strike:random},1{join:2}x40 d464bb06973bd0bb ok",
+      "line strike:randomx30 6def21396565799c ok",
+      "line batch:4,randomx4;batch:3,hubsx2 ad6453d9f4ddc5dc ok",
+      "line churn:0.4,0.4x80 bcd01622dcdb92c0 ok",
+      "line targeted:maxnodex30 60d57b4331255860 ok",
+      "line until:12,random b1719263cf37fa2e ok",
+      "line repeat:3{strike:randomx5;churn:0.3,0.2x10} 8208de7326b3049d ok",
+      "line floor:16;targeted:maxnode 6257b746a477c270 ok",
+      "line untilfrac:0.5,neighborofmax 570f7cb65150b92d ok",
+      "line join:2x10;strike:randomx20 144e24a49131891c ok",
+      "line ramp:0.1,0.5,0.5,0.1x60 2555607d6676cce9 ok",
+      "line mix:2{strike:random},1{join:2}x40 85ac0a2666130613 ok",
+      "binarytree strike:randomx30 ee461e547cd8b12d ok",
+      "binarytree batch:4,randomx4;batch:3,hubsx2 401e008ec7550dfe ok",
+      "binarytree churn:0.4,0.4x80 eacc1f6c47f3cb88 ok",
+      "binarytree targeted:maxnodex30 d6ab568063372c0e ok",
+      "binarytree until:12,random 1ec41528ab2732f3 ok",
+      "binarytree repeat:3{strike:randomx5;churn:0.3,0.2x10}"
+      " b2c83d1b778d52a7 ok",
+      "binarytree floor:16;targeted:maxnode e5737eda30dde061 ok",
+      "binarytree untilfrac:0.5,neighborofmax fc86bb4d2c8516e4 ok",
+      "binarytree join:2x10;strike:randomx20 7d80e078345d41bb ok",
+      "binarytree ramp:0.1,0.5,0.5,0.1x60 27a1571ba8f84e02 ok",
+      "binarytree mix:2{strike:random},1{join:2}x40 9d090e26b9acc36e ok",
+      "capped:2 strike:randomx30 e3e11e6475d5f873 ok",
+      "capped:2 batch:4,randomx4;batch:3,hubsx2 1b1ba5af5a9da73b ok",
+      "capped:2 churn:0.4,0.4x80 980c0c6a8e983bec ok",
+      "capped:2 targeted:maxnodex30 41a1fad9f730c8a5 ok",
+      "capped:2 until:12,random c5677143f680e528 ok",
+      "capped:2 repeat:3{strike:randomx5;churn:0.3,0.2x10} 0e83ea0b3e78b19c ok",
+      "capped:2 floor:16;targeted:maxnode e166d848c494e64a ok",
+      "capped:2 untilfrac:0.5,neighborofmax 297c9d97ebad8ac9 ok",
+      "capped:2 join:2x10;strike:randomx20 6b5c88124c3903e5 ok",
+      "capped:2 ramp:0.1,0.5,0.5,0.1x60 8b4501baf459c4ed ok",
+      "capped:2 mix:2{strike:random},1{join:2}x40 2a5793371e565c52 ok",
+      "none strike:randomx30"
+      " d890045f10c2a22e network disconnected after round 12",
+      "none batch:4,randomx4;batch:3,hubsx2 b61acf95837cfac3 ok",
+      "none churn:0.4,0.4x80"
+      " e701e05e8a1f213c network disconnected after round 6",
+      "none targeted:maxnodex30"
+      " 3832ff643d4352dd network disconnected after round 3",
+      "none until:12,random"
+      " 7ead4b8b661e34fd network disconnected after round 12",
+      "none repeat:3{strike:randomx5;churn:0.3,0.2x10}"
+      " b7294b77f775ea1c network disconnected after round 11",
+      "none floor:16;targeted:maxnode"
+      " 2a51af4ac1c2b500 network disconnected after round 3",
+      "none untilfrac:0.5,neighborofmax"
+      " 7c19fdccc688b47d network disconnected after round 8",
+      "none join:2x10;strike:randomx20"
+      " 8815343cb4e289a2 network disconnected after round 15",
+      "none ramp:0.1,0.5,0.5,0.1x60"
+      " d57fb22ccaf7abc8 network disconnected after round 6",
+      "none mix:2{strike:random},1{join:2}x40"
+      " 7c722571b9d99b9e network disconnected after round 22",
   };
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i]);
