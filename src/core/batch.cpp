@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <deque>
 
-#include "core/reconstruction_tree.h"
+#include "core/healers.h"
 #include "util/check.h"
 
 namespace dash::core {
@@ -102,29 +102,11 @@ std::vector<HealAction> dash_heal_batch(Graph& g, HealingState& state,
   std::uint32_t epoch = 0;
   for (const auto& cluster : ctx.clusters) {
     ++epoch;
-    HealAction action;
-    // UN(C,G): one representative per component id among surviving
-    // neighbors, skipping ids of the cluster's own components (those
-    // arrive through the forest neighbors). Representative = lowest
-    // initial id, as in the single-node rule.
-    std::vector<NodeId> reps;
-    for (NodeId u : cluster.survivor_neighbors) {
-      const std::uint64_t cid = state.component_id(u);
-      if (std::find(cluster.member_component_ids.begin(),
-                    cluster.member_component_ids.end(),
-                    cid) != cluster.member_component_ids.end()) {
-        continue;
-      }
-      bool placed = false;
-      for (NodeId& r : reps) {
-        if (state.component_id(r) == cid) {
-          if (state.initial_id(u) < state.initial_id(r)) r = u;
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) reps.push_back(u);
-    }
+    // UN(C,G): the single-node rule, skipping ids of the cluster's own
+    // components (those arrive through the forest neighbors).
+    std::vector<NodeId> candidates;
+    state.representatives(cluster.survivor_neighbors,
+                          cluster.member_component_ids, candidates);
     // Unlike the single-deletion case, component ids cannot
     // disambiguate the candidates here: two surviving G'-neighbors of a
     // *cluster* can end up in the same split subtree (e.g. the G'-path
@@ -134,7 +116,6 @@ std::vector<HealAction> dash_heal_batch(Graph& g, HealingState& state,
     // candidate set by the *actual* post-deletion G'-component: keep
     // the first candidate per component (id-representatives first, then
     // forest neighbors in node-id order).
-    std::vector<NodeId> candidates = std::move(reps);
     candidates.insert(candidates.end(), cluster.forest_neighbors.begin(),
                       cluster.forest_neighbors.end());
     std::vector<NodeId> rt;
@@ -155,17 +136,7 @@ std::vector<HealAction> dash_heal_batch(Graph& g, HealingState& state,
       rt.push_back(c);
     }
     state.sort_by_delta(rt);
-
-    action.reconnection_set_size = rt.size();
-    for (auto [pi, ci] : complete_binary_tree_edges(rt.size())) {
-      if (state.add_healing_edge(g, rt[pi], rt[ci])) {
-        action.new_graph_edges.emplace_back(rt[pi], rt[ci]);
-      }
-    }
-    if (!rt.empty()) {
-      action.ids_rewritten = state.propagate_min_id(g, rt);
-    }
-    actions.push_back(std::move(action));
+    actions.push_back(reconnect(g, state, rt, TreeShape::kBinary));
   }
   return actions;
 }
@@ -175,58 +146,6 @@ std::vector<HealAction> dash_delete_and_heal_batch(
   const BatchDeletionContext ctx = begin_batch_deletion(state, g, batch);
   delete_batch(g, batch);
   return dash_heal_batch(g, state, ctx);
-}
-
-}  // namespace dash::core
-
-// ---- HealingState::begin_cluster_deletions ---------------------------
-// Defined here (not in healing_state.cpp) because it needs the full
-// BatchDeletionContext definition.
-
-namespace dash::core {
-
-void HealingState::begin_cluster_deletions(const Graph& g,
-                                           const BatchDeletionContext& ctx,
-                                           const std::vector<char>& in_batch) {
-  for (const auto& cluster : ctx.clusters) {
-    // Lemma 2, cluster-wise: the cluster's weight survives on one
-    // surviving neighbor -- a G'-neighbor when one exists.
-    const std::vector<NodeId>* heirs = &cluster.forest_neighbors;
-    if (heirs->empty()) heirs = &cluster.survivor_neighbors;
-    if (!heirs->empty()) {
-      NodeId heir = (*heirs)[0];
-      for (NodeId u : *heirs) {
-        if (initial_id_[u] < initial_id_[heir]) heir = u;
-      }
-      weight_[heir] += cluster.weight;
-    }
-    for (NodeId v : cluster.deleted) weight_[v] = 0;
-
-    // Net-delta convention: each survivor loses one degree per edge
-    // into the cluster.
-    for (NodeId v : cluster.deleted) {
-      for (NodeId u : g.neighbors(v)) {
-        if (!in_batch[u]) --delta_[u];
-      }
-    }
-
-    // Detach the cluster from G', counting each incident forest edge
-    // exactly once (survivor edges when seen from the deleted side,
-    // internal edges from their lower endpoint).
-    std::size_t removed_edges = 0;
-    for (NodeId v : cluster.deleted) {
-      for (NodeId u : forest_.list(v)) {
-        if (!in_batch[u]) {
-          forest_erase(u, v);
-          ++removed_edges;
-        } else if (v < u) {
-          ++removed_edges;
-        }
-      }
-    }
-    for (NodeId v : cluster.deleted) forest_.release(v);
-    healing_edges_ -= removed_edges;
-  }
 }
 
 }  // namespace dash::core

@@ -27,20 +27,6 @@
 
 namespace dash::core {
 
-/// Context of one deleted cluster, captured before removal.
-struct ClusterContext {
-  std::vector<NodeId> deleted;            ///< the cluster's members
-  std::vector<NodeId> survivor_neighbors; ///< surviving N(C, G), sorted
-  std::vector<NodeId> forest_neighbors;   ///< surviving N(C, G')
-  std::vector<std::uint64_t> member_component_ids;  ///< ids of members
-  std::uint64_t weight = 0;               ///< total cluster weight
-};
-
-struct BatchDeletionContext {
-  std::vector<ClusterContext> clusters;
-  std::size_t total_deleted = 0;
-};
-
 /// Capture contexts for the simultaneous deletion of `batch`, transfer
 /// weights, charge survivors' delta for every edge they lose into the
 /// batch, and detach the batch from G'. Must be called *before* the

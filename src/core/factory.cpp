@@ -2,13 +2,7 @@
 
 #include <limits>
 
-#include "core/binary_tree_heal.h"
-#include "core/dash.h"
-#include "core/degree_capped.h"
-#include "core/graph_heal.h"
-#include "core/line_heal.h"
-#include "core/no_heal.h"
-#include "core/sdash.h"
+#include "core/healers.h"
 
 namespace dash::core {
 

@@ -130,19 +130,8 @@ void HealingState::begin_deletion(const Graph& g, NodeId v,
   ctx.component_id = component_id_[v];
   ctx.weight = weight_[v];
 
-  // Lemma 2's weight transfer: w(v) joins an arbitrary G'-neighbor; we
-  // pick the one with the lowest initial id for determinism. A node with
-  // no G'-neighbor donates to a G-neighbor so total weight is conserved
-  // whenever any neighbor survives.
-  const std::vector<NodeId>* heirs = &ctx.forest_neighbors;
-  if (heirs->empty()) heirs = &ctx.neighbors_g;
-  if (!heirs->empty()) {
-    NodeId heir = (*heirs)[0];
-    for (NodeId u : *heirs) {
-      if (initial_id_[u] < initial_id_[heir]) heir = u;
-    }
-    weight_[heir] += weight_[v];
-  }
+  const NodeId to = heir(ctx.forest_neighbors, ctx.neighbors_g);
+  if (to != graph::kInvalidNode) weight_[to] += weight_[v];
   weight_[v] = 0;
 
   // Detach v from G' and hand its block back to the slab.
@@ -158,23 +147,72 @@ void HealingState::begin_deletion(const Graph& g, NodeId v,
   }
 }
 
-std::vector<NodeId> HealingState::unique_neighbors(
-    const DeletionContext& ctx) const {
-  std::vector<NodeId> reps;
-  unique_neighbors(ctx, reps);
-  return reps;
+void HealingState::begin_cluster_deletions(const Graph& g,
+                                           const BatchDeletionContext& ctx,
+                                           const std::vector<char>& in_batch) {
+  for (const auto& cluster : ctx.clusters) {
+    const NodeId to =
+        heir(cluster.forest_neighbors, cluster.survivor_neighbors);
+    if (to != graph::kInvalidNode) weight_[to] += cluster.weight;
+    for (NodeId v : cluster.deleted) weight_[v] = 0;
+
+    // Net-delta convention: each survivor loses one degree per edge
+    // into the cluster.
+    for (NodeId v : cluster.deleted) {
+      for (NodeId u : g.neighbors(v)) {
+        if (!in_batch[u]) --delta_[u];
+      }
+    }
+
+    // Detach the cluster from G', counting each incident forest edge
+    // exactly once (survivor edges when seen from the deleted side,
+    // internal edges from their lower endpoint).
+    std::size_t removed_edges = 0;
+    for (NodeId v : cluster.deleted) {
+      for (NodeId u : forest_.list(v)) {
+        if (!in_batch[u]) {
+          forest_erase(u, v);
+          ++removed_edges;
+        } else if (v < u) {
+          ++removed_edges;
+        }
+      }
+    }
+    for (NodeId v : cluster.deleted) forest_.release(v);
+    healing_edges_ -= removed_edges;
+  }
 }
 
-void HealingState::unique_neighbors(const DeletionContext& ctx,
-                                    std::vector<NodeId>& reps) const {
-  // Partition N(v,G) by current component id, excluding v's own id;
-  // representative = lowest *initial* id in the partition (Sec. 2.1).
+NodeId HealingState::heir(std::span<const NodeId> forest_neighbors,
+                          std::span<const NodeId> neighbors_g) const {
+  // Lemma 2's weight transfer: the weight joins an arbitrary
+  // G'-neighbor; the lowest initial id makes it deterministic. Without
+  // a G'-neighbor it goes to a G-neighbor, so total weight is conserved
+  // whenever any neighbor survives.
+  const auto heirs = forest_neighbors.empty() ? neighbors_g : forest_neighbors;
+  NodeId best = graph::kInvalidNode;
+  for (NodeId u : heirs) {
+    if (best == graph::kInvalidNode || initial_id_[u] < initial_id_[best]) {
+      best = u;
+    }
+  }
+  return best;
+}
+
+void HealingState::representatives(std::span<const NodeId> neighbors,
+                                   std::span<const std::uint64_t> own_ids,
+                                   std::vector<NodeId>& reps) const {
+  // Partition by current component id; representative = lowest
+  // *initial* id in the partition (Sec. 2.1).
   reps.clear();
-  for (NodeId u : ctx.neighbors_g) {
-    if (component_id_[u] == ctx.component_id) continue;
+  for (NodeId u : neighbors) {
+    const std::uint64_t cid = component_id_[u];
+    if (std::find(own_ids.begin(), own_ids.end(), cid) != own_ids.end()) {
+      continue;
+    }
     bool placed = false;
     for (NodeId& r : reps) {
-      if (component_id_[r] == component_id_[u]) {
+      if (component_id_[r] == cid) {
         if (initial_id_[u] < initial_id_[r]) r = u;
         placed = true;
         break;
@@ -193,9 +231,9 @@ std::vector<NodeId> HealingState::reconnection_set(
 
 void HealingState::reconnection_set(const DeletionContext& ctx,
                                     std::vector<NodeId>& s) const {
-  unique_neighbors(ctx, s);
+  representatives(ctx.neighbors_g, {&ctx.component_id, 1}, s);
   // UN(v,G) and N(v,G') are disjoint: forest neighbors carry v's own
-  // component id, which unique_neighbors excluded.
+  // component id, which representatives() skipped.
   s.insert(s.end(), ctx.forest_neighbors.begin(),
            ctx.forest_neighbors.end());
   sort_by_delta(s);

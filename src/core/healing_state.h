@@ -46,8 +46,6 @@ namespace dash::core {
 using graph::Graph;
 using graph::NodeId;
 
-struct BatchDeletionContext;  // batch.h
-
 /// Everything a strategy needs to know about a deletion, captured
 /// *before* the node is removed from the graph.
 struct DeletionContext {
@@ -56,6 +54,21 @@ struct DeletionContext {
   std::vector<NodeId> forest_neighbors;  ///< N(v, G') at deletion time
   std::uint64_t component_id = 0;        ///< v's component id at deletion
   std::uint64_t weight = 0;              ///< w(v) at deletion
+};
+
+/// Context of one deleted cluster of a simultaneous deletion (core/batch.h),
+/// captured before removal.
+struct ClusterContext {
+  std::vector<NodeId> deleted;            ///< the cluster's members
+  std::vector<NodeId> survivor_neighbors; ///< surviving N(C, G), sorted
+  std::vector<NodeId> forest_neighbors;   ///< surviving N(C, G')
+  std::vector<std::uint64_t> member_component_ids;  ///< ids of members
+  std::uint64_t weight = 0;               ///< total cluster weight
+};
+
+struct BatchDeletionContext {
+  std::vector<ClusterContext> clusters;
+  std::size_t total_deleted = 0;
 };
 
 class HealingState {
@@ -134,10 +147,15 @@ class HealingState {
   /// The same, returning a fresh context.
   DeletionContext begin_deletion(const Graph& g, NodeId v);
 
-  /// UN(v, G) of Section 2.1: one representative (lowest initial id) per
-  /// component-id partition of ctx.neighbors_g, excluding nodes that
-  /// share v's component id (those are reachable through N(v, G')).
-  std::vector<NodeId> unique_neighbors(const DeletionContext& ctx) const;
+  /// UN(v, G) of Section 2.1, and UN(C, G) for a deleted cluster C: one
+  /// representative (lowest initial id) per component-id partition of
+  /// `neighbors`, skipping every node whose id is in `own_ids` -- the
+  /// deleted nodes' own ids, whose trees arrive through N(v, G'). In
+  /// order of each partition's first member; written into `out`, whose
+  /// capacity is reused.
+  void representatives(std::span<const NodeId> neighbors,
+                       std::span<const std::uint64_t> own_ids,
+                       std::vector<NodeId>& out) const;
 
   /// UN(v,G) + N(v,G'): the node set every component-aware strategy
   /// reconnects. Sorted ascending by (delta, initial id) -- the order
@@ -169,7 +187,7 @@ class HealingState {
   /// Batch-deletion counterpart of begin_deletion: per-cluster weight
   /// transfer, survivor delta charges, and G' detachment for a
   /// simultaneous deletion (paper footnote 1). Called by
-  /// core::begin_batch_deletion; defined in batch.cpp.
+  /// core::begin_batch_deletion.
   void begin_cluster_deletions(const Graph& g,
                                const BatchDeletionContext& ctx,
                                const std::vector<char>& in_batch);
@@ -197,9 +215,11 @@ class HealingState {
  private:
   HealingState() = default;  // for load()
 
-  /// unique_neighbors() into `out`, whose capacity is reused.
-  void unique_neighbors(const DeletionContext& ctx,
-                        std::vector<NodeId>& out) const;
+  /// Lemma 2's heir of a deleted node or cluster: the lowest initial id
+  /// among its surviving G'-neighbors, or among its G-neighbors when it
+  /// has none; kInvalidNode when both lists are empty.
+  NodeId heir(std::span<const NodeId> forest_neighbors,
+              std::span<const NodeId> neighbors_g) const;
   /// Remove v from u's E' list, keeping the order of the rest.
   void forest_erase(NodeId u, NodeId v);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/reconstruction_tree.h"
 #include "util/check.h"
 
 namespace dash::sim {
@@ -112,11 +111,11 @@ std::uint32_t DistributedDashSim::delete_and_heal(NodeId v) {
     const std::int64_t max_delta = delta_[rt.back()];
     star = w_delta + static_cast<std::int64_t>(rt.size() - 1) <= max_delta;
   }
-  const auto edges = star ? core::star_edges(rt.size(), 0)
-                          : core::complete_binary_tree_edges(rt.size());
-  for (auto [pi, ci] : edges) {
-    const NodeId a = rt[pi];
-    const NodeId b = rt[ci];
+  // Slot i's parent: slot 0 for the star, slot (i - 1) / 2 for the
+  // complete binary tree.
+  for (std::size_t i = 1; i < rt.size(); ++i) {
+    const NodeId a = rt[star ? 0 : (i - 1) / 2];
+    const NodeId b = rt[i];
     if (g_.add_edge(a, b)) {
       ++delta_[a];
       ++delta_[b];

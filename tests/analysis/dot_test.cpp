@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "core/dash.h"
+#include "core/healers.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 

@@ -4,8 +4,7 @@
 
 #include <cmath>
 
-#include "core/dash.h"
-#include "core/degree_capped.h"
+#include "core/healers.h"
 #include "graph/traversal.h"
 #include "util/rng.h"
 

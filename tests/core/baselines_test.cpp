@@ -4,11 +4,7 @@
 
 #include "../forest_reference.h"
 #include "../test_helpers.h"
-#include "core/binary_tree_heal.h"
-#include "core/degree_capped.h"
-#include "core/graph_heal.h"
-#include "core/line_heal.h"
-#include "core/no_heal.h"
+#include "core/healers.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "util/rng.h"

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "attack/factory.h"
-#include "core/dash.h"
+#include "core/healers.h"
 #include "core/healing_state.h"
 #include "graph/generators.h"
 #include "graph/io.h"

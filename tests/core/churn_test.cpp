@@ -11,7 +11,7 @@
 #include "analysis/invariants.h"
 #include "api/api.h"
 #include "attack/basic.h"
-#include "core/dash.h"
+#include "core/healers.h"
 #include "core/healing_state.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"

@@ -1,4 +1,4 @@
-#include "core/dash.h"
+#include "core/healers.h"
 
 #include <gtest/gtest.h>
 

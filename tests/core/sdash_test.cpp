@@ -1,4 +1,4 @@
-#include "core/sdash.h"
+#include "core/healers.h"
 
 #include <gtest/gtest.h>
 

@@ -9,8 +9,8 @@
 #include <numeric>
 
 #include "../forest_reference.h"
-#include "core/dash.h"
 #include "core/factory.h"
+#include "core/healers.h"
 #include "core/healing_state.h"
 #include "graph/traversal.h"
 #include "util/rng.h"

@@ -36,9 +36,8 @@
 #include "../test_helpers.h"
 #include "analysis/invariants.h"
 #include "api/api.h"
-#include "core/dash.h"
+#include "core/healers.h"
 #include "core/healing_state.h"
-#include "core/line_heal.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 

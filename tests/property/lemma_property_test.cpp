@@ -7,8 +7,8 @@
 #include "../forest_reference.h"
 #include "analysis/invariants.h"
 #include "attack/factory.h"
-#include "core/dash.h"
 #include "core/factory.h"
+#include "core/healers.h"
 #include "core/healing_state.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"

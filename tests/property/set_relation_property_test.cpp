@@ -9,7 +9,7 @@
 #include <algorithm>
 
 #include "core/batch.h"
-#include "core/dash.h"
+#include "core/healers.h"
 #include "core/healing_state.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
@@ -40,7 +40,8 @@ TEST_P(SetRelations, UnIdentitiesAlongSchedule) {
         alive[static_cast<std::size_t>(pick.below(alive.size()))];
 
     const DeletionContext ctx = st.begin_deletion(g, v);
-    const auto un = st.unique_neighbors(ctx);
+    std::vector<NodeId> un;
+    st.representatives(ctx.neighbors_g, {&ctx.component_id, 1}, un);
     const auto rs = st.reconnection_set(ctx);
 
     // UN ∩ N(v,G') = ∅.

@@ -5,9 +5,8 @@
 #include <cmath>
 
 #include "attack/factory.h"
-#include "core/dash.h"
+#include "core/healers.h"
 #include "core/healing_state.h"
-#include "core/sdash.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "util/rng.h"
