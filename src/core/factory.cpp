@@ -35,10 +35,16 @@ void register_builtins(util::Registry<HealingStrategy>& r) {
   r.add("none", simple<NoHealStrategy>, {"noheal"});
   r.add("capped",
         [](const std::string& param) -> std::unique_ptr<HealingStrategy> {
+          const auto m = util::parse_spec_uint(
+              "capped", param, std::numeric_limits<std::uint32_t>::max());
+          // The constructor's check guards code; a spec is outside input.
+          if (m < 2) {
+            throw std::invalid_argument(
+                "healing strategy 'capped' needs M >= 2, got '" + param +
+                "'");
+          }
           return std::make_unique<DegreeCappedStrategy>(
-              static_cast<std::uint32_t>(util::parse_spec_uint(
-                  "capped", param,
-                  std::numeric_limits<std::uint32_t>::max())));
+              static_cast<std::uint32_t>(m));
         },
         {}, "capped:<M>");
 }

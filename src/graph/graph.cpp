@@ -67,13 +67,15 @@ Graph& Graph::operator=(const Graph& other) {
 }
 
 void Graph::touch(NodeId v) {
-  // Compact by dropping the whole retained window once it outgrows ~2n:
-  // consumers further behind than that would take the full-rebuild
-  // fallback anyway, and the bound keeps log memory O(n) under
-  // unbounded churn.
+  // Compact by dropping the older half of the retained window once it
+  // reaches ~2n: a consumer synced within the newer half can still
+  // patch, moving the half costs O(1) amortized per touch, and the
+  // bound keeps log memory O(n) under unbounded churn.
   if (touched_.size() >= touched_cap(num_nodes())) {
-    touched_base_ += touched_.size();
-    touched_.clear();
+    const std::size_t dropped = touched_.size() - touched_.size() / 2;
+    touched_base_ += dropped;
+    touched_.erase(touched_.begin(),
+                   touched_.begin() + static_cast<std::ptrdiff_t>(dropped));
   }
   touched_.push_back(v);
 }

@@ -215,9 +215,9 @@ class Graph {
   std::uint64_t generation_ = 0;
   std::uint64_t uid_ = 0;
 
-  /// Touched-vertex log: compacted (prefix dropped, base advanced) when
-  /// it outgrows ~2n entries, which forces lagging consumers into the
-  /// full-rebuild path they would want anyway.
+  /// Touched-vertex log: compacted (older half dropped, base advanced)
+  /// when it reaches ~2n entries, which forces only consumers lagging
+  /// more than ~n entries into the full-rebuild path.
   std::vector<NodeId> touched_;
   std::uint64_t touched_base_ = 0;
 

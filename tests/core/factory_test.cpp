@@ -66,6 +66,21 @@ TEST(Factory, BadParameterThrows) {
   EXPECT_THROW(make_strategy("sdash:4294967296"), std::invalid_argument);
 }
 
+TEST(Factory, CapBelowTwoIsANamedError) {
+  // DegreeCappedStrategy's constructor aborts on M < 2; a spec must
+  // fail as a usage error naming the entry and the value instead.
+  for (const std::string m : {"0", "1"}) {
+    try {
+      make_strategy("capped:" + m);
+      ADD_FAILURE() << "capped:" << m << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "healing strategy 'capped' needs M >= 2, got '" + m + "'");
+    }
+  }
+  EXPECT_EQ(make_strategy("capped:2")->name(), "DegreeCapped(M=2)");
+}
+
 TEST(Factory, RegistryServesLookupsAndAcceptsNewEntries) {
   // make_strategy is a forwarder over the single registry instance.
   EXPECT_TRUE(healer_registry().contains("dash"));

@@ -224,26 +224,24 @@ TEST(SlabGraph, ArgmaxRebuildsAfterTheLogCompactsPastIt) {
 }
 
 TEST(SlabGraph, ArgmaxRebuildsAfterAShortWindowStraddlesCompaction) {
-  // The window since the last sync is one deletion plus one toggle,
-  // short enough that the cost rule would patch it, but the hub's own
-  // entry is the last one the compaction drops: a tree patched from the
+  // A compaction drops the older half of the touched log, so a window
+  // short enough for the cost rule to patch (at most 2 * leaves /
+  // bit_width(leaves) = 32 entries here) can no longer straddle one.
+  // This window does: the tree syncs right before the hub's deletion,
+  // early in the half a compaction drops, so a tree patched from the
   // new log's start would keep the dead hub on top. 127 ids: 128
-  // leaves and a touched-log cap of max(256, 2n) = 256.
+  // leaves and a touched-log cap of max(256, 2n) = 256, of which a
+  // compaction keeps the newest 128.
   Graph g(127);
   for (NodeId v = 1; v <= 20; ++v) g.add_edge(0, v);
   const auto toggle = [&g] {
     if (!g.remove_edge(1, 2)) g.add_edge(1, 2);
   };
-  ASSERT_EQ(g.argmax_degree(), 0u);
-  const std::size_t target = 256 - 1 - g.degree(0);
-  while (g.touched_log().size() + 2 <= target) toggle();
-  if (g.touched_log().size() < target) g.add_node();
-  ASSERT_EQ(g.touched_log().size(), target);
   ASSERT_EQ(g.argmax_degree(), 0u);  // sync right before the deletion
   const std::uint64_t synced_at = g.touched_end();
   g.delete_node(0);
-  ASSERT_EQ(g.touched_log().size(), 256u);
-  toggle();  // compacts: the deletion's entries are dropped
+  while (g.touched_begin() == 0) toggle();  // the first compaction
+  ASSERT_EQ(g.touched_begin(), 128u);       // the older half went
   ASSERT_GT(g.touched_begin(), synced_at);
   ASSERT_NO_FATAL_FAILURE(expect_indexes_match_scan(g));
 }

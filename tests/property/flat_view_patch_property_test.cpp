@@ -188,21 +188,27 @@ TEST(FlatViewPatch, SurvivesSlabBlockRecycling) {
   EXPECT_GT(view.patched_refreshes(), 0u);
 }
 
-TEST(FlatViewPatch, RecycledSnapshotPatchesAcrossCapacityDoublings) {
-  // Joins push the id space past 64 * 2^k (a doubling of the alive
-  // set's word capacity) between publishes while a reader keeps the
-  // previous epoch pinned. The store then recycles a snapshot last
-  // synced several publishes back, whose patch must grow its alive set
-  // (rebuilding the Fenwick tree) before flipping the joined ids in.
-  // Which publishes can patch depends on where the touched log was
-  // compacted, so the start graph is built edge by edge from a fixed
-  // rule (node v links to v - 1 and v - 2): its log is the test's own,
-  // whatever layout a generator builds.
+/// Joins push the id space past 64 * 2^k (a doubling of the alive set's
+/// word capacity) between publishes while a reader keeps the previous
+/// epoch pinned. The store then recycles a snapshot last synced several
+/// publishes back, whose patch must grow its alive set (rebuilding the
+/// Fenwick tree) before flipping the joined ids in. Which publishes can
+/// patch depends on where the touched log was compacted, so the start
+/// graph is built edge by edge from a fixed rule (node v links to v - 1
+/// and v - 2): its log is the test's own, whatever layout a generator
+/// builds. `pad` adds and removes one edge that many times first, four
+/// log entries each, moving every compaction without changing the
+/// graph. Returns how many doublings a patched publish crossed.
+std::size_t patched_doublings(std::size_t pad) {
   util::Rng rng(0xD0B1E);
   Graph g(100);
   for (NodeId v = 1; v < 100; ++v) {
     g.add_edge(v, v - 1);
     if (v >= 2) g.add_edge(v, v - 2);
+  }
+  for (std::size_t i = 0; i < pad; ++i) {
+    g.add_edge(0, 50);
+    g.remove_edge(0, 50);
   }
   SnapshotStore store;
   SnapshotStore::Reader old_reader = store.make_reader();
@@ -235,7 +241,20 @@ TEST(FlatViewPatch, RecycledSnapshotPatchesAcrossCapacityDoublings) {
     }
   }
   EXPECT_GT(store.live_snapshots(), 1u);  // the old epoch stayed pinned
-  EXPECT_EQ(patched_doublings, 3u);       // past 128, 256 and 512 ids
+  return patched_doublings;
+}
+
+TEST(FlatViewPatch, RecycledSnapshotPatchesAcrossCapacityDoublings) {
+  EXPECT_EQ(patched_doublings(0), 3u);  // past 128, 256 and 512 ids
+}
+
+TEST(FlatViewPatch, RecycledSnapshotPatchesWhateverTheStartLogLength) {
+  // A compaction keeps the newer half of the touched log, so wherever
+  // the start log puts the compactions, a snapshot synced a few
+  // publishes back still patches across every doubling.
+  for (std::size_t pad = 0; pad < 64; ++pad) {
+    EXPECT_EQ(patched_doublings(pad), 3u) << "pad " << pad;
+  }
 }
 
 }  // namespace
