@@ -251,9 +251,7 @@ void bench_end_to_end(std::size_t n, std::size_t rounds,
 
   Timer t_all;
   dash::api::Network net(std::move(g), "dash", seed);
-  dash::api::ServeOptions sopts;
-  sopts.publish_every = 1;
-  dash::api::ServeHandle& serve = net.serve(sopts);
+  dash::api::ServeHandle& serve = net.serve();
 
   dash::api::StretchObserverOptions stretch_opts;
   stretch_opts.sample_every = stretch_every;

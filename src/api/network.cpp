@@ -89,11 +89,9 @@ Network::Network(Graph g, std::unique_ptr<core::HealingStrategy> healer,
 
 Network::~Network() = default;
 
-ServeHandle& Network::serve() { return serve(ServeOptions{}); }
-
-ServeHandle& Network::serve(const ServeOptions& opts) {
+ServeHandle& Network::serve() {
   if (!serve_) {
-    serve_.reset(new ServeHandle(*this, opts));
+    serve_.reset(new ServeHandle(*this));
     add_observer(&serve_->publisher_);
   }
   return *serve_;

@@ -35,7 +35,6 @@
 namespace dash::api {
 
 class ServeHandle;
-struct ServeOptions;
 
 /// How the engine answers connectivity and component queries
 /// (RoundEvent::connected(), component_count(), largest_component(),
@@ -131,13 +130,11 @@ class Network {
 
   /// Start (or fetch) the concurrent read path: an engine-owned
   /// ServeHandle whose internal observer publishes an immutable
-  /// snapshot after every mutation event (cadence in ServeOptions), so
-  /// reader threads answer connected/distance/largest_component
-  /// queries lock-free from a pinned epoch while play() mutates the
-  /// graph. Call before starting the scenario; options are fixed
-  /// by the first call. See api/serve.h.
+  /// snapshot after every mutation event, so reader threads answer
+  /// connected/distance/largest_component queries lock-free from a
+  /// pinned epoch while play() mutates the graph. Call before starting
+  /// the scenario. See api/serve.h.
   ServeHandle& serve();
-  ServeHandle& serve(const ServeOptions& opts);
 
   /// The serving engine, or nullptr when serve() was never called.
   ServeHandle* serve_handle() { return serve_.get(); }

@@ -4,18 +4,10 @@
 
 namespace dash::api {
 
-ServeHandle::ServeHandle(Network& net, const ServeOptions& opts)
-    : net_(net), opts_(opts), publisher_(*this) {
-  if (opts_.publish_every == 0) opts_.publish_every = 1;
-}
+ServeHandle::ServeHandle(Network& net) : net_(net), publisher_(*this) {}
 
 std::uint64_t ServeHandle::publish() {
-  events_since_publish_ = 0;
   return store_.publish(net_.graph(), net_.connectivity_tracker());
-}
-
-void ServeHandle::maybe_publish() {
-  if (++events_since_publish_ >= opts_.publish_every) publish();
 }
 
 void ServeHandle::Publisher::on_attach(const Network& /*net*/) {
@@ -26,17 +18,18 @@ void ServeHandle::Publisher::on_attach(const Network& /*net*/) {
 
 void ServeHandle::Publisher::on_round_end(const Network& /*net*/,
                                           const RoundEvent& /*ev*/) {
-  handle_.maybe_publish();
+  handle_.publish();
 }
 
 void ServeHandle::Publisher::on_join(const Network& /*net*/,
                                      const JoinEvent& /*ev*/) {
-  handle_.maybe_publish();
+  handle_.publish();
 }
 
 void ServeHandle::Publisher::on_finish(const Network& /*net*/,
                                        Metrics& /*out*/) {
-  // The final state is always visible to readers, whatever the cadence.
+  // The final state is always visible to readers, also when the run
+  // ended without a mutation event.
   handle_.publish();
 }
 

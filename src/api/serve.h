@@ -3,8 +3,8 @@
 //
 // Network::serve() attaches an engine-owned publisher observer that
 // pushes an immutable graph::Snapshot (CSR view + component labels)
-// into a graph::SnapshotStore after every round/join (configurable
-// cadence). Reader threads each hold a ServeReader and answer
+// into a graph::SnapshotStore after every round and join. Reader
+// threads each hold a ServeReader and answer
 //
 //   connected(u, v)        O(1) from the pinned labels
 //   distance(u, v)         one bidirectional BFS on the pinned CSR
@@ -16,10 +16,10 @@
 // connectivity tracker vouches that no component merged or split --
 // by dropping the ids that died (graph/snapshot_store.h).
 //
-// entirely from a pinned epoch -- no lock is taken on the read path,
-// and the mutation thread never waits for readers (epoch-based
-// reclamation keeps retired snapshots alive exactly as long as some
-// reader pins them; see graph/snapshot_store.h).
+// Readers answer entirely from a pinned epoch -- no lock is taken on
+// the read path, and the mutation thread never waits for readers
+// (epoch-based reclamation keeps retired snapshots alive exactly as
+// long as some reader pins them; see graph/snapshot_store.h).
 //
 //   api::Network net(graph::barabasi_albert(10000, 2, rng), "dash", 1);
 //   api::ServeHandle& serve = net.serve();
@@ -45,13 +45,6 @@
 namespace dash::api {
 
 class Network;
-
-struct ServeOptions {
-  /// Publish a fresh snapshot every k-th mutation event (round or
-  /// join); 1 = after every event. The final state is always published
-  /// by Network::finish() regardless of cadence.
-  std::size_t publish_every = 1;
-};
 
 /// A pinned epoch: every query through one ServePin sees the same
 /// frozen graph, so multi-query invariants (connected implies finite
@@ -138,7 +131,6 @@ class ServeHandle {
   /// Publish the network's current state now. Mutation thread only.
   std::uint64_t publish();
 
-  const ServeOptions& options() const { return opts_; }
   const graph::SnapshotStore& store() const { return store_; }
 
  private:
@@ -159,14 +151,11 @@ class ServeHandle {
     ServeHandle& handle_;
   };
 
-  ServeHandle(Network& net, const ServeOptions& opts);
-  void maybe_publish();
+  explicit ServeHandle(Network& net);
 
   Network& net_;
-  ServeOptions opts_;
   graph::SnapshotStore store_;
   Publisher publisher_;
-  std::size_t events_since_publish_ = 0;
 };
 
 }  // namespace dash::api

@@ -69,9 +69,7 @@ ServeBenchRound run_one(const ServeBenchConfig& cfg, std::size_t readers,
   graph::Graph g = graph::barabasi_albert(cfg.n, cfg.attach, graph_rng);
   Network net(std::move(g), cfg.healer, cfg.seed);
 
-  ServeOptions sopts;
-  sopts.publish_every = cfg.publish_every;
-  ServeHandle& serve = net.serve(sopts);
+  ServeHandle& serve = net.serve();
 
   // Row streaming rides along whenever it is configured -- registered
   // on *every* round (identical observer set keeps the mutation stream
@@ -253,7 +251,6 @@ void render_serve_json(const ServeBenchConfig& cfg,
   out << "  \"healer\": " << util::json_string(cfg.healer) << ",\n";
   out << "  \"scenario\": " << util::json_string(cfg.scenario) << ",\n";
   out << "  \"seed\": " << cfg.seed << ",\n";
-  out << "  \"publish_every\": " << cfg.publish_every << ",\n";
   out << "  \"verify\": " << (cfg.verify ? "true" : "false") << ",\n";
   out << "  \"deterministic\": " << (report.deterministic ? "true" : "false")
       << ",\n";

@@ -34,7 +34,6 @@ struct ServeBenchConfig {
   std::string scenario = "churn:0.3,0.1x2000";
   std::uint64_t seed = 1;
   std::vector<std::size_t> reader_counts = {1, 2, 4, 8};
-  std::size_t publish_every = 1;    ///< snapshot cadence (events)
   std::size_t distance_every = 16;  ///< every k-th read BFSes + cross-checks
   bool verify = false;              ///< cross-check *every* read
   /// Stream per-round rows through a CsvStreamSink to this path during

@@ -1,5 +1,5 @@
 // serve_test.cpp -- the concurrent serving engine (Network::serve):
-// epoch publication cadence, queries served from pinned snapshots
+// one epoch published per event, queries served from pinned snapshots
 // while play() mutates on another thread, the one-shot ServeReader
 // conveniences, and serve-bench's rows CSV (byte-identical to an
 // unserved run) and JSON document.
@@ -64,22 +64,6 @@ TEST(Serve, EpochAdvancesWithMutationEvents) {
   // events SinkObserver saw as rows) + the unconditional finish.
   EXPECT_EQ(serve.epoch(), 1 + rows.rows().size() + 1);
   EXPECT_GT(rows.rows().size(), 0u);
-}
-
-TEST(Serve, PublishCadenceThrottlesEpochs) {
-  ServeOptions every8;
-  every8.publish_every = 8;
-  Network coarse(make_ba(64), "dash", 1);
-  coarse.serve(every8);
-  Network fine(make_ba(64), "dash", 1);
-  fine.serve();
-  Rng r1(2), r2(2);
-  const Scenario s = Scenario::parse("churn:0.3,0.1x64");
-  coarse.play(s, r1);
-  fine.play(s, r2);
-  EXPECT_LT(coarse.serve().epoch(), fine.serve().epoch());
-  // Cadence must not change the mutation outcome.
-  EXPECT_EQ(coarse.graph().num_alive(), fine.graph().num_alive());
 }
 
 TEST(Serve, QueriesDuringPlayOnBackgroundThread) {

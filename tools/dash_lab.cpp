@@ -83,7 +83,6 @@ struct LabOptions {
   bool no_shrink = false;                ///< --no-shrink (fuzz)
   // serve-bench
   std::string readers = "1,2,4,8";       ///< serve-bench --readers
-  std::uint64_t publish_every = 1;       ///< serve-bench --publish-every
   std::uint64_t distance_every = 16;     ///< serve-bench --distance-every
   bool verify = false;                   ///< serve-bench --verify
   // hunt
@@ -549,7 +548,6 @@ int cmd_serve_bench(const LabOptions& opt) {
   if (!opt.healer.empty()) cfg.healer = opt.healer;
   cfg.scenario = opt.scenario;
   cfg.seed = opt.seed;
-  cfg.publish_every = static_cast<std::size_t>(opt.publish_every);
   cfg.distance_every = static_cast<std::size_t>(opt.distance_every);
   cfg.verify = opt.verify;
   cfg.rows_path = opt.rows;
@@ -678,8 +676,6 @@ int main(int argc, char** argv) {
     opt.add_uint("seed", &lab.seed, "base seed");
     opt.add_string("readers", &lab.readers,
                    "comma-separated reader thread counts to sweep");
-    opt.add_uint("publish-every", &lab.publish_every,
-                 "publish a snapshot every k-th mutation event");
     opt.add_uint("distance-every", &lab.distance_every,
                  "every k-th read runs the BFS cross-check (0 = never)");
     opt.add_flag("verify", &lab.verify,
