@@ -137,37 +137,6 @@ void perturb_move(Move& m, util::Rng& rng) {
   }
 }
 
-// ---- trace segment helpers ----------------------------------------------
-
-struct Segment {
-  std::size_t begin = 0;
-  std::size_t end = 0;  ///< exclusive
-};
-
-/// Segments delimited by kPhase markers; a marker opens the segment it
-/// leads (events before the first marker form a headless segment).
-std::vector<Segment> phase_segments(
-    const std::vector<replay::TraceEvent>& events) {
-  std::vector<Segment> segs;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (events[i].kind == replay::EventKind::kPhase && i != start) {
-      segs.push_back({start, i});
-      start = i;
-    }
-  }
-  if (start < events.size()) segs.push_back({start, events.size()});
-  return segs;
-}
-
-void append_range(std::vector<replay::TraceEvent>& out,
-                  const std::vector<replay::TraceEvent>& events,
-                  std::size_t begin, std::size_t end) {
-  out.insert(out.end(),
-             events.begin() + static_cast<std::ptrdiff_t>(begin),
-             events.begin() + static_cast<std::ptrdiff_t>(end));
-}
-
 }  // namespace
 
 const std::vector<std::string>& strike_alphabet() {
@@ -295,53 +264,6 @@ AttackGenome crossover(const AttackGenome& a, const AttackGenome& b,
     child.resize(genome_limits().max_moves);
   }
   return AttackGenome(std::move(child));
-}
-
-bool reorder_trace_phases(replay::Trace& trace, util::Rng& rng) {
-  const auto segs = phase_segments(trace.events);
-  if (segs.size() < 2) return false;
-  std::size_t i = static_cast<std::size_t>(rng.below(segs.size()));
-  std::size_t j = static_cast<std::size_t>(rng.below(segs.size() - 1));
-  if (j >= i) ++j;
-  if (i > j) std::swap(i, j);
-  std::vector<replay::TraceEvent> out;
-  out.reserve(trace.events.size());
-  append_range(out, trace.events, 0, segs[i].begin);
-  append_range(out, trace.events, segs[j].begin, segs[j].end);
-  append_range(out, trace.events, segs[i].end, segs[j].begin);
-  append_range(out, trace.events, segs[i].begin, segs[i].end);
-  append_range(out, trace.events, segs[j].end, trace.events.size());
-  trace.events = std::move(out);
-  return true;
-}
-
-bool perturb_trace_churn(replay::Trace& trace, util::Rng& rng) {
-  const auto segs = phase_segments(trace.events);
-  if (segs.empty()) return false;
-  const Segment seg =
-      segs[static_cast<std::size_t>(rng.below(segs.size()))];
-  const bool thin = rng.below(2) == 0;
-  std::vector<replay::TraceEvent> out;
-  out.reserve(trace.events.size() + (seg.end - seg.begin));
-  append_range(out, trace.events, 0, seg.begin);
-  bool changed = false;
-  for (std::size_t i = seg.begin; i < seg.end; ++i) {
-    const replay::TraceEvent& e = trace.events[i];
-    const bool churn_event = e.kind == replay::EventKind::kJoin ||
-                             e.kind == replay::EventKind::kRemove;
-    if (churn_event && rng.below(4) == 0) {
-      changed = true;
-      if (thin) continue;  // drop: the leave/join rate falls
-      out.push_back(e);    // duplicate: it rises
-      out.push_back(e);
-      continue;
-    }
-    out.push_back(e);
-  }
-  append_range(out, trace.events, seg.end, trace.events.size());
-  if (!changed) return false;
-  trace.events = std::move(out);
-  return true;
 }
 
 }  // namespace dash::hunt

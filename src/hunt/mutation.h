@@ -1,22 +1,10 @@
-// mutation.h -- the shared hunt/fuzz mutation kit.
+// mutation.h -- the hunt's genome operators.
 //
-// Two layers, one file, because they express the same idea at two
-// granularities:
-//
-//   * Genome operators -- random_move / random_genome / mutate_genome /
-//     crossover -- edit hunt::AttackGenome values as typed moves, mix
-//     arms included. Every operator keeps the result within
-//     GenomeLimits, and every result renders to a canonical
-//     api::Scenario spec. The greedy and evolutionary search
-//     strategies are built on these.
-//
-//   * Scenario-aware trace operators -- reorder_trace_phases /
-//     perturb_trace_churn -- edit recorded replay::Trace event streams
-//     *structurally*, using the phase-boundary markers the recorder
-//     stamps: whole phase segments are reordered, and churn density
-//     inside one segment is thinned or thickened. replay::fuzz_trace
-//     draws these alongside its event-level edits, which is what makes
-//     the fuzzer scenario-aware.
+// random_move / random_genome / mutate_genome / crossover edit
+// hunt::AttackGenome values as typed moves, mix arms included. Every
+// operator keeps the result within GenomeLimits, and every result
+// renders to a canonical api::Scenario spec. The greedy and
+// evolutionary search strategies are built on these.
 //
 // All operators draw every coin from the caller's Rng: one seed, one
 // deterministic edit sequence.
@@ -27,7 +15,6 @@
 #include <vector>
 
 #include "hunt/genome.h"
-#include "replay/trace.h"
 #include "util/rng.h"
 
 namespace dash::hunt {
@@ -53,17 +40,5 @@ void mutate_genome(AttackGenome& genome, util::Rng& rng);
 /// a suffix of `b`, clamped to GenomeLimits::max_moves.
 AttackGenome crossover(const AttackGenome& a, const AttackGenome& b,
                        util::Rng& rng);
-
-// ---- scenario-aware trace mutations (shared with replay::fuzz_trace) ----
-
-/// Swap two whole phase segments (delimited by the trace's kPhase
-/// markers). Returns false -- trace untouched -- when the trace has
-/// fewer than two segments.
-bool reorder_trace_phases(replay::Trace& trace, util::Rng& rng);
-
-/// Perturb the churn rate inside one random phase segment: thin (drop)
-/// or thicken (duplicate) roughly a quarter of its join/remove events.
-/// Returns false when nothing changed.
-bool perturb_trace_churn(replay::Trace& trace, util::Rng& rng);
 
 }  // namespace dash::hunt

@@ -4,13 +4,42 @@
 #include <utility>
 
 #include "core/factory.h"
-#include "hunt/mutation.h"
 #include "replay/play.h"
 #include "replay/shrink.h"
 
 namespace dash::replay {
 
 namespace {
+
+// ---- trace segment helpers ----------------------------------------------
+
+struct Segment {
+  std::size_t begin = 0;
+  std::size_t end = 0;  ///< exclusive
+};
+
+/// Segments delimited by kPhase markers; a marker opens the segment it
+/// leads (events before the first marker form a headless segment).
+std::vector<Segment> phase_segments(const std::vector<TraceEvent>& events) {
+  std::vector<Segment> segs;
+  std::size_t start = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].kind == EventKind::kPhase && i != start) {
+      segs.push_back({start, i});
+      start = i;
+    }
+  }
+  if (start < events.size()) segs.push_back({start, events.size()});
+  return segs;
+}
+
+void append_range(std::vector<TraceEvent>& out,
+                  const std::vector<TraceEvent>& events,
+                  std::size_t begin, std::size_t end) {
+  out.insert(out.end(),
+             events.begin() + static_cast<std::ptrdiff_t>(begin),
+             events.begin() + static_cast<std::ptrdiff_t>(end));
+}
 
 /// Node-id space of the trace's snapshot, from the edge-list header
 /// ("<num_nodes>\n...") without rebuilding the graph.
@@ -119,22 +148,68 @@ void apply_one_mutation(Trace& t, dash::util::Rng& rng) {
       events.resize(static_cast<std::size_t>(rng.below(n)) + 1);
       break;
     }
-    // Scenario-aware mutations from the shared hunt/fuzz kit: they
-    // edit whole phase segments (the kPhase markers the recorder
+    // Scenario-aware mutations: they edit whole phase segments (the kPhase markers the recorder
     // stamps) instead of single events. No-ops on traces without
     // enough phase structure.
     case 8: {  // reorder two phase segments
-      dash::hunt::reorder_trace_phases(t, rng);
+      reorder_trace_phases(t, rng);
       break;
     }
     case 9: {  // churn-rate perturbation inside one segment
-      dash::hunt::perturb_trace_churn(t, rng);
+      perturb_trace_churn(t, rng);
       break;
     }
   }
 }
 
 }  // namespace
+
+bool reorder_trace_phases(Trace& trace, util::Rng& rng) {
+  const auto segs = phase_segments(trace.events);
+  if (segs.size() < 2) return false;
+  std::size_t i = static_cast<std::size_t>(rng.below(segs.size()));
+  std::size_t j = static_cast<std::size_t>(rng.below(segs.size() - 1));
+  if (j >= i) ++j;
+  if (i > j) std::swap(i, j);
+  std::vector<TraceEvent> out;
+  out.reserve(trace.events.size());
+  append_range(out, trace.events, 0, segs[i].begin);
+  append_range(out, trace.events, segs[j].begin, segs[j].end);
+  append_range(out, trace.events, segs[i].end, segs[j].begin);
+  append_range(out, trace.events, segs[i].begin, segs[i].end);
+  append_range(out, trace.events, segs[j].end, trace.events.size());
+  trace.events = std::move(out);
+  return true;
+}
+
+bool perturb_trace_churn(Trace& trace, util::Rng& rng) {
+  const auto segs = phase_segments(trace.events);
+  if (segs.empty()) return false;
+  const Segment seg =
+      segs[static_cast<std::size_t>(rng.below(segs.size()))];
+  const bool thin = rng.below(2) == 0;
+  std::vector<TraceEvent> out;
+  out.reserve(trace.events.size() + (seg.end - seg.begin));
+  append_range(out, trace.events, 0, seg.begin);
+  bool changed = false;
+  for (std::size_t i = seg.begin; i < seg.end; ++i) {
+    const TraceEvent& e = trace.events[i];
+    const bool churn_event = e.kind == EventKind::kJoin ||
+                             e.kind == EventKind::kRemove;
+    if (churn_event && rng.below(4) == 0) {
+      changed = true;
+      if (thin) continue;  // drop: the leave/join rate falls
+      out.push_back(e);    // duplicate: it rises
+      out.push_back(e);
+      continue;
+    }
+    out.push_back(e);
+  }
+  append_range(out, trace.events, seg.end, trace.events.size());
+  if (!changed) return false;
+  trace.events = std::move(out);
+  return true;
+}
 
 Trace mutate_trace(const Trace& t, dash::util::Rng& rng) {
   Trace mutant = t;

@@ -23,12 +23,25 @@ namespace dash::replay {
 /// One random structural perturbation (1-3 point mutations): drop an
 /// event or a span, duplicate an event, swap neighbors, retarget a
 /// removal, merge adjacent removals into a batch, split a batch,
-/// truncate the tail, drop a phase marker -- plus the scenario-aware
-/// edits from the shared hunt/fuzz mutation kit (hunt/mutation.h):
-/// reordering whole phase segments and perturbing the churn density
-/// inside one segment. The mutant keeps the header/snapshot, loses the
-/// footer, and zeroes the (now stale) row digests; replay it leniently.
+/// truncate the tail, drop a phase marker -- plus the two scenario-aware
+/// edits below. The mutant keeps the header/snapshot, loses the footer,
+/// and zeroes the (now stale) row digests; replay it leniently.
 Trace mutate_trace(const Trace& t, dash::util::Rng& rng);
+
+// ---- scenario-aware trace mutations ----------------------------------
+// They edit recorded event streams *structurally*, using the
+// phase-boundary markers the recorder stamps, which is what makes the
+// fuzzer scenario-aware. Every coin comes from the caller's Rng.
+
+/// Swap two whole phase segments (delimited by the trace's kPhase
+/// markers). Returns false -- trace untouched -- when the trace has
+/// fewer than two segments.
+bool reorder_trace_phases(Trace& trace, dash::util::Rng& rng);
+
+/// Perturb the churn rate inside one random phase segment: thin (drop)
+/// or thicken (duplicate) roughly a quarter of its join/remove events.
+/// Returns false when nothing changed.
+bool perturb_trace_churn(Trace& trace, dash::util::Rng& rng);
 
 struct FuzzOptions {
   std::size_t mutants = 20;

@@ -1,7 +1,9 @@
 // Differential-fuzzing tests: mutation is deterministic in its seed,
-// mutants replay cleanly across every paper healer (any violation
-// would be a real engine/healer bug), and an injected failure mode
-// (healing off) is found, shrunk, and persisted as a standalone repro.
+// the scenario-aware trace operators reorder phases and move churn
+// density, mutants replay cleanly across every paper healer (any
+// violation would be a real engine/healer bug), and an injected failure
+// mode (healing off) is found, shrunk, and persisted as a standalone
+// repro.
 #include "replay/fuzz.h"
 
 #include <gtest/gtest.h>
@@ -121,6 +123,47 @@ TEST(Fuzz, NoShrinkSkipsReproFiles) {
     EXPECT_TRUE(f.repro_path.empty());
     EXPECT_EQ(f.shrunk_events, f.original_events);
   }
+}
+
+// ---- scenario-aware trace operators -----------------------------------
+
+replay::Trace tiny_trace() {
+  replay::RecordConfig cfg;
+  cfg.make_graph = exp::make_family("ba", 24, 2);
+  cfg.scenario = api::Scenario::parse("churn:1,1x6;strike:maxnodex3");
+  cfg.seed = 5;
+  std::ostringstream os;
+  replay::record_scenario(cfg, os);
+  std::istringstream in(os.str());
+  return replay::load_trace(in);
+}
+
+TEST(MutationKit, ReorderTracePhasesIsDeterministicAndStructural) {
+  const replay::Trace golden = tiny_trace();
+  replay::Trace t1 = golden;
+  replay::Trace t2 = golden;
+  util::Rng r1(9);
+  util::Rng r2(9);
+  EXPECT_EQ(reorder_trace_phases(t1, r1), reorder_trace_phases(t2, r2));
+  // Same seed, same event stream; reordering never loses events.
+  ASSERT_EQ(t1.events.size(), t2.events.size());
+  EXPECT_EQ(t1.events.size(), golden.events.size());
+  for (std::size_t i = 0; i < t1.events.size(); ++i) {
+    EXPECT_EQ(t1.events[i].kind, t2.events[i].kind) << i;
+    EXPECT_EQ(t1.events[i].nodes, t2.events[i].nodes) << i;
+  }
+}
+
+TEST(MutationKit, PerturbTraceChurnChangesDensity) {
+  replay::Trace t = tiny_trace();
+  const std::size_t before = t.events.size();
+  util::Rng rng(11);
+  bool changed = false;
+  for (int i = 0; i < 20 && !changed; ++i) {
+    changed = perturb_trace_churn(t, rng);
+  }
+  EXPECT_TRUE(changed);
+  EXPECT_NE(t.events.size(), before);
 }
 
 }  // namespace
