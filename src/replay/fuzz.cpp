@@ -148,9 +148,9 @@ void apply_one_mutation(Trace& t, dash::util::Rng& rng) {
       events.resize(static_cast<std::size_t>(rng.below(n)) + 1);
       break;
     }
-    // Scenario-aware mutations: they edit whole phase segments (the kPhase markers the recorder
-    // stamps) instead of single events. No-ops on traces without
-    // enough phase structure.
+    // Scenario-aware mutations: they edit whole phase segments (the
+    // kPhase markers the recorder stamps) instead of single events.
+    // No-ops on traces without enough phase structure.
     case 8: {  // reorder two phase segments
       reorder_trace_phases(t, rng);
       break;
