@@ -16,7 +16,7 @@ using Edges = std::vector<std::pair<std::size_t, std::size_t>>;
 
 /// The (parent, child) slot pairs reconnect() adds, in the order it adds
 /// them, for a `shape` tree over k isolated nodes placed in reverse id
-/// order (so a slot is never its node's id).
+/// order (so slot order is not id order).
 Edges shape_edges(std::size_t k, TreeShape shape) {
   Graph g(k);
   util::Rng rng(k);
